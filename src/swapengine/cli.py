@@ -213,8 +213,8 @@ def cmd_verify(args) -> int:
         p = np.sort(rng.dirichlet(np.ones(3)))[::-1]
         if p[2] < 1e-3:
             continue
-        for m in range(2, 6):
-            for n in range(3, 7):
+        for m in range(1, 6):
+            for n in range(1, 7):
                 q_closed = engine.machine_distribution(p, m, n)
                 q_oracle = oracle.stationary_machine(p, m, n)
                 worst_q = max(worst_q, float(np.max(np.abs(q_closed - q_oracle))))

@@ -8,6 +8,7 @@ Numerics: the textbook expression for the machine occupations subtracts
 nearly equal geometric sums and loses all precision for skewed states, so
 every coefficient is assembled from an equivalent all-positive-term form.
 When r1**m or r2**n exceeds 1e12 the whole assembly switches to log space.
+The same formulas hold for every cycle with m, n >= 1.
 """
 
 from __future__ import annotations
@@ -17,15 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle, states
+from . import states
 
 _LOG_SWITCH = math.log(1e12)
 _RATIO_ONE_TOL = 1e-9
-
-# closed-form index ranges need at least this many swaps; below, the
-# stationary machine is obtained from the fixed-point solver instead
-MIN_CLOSED_M = 2
-MIN_CLOSED_N = 3
 
 
 def geometric_sum(h: int, lam: float) -> float:
@@ -87,17 +83,14 @@ class CoefficientTable:
         return geometric_sum(h, self.r2)
 
 
-def _check_closed_form_input(p, m: int, n: int) -> np.ndarray:
+def _check_cycle_input(p, m: int, n: int) -> np.ndarray:
     p = states.validate_state(p, 3)
     if np.any(p <= 0.0):
         raise ValueError("closed form needs strictly positive probabilities")
     if not (p[0] >= p[1] >= p[2]):
         raise ValueError("state must be passive (non-increasing probabilities)")
-    if m < MIN_CLOSED_M or n < MIN_CLOSED_N:
-        raise ValueError(
-            f"closed form requires m >= {MIN_CLOSED_M}, n >= {MIN_CLOSED_N}; "
-            "use the fixed-point solver for smaller cycles"
-        )
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got m = {m}, n = {n}")
     return p
 
 
@@ -121,7 +114,8 @@ def _unnormalized_direct(r1: float, r2: float, m: int, n: int) -> np.ndarray:
             + r2 ** (jp + 1) * r1m
             + r2 ** (jp + 2) * t2(n - 2 - jp)
         )
-    u[m + n - 2] = r2 * t1(m) + r2**2 * t2n2
+    if n > 1:  # for n = 1 this index is the last hot level, set above
+        u[m + n - 2] = r2 * t1(m) + r2**2 * t2n2
     u[m + n - 1] = t1m1 + r2 * t2(n - 1)
     return u
 
@@ -158,7 +152,10 @@ def _log_unnormalized(l1: float, l2: float, m: int, n: int) -> np.ndarray:
              l2 + _log_geometric_sum(np.array([n - 1.0]), l2)[0]],
         ]
     )
-    logu[m + n - 2 :] = _logsumexp(tail, axis=1)
+    last = _logsumexp(tail, axis=1)
+    if n > 1:  # for n = 1 this index is the last hot level, set above
+        logu[m + n - 2] = last[0]
+    logu[m + n - 1] = last[1]
     return logu
 
 
@@ -191,13 +188,13 @@ def _machine_solution(p: np.ndarray, m: int, n: int):
 
 def machine_distribution(p, m: int, n: int) -> np.ndarray:
     """Closed-form stationary machine distribution for the (m, n) cycle."""
-    p = _check_closed_form_input(p, m, n)
+    p = _check_cycle_input(p, m, n)
     q, _, _ = _machine_solution(p, m, n)
     return q
 
 
 def coefficient_table(p, m: int, n: int) -> CoefficientTable:
-    p = _check_closed_form_input(p, m, n)
+    p = _check_cycle_input(p, m, n)
     q, _, _ = _machine_solution(p, m, n)
     return CoefficientTable(
         r1=p[0] / p[1], r2=p[1] / p[2], m=m, n=n, d_mn=float(q[-2] / q[-1])
@@ -259,24 +256,11 @@ def _outcome_from_parts(p, energies, m, n, q, delta_p, alpha) -> CycleOutcome:
 def run_cycle(p, energies, m: int, n: int) -> CycleOutcome:
     """Evaluate one (m, n) cycle on a strictly positive passive qutrit.
 
-    Uses the closed form when the cycle is large enough for its index
-    ranges (m >= 2, n >= 3); smaller cycles go through the fixed-point
-    solver and the simulated marginal, which is exact for any m, n >= 1.
+    The closed form covers every cycle with m, n >= 1.
     """
-    p = states.validate_state(p, 3)
+    p = _check_cycle_input(p, m, n)
     energies = states.validate_hamiltonian(energies, 3)
-    if np.any(p <= 0.0):
-        raise ValueError("run_cycle needs strictly positive probabilities")
     if not states.is_passive(p, energies):
         raise ValueError("run_cycle needs a passive state")
-    if m >= MIN_CLOSED_M and n >= MIN_CLOSED_N:
-        q, delta_p, alpha = _machine_solution(p, m, n)
-    else:
-        q = oracle.stationary_machine(p, m, n)
-        final = oracle.system_marginal(oracle.apply_cycle(oracle.product_joint(p, q), oracle.build_cycle(m, n)))
-        delta_p = (final[0] - p[0]) / m
-        r1 = p[0] / p[1]
-        r2 = p[1] / p[2]
-        denom = r2**n - r1**m
-        alpha = delta_p / denom if denom != 0.0 else math.nan
+    q, delta_p, alpha = _machine_solution(p, m, n)
     return _outcome_from_parts(p, energies, m, n, q, delta_p, alpha)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,3 +159,21 @@ class TestDeterminism:
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("swapengine ")
+    ]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
+def test_readme_example_runs(tmp_path, argv):
+    if "--out" in argv:
+        i = argv.index("--out")
+        argv = argv[:i] + argv[i + 2:]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0

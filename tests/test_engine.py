@@ -32,8 +32,8 @@ class TestClosedFormVsOracle:
     def test_random_states_small_cycles(self):
         rng = np.random.default_rng(23)
         for p in random_passive_qutrits(rng, 10, min_p=1e-3):
-            for m in (2, 3, 5):
-                for n in (3, 4, 6):
+            for m in (1, 2, 3, 5):
+                for n in (1, 2, 3, 4, 6):
                     q = engine.machine_distribution(p, m, n)
                     q_ref = oracle.stationary_machine(p, m, n)
                     assert np.max(np.abs(q - q_ref)) < 1e-12
@@ -46,12 +46,28 @@ class TestClosedFormVsOracle:
         assert np.max(np.abs(q - q_ref)) < 1e-13
 
     def test_log_path_matches_oracle(self):
-        # n*ln(r2) > switch threshold forces the log-space assembly
-        p = np.array([0.495, 0.49, 0.015])
-        assert 8 * math.log(p[1] / p[2]) > math.log(1e12)
-        q = engine.machine_distribution(p, 2, 8)
-        q_ref = oracle.stationary_machine(p, 2, 8)
-        assert np.max(np.abs(q - q_ref)) < 1e-12
+        # n*ln(r2) or m*ln(r1) > switch threshold forces the log-space assembly
+        cases = [
+            (np.array([0.495, 0.49, 0.015]), 2, 8),
+            (np.array([0.9, 0.09, 0.01]), 13, 1),
+        ]
+        for p, m, n in cases:
+            assert max(m * math.log(p[0] / p[1]), n * math.log(p[1] / p[2])) > math.log(1e12)
+            q = engine.machine_distribution(p, m, n)
+            q_ref = oracle.stationary_machine(p, m, n)
+            assert np.max(np.abs(q - q_ref)) < 1e-12
+
+    def test_log_assembly_small_cycles(self):
+        # the log-space assembly on its own, where the direct path would run
+        rng = np.random.default_rng(23)
+        for p in random_passive_qutrits(rng, 10, min_p=1e-3):
+            l1, l2 = math.log(p[0] / p[1]), math.log(p[1] / p[2])
+            for m in range(1, 9):
+                for n in range(1, 9):
+                    logu = engine._log_unnormalized(l1, l2, m, n)
+                    q = np.exp(logu - engine._logsumexp(logu))
+                    q_ref = oracle.stationary_machine(p, m, n)
+                    assert np.max(np.abs(q / q.sum() - q_ref)) < 1e-12
 
     def test_log_path_large_m_normalized(self):
         p = np.array([0.5, 0.35, 0.15])
@@ -60,12 +76,13 @@ class TestClosedFormVsOracle:
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(q >= 0)
 
-    def test_small_cycle_falls_back_to_solver(self, worked_example):
+    def test_smallest_cycle_matches_oracle(self, worked_example):
         p, e = worked_example
-        with pytest.raises(ValueError):
-            engine.machine_distribution(p, 1, 1)
-        out = engine.run_cycle(p, e, 1, 1)  # fallback path
-        assert out.delta_p == pytest.approx(0.0351852, abs=1e-6)
+        q = engine.machine_distribution(p, 1, 1)
+        assert np.max(np.abs(q - oracle.stationary_machine(p, 1, 1))) < 1e-12
+        out = engine.run_cycle(p, e, 1, 1)
+        assert abs(out.delta_p - 19 / 540) <= 2 * math.ulp(19 / 540)
+        assert abs(out.work - 19 / 270) <= 2 * math.ulp(19 / 270)
 
 
 class TestRunCycle:
@@ -90,7 +107,15 @@ class TestRunCycle:
         with pytest.raises(ValueError):
             engine.run_cycle([0.6, 0.4, 0.0], [0, 1, 2], 2, 3)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(3, 6))
+    @pytest.mark.parametrize("m, n", [(0, 3), (2, 0), (-1, 3)])
+    def test_rejects_cycle_below_one(self, worked_example, m, n):
+        p, e = worked_example
+        with pytest.raises(ValueError, match="m, n >= 1"):
+            engine.run_cycle(p, e, m, n)
+        with pytest.raises(ValueError, match="m, n >= 1"):
+            engine.machine_distribution(p, m, n)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_heat_identities_property(self, seed, m, n):
         rng = np.random.default_rng(seed)
