@@ -197,18 +197,19 @@ def cmd_optimize(args) -> int:
 
 def cmd_verify(args) -> int:
     """Closed form vs simulation on a deterministic case grid; exits 1 on
-    any failure."""
+    any failure. With --format or --out, each check's measured worst value
+    and threshold are written too."""
     rng = np.random.default_rng(20240817)
-    checks = []
+    checks = []  # (name, measured worst value, threshold); passes if below
 
     p0 = np.array([0.5, 0.35, 0.15])
     e0 = np.array([0.0, 3.0, 4.0])
     out = engine.run_cycle(p0, e0, 1, 1)
-    checks.append(("worked_example_work", abs(out.work - 0.07037037037037037) < 1e-10))
-    checks.append(("worked_example_eta", abs(out.efficiency - 2.0 / 3.0) < 1e-10))
+    checks.append(("worked_example_work", abs(out.work - 0.07037037037037037), 1e-10))
+    checks.append(("worked_example_eta", abs(out.efficiency - 2.0 / 3.0), 1e-10))
 
-    worst_q = worst_w = 0.0
-    reusable = True
+    # np.maximum, unlike max, keeps a NaN so that it fails its check
+    worst_q = worst_w = worst_drift = 0.0
     for _ in range(20):
         p = np.sort(rng.dirichlet(np.ones(3)))[::-1]
         if p[2] < 1e-3:
@@ -217,25 +218,28 @@ def cmd_verify(args) -> int:
             for n in range(1, 7):
                 q_closed = engine.machine_distribution(p, m, n)
                 q_oracle = oracle.stationary_machine(p, m, n)
-                worst_q = max(worst_q, float(np.max(np.abs(q_closed - q_oracle))))
+                worst_q = np.maximum(worst_q, np.max(np.abs(q_closed - q_oracle)))
                 out = engine.run_cycle(p, e0, m, n)
                 joint = oracle.apply_cycle(
                     oracle.product_joint(p, q_oracle), oracle.build_cycle(m, n)
                 )
                 final = oracle.system_marginal(joint)
                 sim_w = (m * 3.0 - n * 1.0) * (final[0] - p[0]) / m
-                worst_w = max(worst_w, abs(out.work - sim_w) / max(1.0, abs(out.work)))
+                worst_w = np.maximum(worst_w, abs(out.work - sim_w) / max(1.0, abs(out.work)))
                 drift = np.max(np.abs(oracle.machine_marginal(joint) - q_oracle))
-                reusable = reusable and drift < 1e-12
-    checks.append(("machine_distribution_vs_oracle", worst_q < 1e-10))
-    checks.append(("work_vs_simulation", worst_w < 1e-12))
-    checks.append(("machine_reusable", reusable))
+                worst_drift = np.maximum(worst_drift, drift)
+    checks.append(("machine_distribution_vs_oracle", worst_q, 1e-10))
+    checks.append(("work_vs_simulation", worst_w, 1e-12))
+    checks.append(("machine_reusable", worst_drift, 1e-12))
 
-    failed = False
-    for name, ok in checks:
-        print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        failed = failed or not ok
-    return 1 if failed else 0
+    rows = [[name, bool(worst < limit), float(worst), limit] for name, worst, limit in checks]
+    if args.format is None and args.out is None:
+        for name, ok, _, _ in rows:
+            print(f"{name}: {'PASS' if ok else 'FAIL'}")
+    else:
+        args.format = args.format or "csv"
+        _emit(rows, ["check", "pass", "measured", "threshold"], args, _config_dict(args))
+    return 0 if all(row[1] for row in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify")
     sp.add_argument("--out")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    # without --format or --out, verify prints one PASS/FAIL line per check
+    sp.add_argument("--format", choices=("csv", "json"))
     sp.set_defaults(func=cmd_verify)
 
     return ap

@@ -2,7 +2,9 @@
 
 Builds the literal sequence of system-machine swaps as a permutation on the
 joint outcome space, computes marginals, and solves the machine fixed point
-(reusability condition) by linear algebra. Everything here is exact
+(reusability condition) by linear algebra. One pass of the cycle over the
+joint's entry labels gives its landing map, from which the machine update
+matrix is built in O(d) plus a zero fill. Everything here is exact
 distribution arithmetic; no sampling.
 """
 
@@ -31,6 +33,8 @@ class SwapStep:
     e: int
 
     def __post_init__(self):
+        if min(self.a, self.b, self.c, self.e) < 0:
+            raise ValueError("swap indices must be non-negative")
         if self.a == self.b or self.c == self.e:
             raise ValueError("swap pairs must be distinct")
 
@@ -75,34 +79,45 @@ def machine_marginal(joint: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _update_basis(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrices (B0, B1, B2) such that the machine-marginal update map is
-    q -> (p0 B0 + p1 B1 + p2 B2) q. Derived from the permutation itself."""
+def _landing(m: int, n: int) -> np.ndarray:
+    """Landing map of the cycle, read-only, shape (3, d): row t_i holds, for
+    system level i, t_i[k] = the flat index in the d x d update matrix of the
+    entry that column k reaches, so that B_i = 1 at t_i and 0 elsewhere.
+
+    One pass of the cycle over the joint's own entry labels gives it: entry
+    (j, l) of the result names the source (i, k) whose mass lands there.
+    Float labels are exact below 2**53.
+    """
     d = m + n
-    steps = build_cycle(m, n)
-    basis = []
-    for i in range(3):
-        b = np.zeros((d, d))
-        for k in range(d):
-            joint = np.zeros((3, d))
-            joint[i, k] = 1.0
-            b[:, k] = machine_marginal(apply_cycle(joint, steps))
-        basis.append(b)
-    return tuple(basis)
+    src = apply_cycle(np.arange(3.0 * d).reshape(3, d), build_cycle(m, n))
+    dest = np.empty(3 * d, dtype=np.intp)
+    dest[src.ravel().astype(np.intp)] = np.arange(3 * d) % d
+    landing = dest.reshape(3, d) * d + np.arange(d)
+    landing.setflags(write=False)
+    return landing
 
 
 def update_matrix(p, m: int, n: int) -> np.ndarray:
-    """Column-stochastic matrix of the machine-marginal update for state p."""
+    """Column-stochastic matrix of the machine-marginal update for state p:
+    p_i added at system level i's landing entries, level by level."""
     p = states.validate_state(p, 3)
-    b0, b1, b2 = _update_basis(m, n)
-    return p[0] * b0 + p[1] * b1 + p[2] * b2
+    d = m + n
+    b = np.zeros(d * d)
+    for p_i, t_i in zip(p, _landing(m, n)):
+        b[t_i] += p_i
+    return b.reshape(d, d)
 
 
-def _power_iteration(b: np.ndarray, tol: float = 1e-13, max_iter: int = 10**6) -> np.ndarray:
+def _power_iteration(b: np.ndarray, nz: np.ndarray, tol: float = 1e-13,
+                     max_iter: int = 10**6) -> np.ndarray:
+    """Fixed point of q -> b q, stepped in O(d) over the flat indices `nz`
+    of b's nonzero entries."""
     d = b.shape[0]
+    rows, cols = np.divmod(nz, d)
+    vals = b.ravel()[nz]
     q = np.full(d, 1.0 / d)
     for _ in range(max_iter):
-        nxt = b @ q
+        nxt = np.bincount(rows, weights=vals * q[cols], minlength=d)
         nxt /= nxt.sum()
         if np.max(np.abs(nxt - q)) <= tol:
             return nxt
@@ -114,8 +129,9 @@ def stationary_machine(p, m: int, n: int, direct_limit: int = 512) -> np.ndarray
     """The machine distribution left invariant by one cycle on state p.
 
     Direct nullspace solve (SVD) up to ``direct_limit`` levels, power
-    iteration beyond. Raises SingularFixedPointError when the fixed point is
-    not unique or not strictly positive.
+    iteration beyond, each step O(d) over the cycle's landing map (at most
+    3d nonzero entries). Raises SingularFixedPointError when the fixed point
+    is not unique or not strictly positive.
     """
     p = states.validate_state(p, 3)
     if np.any(p <= 0.0):
@@ -123,7 +139,7 @@ def stationary_machine(p, m: int, n: int, direct_limit: int = 512) -> np.ndarray
     d = m + n
     b = update_matrix(p, m, n)
     if d > direct_limit:
-        q = _power_iteration(b)
+        q = _power_iteration(b, np.unique(_landing(m, n)))
     else:
         _, s, vt = np.linalg.svd(b - np.eye(d))
         if d > 1 and s[-2] < 1e-10:

@@ -116,6 +116,27 @@ class TestVerifyAndErrors:
         assert run(["verify"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_verify_json_reports_measured_against_threshold(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        assert run(["verify", "--format", "json", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        payload = json.loads(out.read_text())
+        assert payload["config"] == {"command": "verify", "format": "json"}
+        results = payload["results"]
+        assert [r["check"] for r in results] == [
+            "worked_example_work", "worked_example_eta", "machine_distribution_vs_oracle",
+            "work_vs_simulation", "machine_reusable",
+        ]
+        for r in results:
+            assert r["pass"] is True
+            assert 0.0 <= r["measured"] < r["threshold"]
+
+    def test_verify_csv_to_stdout(self, capsys):
+        assert run(["verify", "--format", "csv"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "check,pass,measured,threshold"
+        assert len(rows) == 5 and all(row.split(",")[1] == "True" for row in rows)
+
     def test_mutated_closed_form_fails(self, capsys, monkeypatch):
         true_fn = engine.machine_distribution
 

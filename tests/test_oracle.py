@@ -32,6 +32,13 @@ class TestCycleStructure:
                 images.add(tuple(np.argwhere(out == 1.0)[0]))
         assert len(images) == 3 * (m + n)
 
+    def test_rejects_negative_indices(self):
+        # a negative index would wrap to the last machine column
+        with pytest.raises(ValueError):
+            oracle.SwapStep(0, 1, -1, 0)
+        with pytest.raises(ValueError):
+            oracle.SwapStep(-1, 1, 0, 1)
+
     def test_mass_conserved(self):
         rng = np.random.default_rng(7)
         joint = rng.dirichlet(np.ones(3 * 6)).reshape(3, 6)
@@ -68,9 +75,52 @@ class TestStationaryMachine:
         q_power = oracle.stationary_machine(p, 4, 4, direct_limit=2)
         assert np.max(np.abs(q_direct - q_power)) < 1e-11
 
+    def test_power_iteration_agrees_with_svd_at_d40(self):
+        # power iteration stops once a step moves q by at most 1e-13, which
+        # leaves it up to about 1e-13 * lam2 / (1 - lam2) from the fixed point
+        # (3.2e-12 here); the SVD solve is within 1.2e-15 of the closed form
+        p = np.array([0.55, 0.3, 0.15])
+        q_direct = oracle.stationary_machine(p, 17, 23)
+        q_power = oracle.stationary_machine(p, 17, 23, direct_limit=2)
+        lam2 = np.sort(np.abs(np.linalg.eigvals(oracle.update_matrix(p, 17, 23))))[-2]
+        assert np.max(np.abs(q_direct - q_power)) <= 2e-13 * lam2 / (1 - lam2)
+
     def test_rejects_zero_probabilities(self):
         with pytest.raises(ValueError):
             oracle.stationary_machine([0.7, 0.3, 0.0], 2, 2)
+
+
+def _reference_update_matrix(p, m, n):
+    """The update matrix from one cycle per joint basis state: column k of
+    B_i is the machine marginal of unit mass at (i, k) after the cycle."""
+    d = m + n
+    steps = oracle.build_cycle(m, n)
+    basis = []
+    for i in range(3):
+        b = np.zeros((d, d))
+        for k in range(d):
+            joint = np.zeros((3, d))
+            joint[i, k] = 1.0
+            b[:, k] = oracle.machine_marginal(oracle.apply_cycle(joint, steps))
+        basis.append(b)
+    return p[0] * basis[0] + p[1] * basis[1] + p[2] * basis[2]
+
+
+class TestUpdateMatrix:
+    def test_matches_basis_state_reference(self):
+        rng = np.random.default_rng(5)
+        pairs = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(20, 29), (40, 38)]
+        for p in random_passive_qutrits(rng, 3, min_p=1e-3):
+            for m, n in pairs:
+                assert np.array_equal(
+                    oracle.update_matrix(p, m, n), _reference_update_matrix(p, m, n)
+                ), (m, n)
+
+    def test_landing_vectors_read_only(self):
+        for t in oracle._landing(3, 4):
+            assert t.shape == (7,)
+            with pytest.raises(ValueError):
+                t[0] = 0
 
 
 class TestMutualInformation:
