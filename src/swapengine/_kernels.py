@@ -1,30 +1,15 @@
 """Hot numeric kernels: quasi-static trajectory stepping and coverage grids.
 
-Both kernels exist in a numba-compiled flavour and a plain numpy/python
-flavour. Selection is by the SWAPENGINE_BACKEND environment variable
-("numba", the default when numba imports, or "numpy"); `backend()` reports
-which one is active. benchmarks/bench_kernels.py compares the two.
+Both run as plain Python/numpy: the trajectory stepper is a scalar RK4 loop
+that takes the swap ratio as a function of the state, and coverage counting
+is a handful of vectorized array operations. `backend()` reports "numpy".
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_BACKEND = os.environ.get("SWAPENGINE_BACKEND", "numba").lower()
-if _BACKEND not in ("numba", "numpy"):
-    raise RuntimeError(f"SWAPENGINE_BACKEND must be 'numba' or 'numpy', got {_BACKEND!r}")
-
-if _BACKEND == "numba":
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _BACKEND = "numpy"
-
-ALPHA_CONSTANT = 0
-ALPHA_ENTROPY = 1
 
 STATUS_ON_MANIFOLD = 0
 STATUS_MAX_STEPS = 1
@@ -32,25 +17,20 @@ STATUS_STALLED = 2
 
 
 def backend() -> str:
-    return _BACKEND
+    return "numpy"
 
 
 def _flow_rate(p0, p1, p2):
     return (p1 - p2) ** 2 * (p0 - p1) ** 2 / (p1 * (p0 - p2) ** 2)
 
 
-def _alpha_value(mode, alpha_const, p0, p1, p2):
-    if mode == ALPHA_ENTROPY:
-        return math.log(p0 / p1) / math.log(p1 / p2)
-    return alpha_const
-
-
 def _r3_gap(p0, p1, p2, de10, de21):
     return de10 * math.log(p1 / p2) - de21 * math.log(p0 / p1)
 
 
-def _trajectory_core(p0, p1, de10, de21, mode, alpha_const, step, max_steps, term_tol):
-    """Adaptive RK4 flow of (p0, p1) toward the thermal manifold.
+def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps, term_tol):
+    """Adaptive RK4 flow of (p0, p1) toward the thermal manifold, with the
+    swap ratio given by alpha(p0, p1, p2).
 
     Halves the step whenever it would leave the passive simplex or
     overshoot the manifold; terminates when the R3 log-gap drops below
@@ -76,22 +56,22 @@ def _trajectory_core(p0, p1, de10, de21, mode, alpha_const, step, max_steps, ter
             y0, y1 = p0, p1
             # RK4 stages
             f = _flow_rate(y0, y1, 1.0 - y0 - y1)
-            a = _alpha_value(mode, alpha_const, y0, y1, 1.0 - y0 - y1)
+            a = alpha(y0, y1, 1.0 - y0 - y1)
             k1_0, k1_1 = f, -(1.0 + a) * f
             y0b = y0 + 0.5 * h * k1_0
             y1b = y1 + 0.5 * h * k1_1
             f = _flow_rate(y0b, y1b, 1.0 - y0b - y1b)
-            a = _alpha_value(mode, alpha_const, y0b, y1b, 1.0 - y0b - y1b)
+            a = alpha(y0b, y1b, 1.0 - y0b - y1b)
             k2_0, k2_1 = f, -(1.0 + a) * f
             y0b = y0 + 0.5 * h * k2_0
             y1b = y1 + 0.5 * h * k2_1
             f = _flow_rate(y0b, y1b, 1.0 - y0b - y1b)
-            a = _alpha_value(mode, alpha_const, y0b, y1b, 1.0 - y0b - y1b)
+            a = alpha(y0b, y1b, 1.0 - y0b - y1b)
             k3_0, k3_1 = f, -(1.0 + a) * f
             y0b = y0 + h * k3_0
             y1b = y1 + h * k3_1
             f = _flow_rate(y0b, y1b, 1.0 - y0b - y1b)
-            a = _alpha_value(mode, alpha_const, y0b, y1b, 1.0 - y0b - y1b)
+            a = alpha(y0b, y1b, 1.0 - y0b - y1b)
             k4_0, k4_1 = f, -(1.0 + a) * f
             n0 = y0 + h / 6.0 * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)
             n1 = y1 + h / 6.0 * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
@@ -122,22 +102,7 @@ def _trajectory_core(p0, p1, de10, de21, mode, alpha_const, step, max_steps, ter
     return ts, ps, k + 1, work, heat, status
 
 
-def _coverage_counts_loop(grid, big_m, big_n, m, n, lever, eps_band):
-    in_r1 = 0
-    activated = 0
-    for i in range(grid.shape[0]):
-        l1 = math.log(grid[i, 0] / grid[i, 1])
-        l2 = math.log(grid[i, 1] / grid[i, 2])
-        if big_n * l2 - big_m * l1 <= eps_band:
-            continue
-        in_r1 += 1
-        gap = n * l2 - m * l1
-        if (lever > 0 and gap > 0.0) or (lever < 0 and gap < 0.0):
-            activated += 1
-    return in_r1, activated
-
-
-def _coverage_counts_numpy(grid, big_m, big_n, m, n, lever, eps_band):
+def coverage_counts(grid, big_m, big_n, m, n, lever, eps_band):
     l1 = np.log(grid[:, 0] / grid[:, 1])
     l2 = np.log(grid[:, 1] / grid[:, 2])
     r1_mask = big_n * l2 - big_m * l1 > eps_band
@@ -149,17 +114,6 @@ def _coverage_counts_numpy(grid, big_m, big_n, m, n, lever, eps_band):
     else:
         act = 0
     return int(np.count_nonzero(r1_mask)), act
-
-
-if _BACKEND == "numba":
-    _flow_rate = njit(cache=True)(_flow_rate)
-    _alpha_value = njit(cache=True)(_alpha_value)
-    _r3_gap = njit(cache=True)(_r3_gap)
-    trajectory_core = njit(cache=True)(_trajectory_core)
-    coverage_counts = njit(cache=True)(_coverage_counts_loop)
-else:
-    trajectory_core = _trajectory_core
-    coverage_counts = _coverage_counts_numpy
 
 
 def flow_rate(p) -> float:

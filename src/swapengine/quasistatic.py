@@ -19,10 +19,9 @@ import numpy as np
 
 from . import states
 from ._kernels import (
-    ALPHA_CONSTANT,
-    ALPHA_ENTROPY,
     STATUS_MAX_STEPS,
-    STATUS_ON_MANIFOLD,
+    STATUS_STALLED,
+    _r3_gap,
     flow_rate,
     trajectory_core,
 )
@@ -128,10 +127,6 @@ class Trajectory:
 Strategy = Union[str, float, Callable[[np.ndarray], float]]
 
 
-def _r3_log_gap(p, de10: float, de21: float) -> float:
-    return de10 * math.log(p[1] / p[2]) - de21 * math.log(p[0] / p[1])
-
-
 def integrate_trajectory(
     p,
     energies,
@@ -144,7 +139,9 @@ def integrate_trajectory(
     strategy: "energy" / "energy_conserving" (alpha pinned to dE10/dE21, no
     work, pure cooling), "entropy" / "entropy_conserving" (alpha tracks the
     lower bound, isentropic, maximal work), a float (constant alpha), or a
-    callable p -> alpha evaluated along the way.
+    callable p -> alpha evaluated along the way. A float off the thermal
+    manifold must lie in the closed alpha_range window (ValueError).
+    RuntimeError if the flow stalls or needs more than max_steps steps.
 
     Work increments are the exact mean-energy drops of each accepted step,
     so the energy-conserving strategy reports exactly zero work.
@@ -155,28 +152,44 @@ def integrate_trajectory(
     de10, de21 = states.gaps(energies)
     if step <= 0.0:
         raise ValueError("step must be positive")
-    gap = _r3_log_gap(p, de10, de21)
+    gap = _r3_gap(p[0], p[1], p[2], de10, de21)
     if gap < -TERMINATION_TOL:
         raise ValueError("state is on the wrong side of the thermal manifold")
 
     if callable(strategy):
-        ts, ps, count, work, heat, status = _integrate_callable(
-            p, de10, de21, strategy, step, max_steps
-        )
+        def alpha(p0, p1, p2):
+            return strategy(np.array([p0, p1, p2]))
+    elif strategy in ("entropy", "entropy_conserving"):
+        def alpha(p0, p1, p2):
+            return math.log(p0 / p1) / math.log(p1 / p2)
     else:
         if strategy in ("energy", "energy_conserving"):
-            mode, const = ALPHA_CONSTANT, de10 / de21
-        elif strategy in ("entropy", "entropy_conserving"):
-            mode, const = ALPHA_ENTROPY, 0.0
+            const = de10 / de21
         elif isinstance(strategy, float):
-            mode, const = ALPHA_CONSTANT, strategy
+            if gap > TERMINATION_TOL:
+                rng = alpha_range(p, energies)
+                if not rng.lower <= strategy <= rng.upper:
+                    raise ValueError(
+                        f"alpha={strategy} outside admissible range "
+                        f"[{rng.lower}, {rng.upper}]"
+                    )
+            const = strategy
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        ts, ps, count, work, heat, status = trajectory_core(
-            p[0], p[1], de10, de21, mode, const, step, max_steps, TERMINATION_TOL
-        )
+
+        def alpha(p0, p1, p2):
+            return const
+
+    ts, ps, count, work, heat, status = trajectory_core(
+        p[0], p[1], de10, de21, alpha, step, max_steps, TERMINATION_TOL
+    )
     if status == STATUS_MAX_STEPS:
         raise RuntimeError(f"no convergence within {max_steps} steps")
+    if status == STATUS_STALLED:
+        raise RuntimeError(
+            f"trajectory stalled at t={ts[count - 1]}: no step keeps the state "
+            "passive and on the work-extracting side of the thermal manifold"
+        )
 
     e = states.validate_hamiltonian(energies, 3)
     samples = [
@@ -191,56 +204,6 @@ def integrate_trajectory(
         accumulated_heat_hot=heat,
         endpoint_beta=beta,
     )
-
-
-def _integrate_callable(p, de10, de21, alpha_of, step, max_steps):
-    """Python twin of the compiled stepping loop for user-supplied alpha."""
-    ts = np.empty(max_steps + 1)
-    ps = np.empty((max_steps + 1, 3))
-    ts[0], ps[0] = 0.0, p
-    work = heat = t = 0.0
-    k = 0
-    y = p.copy()
-    if _r3_log_gap(y, de10, de21) <= TERMINATION_TOL:
-        return ts, ps, 1, work, heat, STATUS_ON_MANIFOLD
-    status = STATUS_MAX_STEPS
-
-    def field(y):
-        f = flow_rate(y)
-        a = alpha_of(y)
-        return np.array([f, -(1.0 + a) * f, a * f])
-
-    while k < max_steps:
-        h = step
-        accepted = False
-        while h >= step * 1e-14:
-            k1 = field(y)
-            k2 = field(y + 0.5 * h * k1)
-            k3 = field(y + 0.5 * h * k2)
-            k4 = field(y + h * k3)
-            ynew = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if (
-                ynew[2] > 0.0
-                and ynew[1] > ynew[2]
-                and ynew[0] >= ynew[1]
-                and _r3_log_gap(ynew, de10, de21) >= 0.0
-            ):
-                accepted = True
-                break
-            h *= 0.5
-        if not accepted:
-            status = 2
-            break
-        work += de10 * (ynew[0] - y[0]) - de21 * (ynew[2] - y[2])
-        heat += de10 * (ynew[0] - y[0])
-        y = ynew
-        t += h
-        k += 1
-        ts[k], ps[k] = t, y
-        if _r3_log_gap(y, de10, de21) <= TERMINATION_TOL:
-            status = STATUS_ON_MANIFOLD
-            break
-    return ts, ps, k + 1, work, heat, status
 
 
 def optimal_work(p, energies) -> float:

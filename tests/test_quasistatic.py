@@ -138,9 +138,43 @@ class TestTrajectories:
         mid = quasistatic.alpha_range(p, e).midpoint()
         t1 = quasistatic.integrate_trajectory(p, e, mid)
         t2 = quasistatic.integrate_trajectory(p, e, lambda y: mid)
+        # one stepper: the two runs do the same arithmetic
         assert len(t1.samples) == len(t2.samples)
-        assert t1.accumulated_work == pytest.approx(t2.accumulated_work, abs=1e-14)
-        assert np.allclose(t1.final_state, t2.final_state, atol=1e-14)
+        assert t1.accumulated_work == t2.accumulated_work
+        for (s1, y1, _), (s2, y2, _) in zip(t1.samples, t2.samples):
+            assert s1 == s2
+            assert np.array_equal(y1, y2)
+
+    def test_upper_edge_alpha_is_energy_strategy(self, worked_example):
+        p, e = worked_example
+        upper = quasistatic.alpha_range(p, e).upper
+        t1 = quasistatic.integrate_trajectory(p, e, upper)
+        t2 = quasistatic.integrate_trajectory(p, e, "energy")
+        assert t1.accumulated_work == t2.accumulated_work
+        assert all(
+            np.array_equal(y1, y2) for (_, y1, _), (_, y2, _) in zip(t1.samples, t2.samples)
+        )
+
+    @pytest.mark.parametrize("alpha", [-0.5, 5.0])
+    def test_out_of_window_alpha_rejected(self, worked_example, alpha):
+        # outside the window the flow would report work above optimal_work
+        # (alpha = -0.5) or negative work (5.0)
+        p, e = worked_example
+        with pytest.raises(ValueError, match=r"outside admissible range \[0\.42"):
+            quasistatic.integrate_trajectory(p, e, alpha)
+
+    def test_thermal_start_ignores_alpha_window(self):
+        e = np.array([0.0, 1.0, 3.0])
+        tau = states.thermal_state(0.9, e)
+        traj = quasistatic.integrate_trajectory(tau, e, 5.0)
+        assert len(traj.samples) == 1
+
+    def test_stalled_trajectory_raises(self, worked_example):
+        # alpha < 0 pushes p1 up until no step stays passive; the endpoint
+        # there is not thermal and its work exceeds optimal_work
+        p, e = worked_example
+        with pytest.raises(RuntimeError, match="stalled"):
+            quasistatic.integrate_trajectory(p, e, lambda y: -0.5)
 
 
 class TestOptimalWorkAndCarnot:
