@@ -39,6 +39,13 @@ def _parse_cycles(text: str):
     return out
 
 
+def _parse_sweep(text: str) -> tuple[float, float, float]:
+    sweep = tuple(float(tok) for tok in text.split(":"))
+    if len(sweep) != 3:
+        raise argparse.ArgumentTypeError(f"need lo:hi:steps, got {text!r}")
+    return sweep
+
+
 def _resolve_state(args, energies) -> np.ndarray:
     if args.state is not None:
         return states.validate_state(args.state)
@@ -48,13 +55,7 @@ def _resolve_state(args, energies) -> np.ndarray:
 
 
 def _py(v):
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    return v
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def _emit(rows, header, args, config):
@@ -176,6 +177,9 @@ def cmd_fig6(args) -> int:
 def cmd_optimize(args) -> int:
     """Best (m, n) under a machine-dimension cap; for qudits, also the best
     3-level window."""
+    if args.max_dim < 2:
+        print(f"error: need --max-dim >= 2, got {args.max_dim}", file=sys.stderr)
+        return 2
     e = states.validate_hamiltonian(args.energies)
     p = _resolve_state(args, e)
     best = None
@@ -262,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fig4")
     common(sp)
-    sp.add_argument("--sweep-gap", dest="sweep_gap", required=True,
-                    type=lambda s: tuple(float(x) for x in s.split(":")))
+    sp.add_argument("--sweep-gap", dest="sweep_gap", required=True, type=_parse_sweep)
     sp.set_defaults(func=cmd_fig4)
 
     sp = sub.add_parser("fig5")
@@ -295,7 +298,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, oracle.SingularFixedPointError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,10 +2,10 @@
 
 Builds the literal sequence of system-machine swaps as a permutation on the
 joint outcome space, computes marginals, and solves the machine fixed point
-(reusability condition) by linear algebra. One pass of the cycle over the
-joint's entry labels gives its landing map, from which the machine update
-matrix is built in O(d) plus a zero fill. Everything here is exact
-distribution arithmetic; no sampling.
+(reusability condition) by GTH elimination, one path for every d. One pass
+of the cycle over the joint's entry labels gives its landing map, from which
+the machine update matrix is built in O(d) plus a zero fill. Everything here
+is exact distribution arithmetic; no sampling.
 """
 
 from __future__ import annotations
@@ -108,54 +108,49 @@ def update_matrix(p, m: int, n: int) -> np.ndarray:
     return b.reshape(d, d)
 
 
-def _power_iteration(b: np.ndarray, nz: np.ndarray, tol: float = 1e-13,
-                     max_iter: int = 10**6) -> np.ndarray:
-    """Fixed point of q -> b q, stepped in O(d) over the flat indices `nz`
-    of b's nonzero entries."""
+def _stationary_vector(b: np.ndarray) -> np.ndarray:
+    """Fixed point of q -> b q, b column-stochastic, by GTH elimination
+    (Grassmann, Taksar & Heyman 1985): levels leave from the top down, their
+    rates folded into the levels feeding them; outflows are summed, never
+    taken as 1 - b[k, k], so no entry loses relative accuracy to cancellation."""
     d = b.shape[0]
-    rows, cols = np.divmod(nz, d)
-    vals = b.ravel()[nz]
-    q = np.full(d, 1.0 / d)
-    for _ in range(max_iter):
-        nxt = np.bincount(rows, weights=vals * q[cols], minlength=d)
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - q)) <= tol:
-            return nxt
-        q = nxt
-    raise SingularFixedPointError(f"power iteration did not converge in {max_iter} iterations")
+    out = [{} for _ in range(d)]  # out[k][j]: rate of k -> j, j != k
+    into = [{} for _ in range(d)]  # into[j][k]: the same; j's weights once it leaves
+    rows, cols = np.nonzero(b)
+    for j, k, r in zip(rows.tolist(), cols.tolist(), b[rows, cols].tolist()):
+        if j != k:
+            out[k][j] = into[j][k] = r
+    for top in range(d - 1, 0, -1):
+        s = sum(out[top].values())
+        if s == 0.0 or not into[top]:
+            raise SingularFixedPointError("fixed point is not unique or not strictly positive")
+        for j in out[top]:
+            del into[j][top]
+        for i in into[top]:
+            w = into[top][i] = into[top][i] / s
+            del out[i][top]
+            for j, r in out[top].items():
+                if j != i:
+                    out[i][j] = into[j][i] = out[i].get(j, 0.0) + w * r
+    q = [1.0] * d
+    for top in range(1, d):
+        q[top] = sum(q[i] * w for i, w in into[top].items())
+    q = np.array(q)
+    return q / q.sum()
 
 
-def stationary_machine(p, m: int, n: int, direct_limit: int = 512) -> np.ndarray:
-    """The machine distribution left invariant by one cycle on state p.
-
-    Direct nullspace solve (SVD) up to ``direct_limit`` levels, power
-    iteration beyond, each step O(d) over the cycle's landing map (at most
-    3d nonzero entries). Raises SingularFixedPointError when the fixed point
-    is not unique or not strictly positive.
-    """
+def stationary_machine(p, m: int, n: int) -> np.ndarray:
+    """The machine distribution left invariant by one cycle on state p: one
+    GTH solve for every d (its elimination is O(d): the machine chain is a
+    ring). Raises SingularFixedPointError when the fixed point is not unique
+    or not strictly positive, or its residual exceeds 1e-12."""
     p = states.validate_state(p, 3)
     if np.any(p <= 0.0):
         raise ValueError("stationary machine needs strictly positive system probabilities")
-    d = m + n
     b = update_matrix(p, m, n)
-    if d > direct_limit:
-        q = _power_iteration(b, np.unique(_landing(m, n)))
-    else:
-        _, s, vt = np.linalg.svd(b - np.eye(d))
-        if d > 1 and s[-2] < 1e-10:
-            raise SingularFixedPointError("fixed point is not unique (degenerate nullspace)")
-        q = vt[-1]
-        q = q / q.sum()
-    neg = q < 0.0
-    if np.any(neg):
-        # entries below solver noise can come out with garbage sign; anything
-        # genuinely negative means the fixed point is unphysical
-        if np.min(q) < -1e-12 * np.max(q):
-            raise SingularFixedPointError("fixed point has negative entries")
-        q = np.where(neg, 0.0, q)
-        q = q / q.sum()
+    q = _stationary_vector(b)
     residual = np.max(np.abs(b @ q - q))
-    if residual > 1e-12:
+    if not residual <= 1e-12:  # a NaN from overflow fails too
         raise SingularFixedPointError(f"fixed-point residual too large: {residual:g}")
     return q
 

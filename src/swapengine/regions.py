@@ -85,6 +85,8 @@ def classify(p, ratio: RationalGapRatio, tol: float = R3_TOL) -> str:
 
 def in_activation_region(p, energies, m: int, n: int) -> bool:
     """True iff the (m, n) cycle extracts strictly positive work from p."""
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got m = {m}, n = {n}")
     l1, l2 = _log_ratios(p)
     de10, de21 = states.gaps(energies)
     lever = m * de10 - n * de21
@@ -162,6 +164,8 @@ def coverage_fraction(
     around R3, where no finite cycle ever wins. Degenerate cycles with
     m dE10 = n dE21 activate nothing and return 0.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got m = {m}, n = {n}")
     grid = passive_simplex_grid(grid_resolution)
     lever = m * ratio.n_int - n * ratio.m_int  # sign of m dE10 - n dE21
     in_r1, activated = coverage_counts(

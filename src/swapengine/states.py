@@ -228,12 +228,9 @@ def beta_from_energy(target_energy: float, energies, tol: float = 1e-10) -> floa
         raise ValueError("target energy below the ground energy")
     if abs(target_energy - e[0]) <= tol:
         return BETA_INF
-    beta = _bisect_beta(lambda b: mean_energy(thermal_state(b, e), e) - target_energy, e)
-    if not is_beta_inf(beta):
-        return beta
-    # bracket exhausted: target is between ground energy and the coldest
-    # representable thermal state; report the sentinel
-    return BETA_INF
+    # BETA_INF when the target lies between the ground energy and the coldest
+    # representable thermal state
+    return _bisect_beta(lambda b: mean_energy(thermal_state(b, e), e) - target_energy, e)
 
 
 def beta_from_entropy(target_entropy: float, energies, tol: float = 1e-10) -> float:

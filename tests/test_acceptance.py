@@ -181,7 +181,7 @@ def test_criterion_09_asymptotics(worked_example):
     mid = quasistatic.alpha_range(p, e).midpoint()
     am = quasistatic.asymptotic_machine(p, e, 200, mid)
     mix = am.distribution()
-    exact = oracle.stationary_machine(p, am.m, am.n, direct_limit=700)
+    exact = oracle.stationary_machine(p, am.m, am.n)
     mask = mix > 1e-12
     rel = np.max(np.abs(exact[mask] - mix[mask]) / mix[mask])
     assert rel < 0.01

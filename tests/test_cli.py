@@ -110,6 +110,14 @@ class TestOptimize:
         assert float(vals["work"]) > 0
         assert int(vals["window"]) in (0, 1, 2)
 
+    def test_max_dim_below_two_is_usage_error(self, capsys):
+        assert run([
+            "optimize", "--state", "0.5,0.35,0.15", "--energies", "0,3,4", "--max-dim", "1",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need --max-dim >= 2, got 1\n"
+
 
 class TestVerifyAndErrors:
     def test_verify_passes(self, capsys):
@@ -157,6 +165,19 @@ class TestVerifyAndErrors:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_cycle_below_one_exits_1(self, capsys):
+        assert run(["fig5", "--energies", "0,1,3", "--grid", "20", "--cycles", "0:1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: need m, n >= 1" in captured.err
+
+    def test_sweep_gap_needs_three_fields(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["fig4", "--state", "0.5,0.35,0.15", "--energies", "0,3,4",
+                 "--sweep-gap", "0.5:7.5"])
+        assert exc.value.code == 2
+        assert "lo:hi:steps" in capsys.readouterr().err
 
     def test_parse_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swapengine import oracle
+from swapengine import engine, oracle
 from tests.conftest import random_passive_qutrits
 
 
@@ -69,21 +69,35 @@ class TestStationaryMachine:
         assert np.allclose(b.sum(axis=0), 1.0, atol=1e-14)
         assert np.all(b >= 0)
 
-    def test_power_iteration_agrees_with_direct(self):
-        p = np.array([0.5, 0.35, 0.15])
-        q_direct = oracle.stationary_machine(p, 4, 4)
-        q_power = oracle.stationary_machine(p, 4, 4, direct_limit=2)
-        assert np.max(np.abs(q_direct - q_power)) < 1e-11
+    @pytest.mark.parametrize("p, m, n", [
+        (np.array([0.55, 0.3, 0.15]), 17, 23),
+        # crosscheck-like: ln(p0/p1) = ln(p1/p2) = 0.8
+        (np.exp([0.8, 0.0, -0.8]) / np.exp([0.8, 0.0, -0.8]).sum(), 257, 257),
+    ], ids=["d40", "d514"])
+    def test_matches_closed_form_at_large_d(self, p, m, n):
+        q = oracle.stationary_machine(p, m, n)
+        assert np.max(np.abs(q - engine.machine_distribution(p, m, n))) <= 1e-13
 
-    def test_power_iteration_agrees_with_svd_at_d40(self):
-        # power iteration stops once a step moves q by at most 1e-13, which
-        # leaves it up to about 1e-13 * lam2 / (1 - lam2) from the fixed point
-        # (3.2e-12 here); the SVD solve is within 1.2e-15 of the closed form
-        p = np.array([0.55, 0.3, 0.15])
-        q_direct = oracle.stationary_machine(p, 17, 23)
-        q_power = oracle.stationary_machine(p, 17, 23, direct_limit=2)
-        lam2 = np.sort(np.abs(np.linalg.eigvals(oracle.update_matrix(p, 17, 23))))[-2]
-        assert np.max(np.abs(q_direct - q_power)) <= 2e-13 * lam2 / (1 - lam2)
+    @pytest.mark.parametrize("m, n", [(100, 100), (250, 250)])
+    def test_skewed_state_solves(self, m, n):
+        # p1 and p2 are 1e-8 and nearly equal: the chain is irreducible
+        eps = 1e-8
+        p = np.array([1 - 2 * eps, eps, 0.999999 * eps])
+        p /= p.sum()
+        q = oracle.stationary_machine(p, m, n)
+        assert np.all(q > 0)
+        assert np.max(np.abs(q - engine.machine_distribution(p, m, n))) <= 1e-12
+
+    def test_reducible_chain_raises(self):
+        # two closed blocks, {0, 1} and {2, 3}: every mixture is a fixed point
+        b = np.array([
+            [0.5, 0.5, 0.0, 0.0],
+            [0.5, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 0.3, 0.6],
+            [0.0, 0.0, 0.7, 0.4],
+        ])
+        with pytest.raises(oracle.SingularFixedPointError):
+            oracle._stationary_vector(b)
 
     def test_rejects_zero_probabilities(self):
         with pytest.raises(ValueError):

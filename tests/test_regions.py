@@ -56,6 +56,11 @@ class TestClassification:
                     continue
                 assert regions.in_activation_region(p, e, m, n) == (out.work > 0)
 
+    @pytest.mark.parametrize("m, n", [(-2, 1), (0, 1), (1, 0)])
+    def test_rejects_cycle_below_one(self, m, n):
+        with pytest.raises(ValueError, match="need m, n >= 1"):
+            regions.in_activation_region([0.5, 0.35, 0.15], [0.0, 1.0, 3.0], m, n)
+
 
 class TestCoveringCycle:
     def test_r1_state_gets_activating_cycle(self, worked_example):
@@ -122,3 +127,8 @@ class TestGridAndCoverage:
         # m dE10 == n dE21 extracts nothing anywhere
         ratio = regions.RationalGapRatio(2, 1)
         assert regions.coverage_fraction(ratio, 2, 1, 40) == 0.0
+
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, -1)])
+    def test_coverage_rejects_cycle_below_one(self, m, n):
+        with pytest.raises(ValueError, match="need m, n >= 1"):
+            regions.coverage_fraction(regions.RationalGapRatio(2, 1), m, n, 20)
