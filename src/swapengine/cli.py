@@ -20,10 +20,6 @@ from . import engine, oracle, quasistatic, reduction, regions, states
 FMT = "%.17g"
 
 
-def _f(x: float) -> str:
-    return FMT % float(x)
-
-
 def _parse_floats(text: str) -> np.ndarray:
     try:
         return np.array([float(tok) for tok in text.split(",")])
@@ -54,23 +50,20 @@ def _resolve_state(args, energies) -> np.ndarray:
     raise ValueError("need --state or --beta")
 
 
-def _py(v):
-    return v.item() if isinstance(v, np.generic) else v
-
-
 def _emit(rows, header, args, config):
     """Write rows as CSV or JSON to --out (or stdout)."""
-    rows = [[_py(v) for v in row] for row in rows]
+    rows = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
     if args.format == "csv":
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_f(v) if isinstance(v, float) else str(v) for v in row))
+        lines += [
+            ",".join([FMT % v if isinstance(v, float) else str(v) for v in row]) for row in rows
+        ]
         text = "\n".join(lines) + "\n"
     else:
         payload = {
             "config": config,
             "results": [
-                {k: (float(_f(v)) if isinstance(v, float) else v) for k, v in zip(header, row)}
+                {k: (float(FMT % v) if isinstance(v, float) else v) for k, v in zip(header, row)}
                 for row in rows
             ],
         }
@@ -148,12 +141,9 @@ def cmd_fig5(args) -> int:
     cycles = args.cycles or [(3, 1), (5, 2), (11, 5)]
     grid = regions.passive_simplex_grid(args.grid)
     header = ["p0", "p1", "p2", "region"] + [f"active_{m}_{n}" for m, n in cycles]
-    rows = []
-    for pt in grid:
-        row = [float(pt[0]), float(pt[1]), float(pt[2]), regions.classify(pt, ratio)]
-        for m, n in cycles:
-            row.append(regions.in_activation_region(pt, e, m, n))
-        rows.append(row)
+    labels = regions.classify(grid, ratio).tolist()
+    flags = [regions.in_activation_region(grid, e, m, n).tolist() for m, n in cycles]
+    rows = [pt + [label, *fl] for pt, label, *fl in zip(grid.tolist(), labels, *flags)]
     _emit(rows, header, args, _config_dict(args, cycles=[list(c) for c in cycles]))
     return 0
 

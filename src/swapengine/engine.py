@@ -65,24 +65,6 @@ def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
     return out + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Population ratios, geometric partial sums and the tail-ratio
-    coefficient D(m, n) = q_{d-2}/q_{d-1} of the machine distribution."""
-
-    r1: float
-    r2: float
-    m: int
-    n: int
-    d_mn: float
-
-    def t1(self, h: int) -> float:
-        return geometric_sum(h, self.r1)
-
-    def t2(self, h: int) -> float:
-        return geometric_sum(h, self.r2)
-
-
 def _check_cycle_input(p, m: int, n: int) -> np.ndarray:
     p = states.validate_state(p, 3)
     if np.any(p <= 0.0):
@@ -191,14 +173,6 @@ def machine_distribution(p, m: int, n: int) -> np.ndarray:
     p = _check_cycle_input(p, m, n)
     q, _, _ = _machine_solution(p, m, n)
     return q
-
-
-def coefficient_table(p, m: int, n: int) -> CoefficientTable:
-    p = _check_cycle_input(p, m, n)
-    q, _, _ = _machine_solution(p, m, n)
-    return CoefficientTable(
-        r1=p[0] / p[1], r2=p[1] / p[2], m=m, n=n, d_mn=float(q[-2] / q[-1])
-    )
 
 
 @dataclass(frozen=True)

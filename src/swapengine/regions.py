@@ -4,7 +4,8 @@ With the gap ratio pinned to integers (M dE10 = N dE21), passive states
 split into R1 / R2 / R3 by comparing N ln(p1/p2) against M ln(p0/p1); the
 cycle (m, n) activates exactly the states where the analogous comparison
 with exponents (n, m) has the same sign as m dE10 - n dE21. All
-comparisons are done in log space.
+comparisons are done in log space. `classify` and `in_activation_region`
+take one state or an (N, 3) array of states, decided in one numpy pass.
 """
 
 from __future__ import annotations
@@ -65,35 +66,82 @@ def approximate_gap_ratio(energies, tol: float = 1e-9) -> RationalGapRatio:
     return RationalGapRatio(m_int=m_cur, n_int=n_cur)
 
 
-def _log_ratios(p) -> tuple[float, float]:
+def _log_ratios(p):
+    """(ln(p0/p1), ln(p1/p2)): floats for one state, arrays over the rows of
+    an (N, 3) batch, which is validated once as a whole."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 2:
+        if p.shape[1] != 3:
+            raise ValueError(f"batch of states must have shape (N, 3), got {p.shape}")
+        if not np.all(p > 0.0):
+            raise ValueError("region classification needs strictly positive probabilities")
+        if not np.all(abs(p.sum(axis=1) - 1.0) <= 1e-12):
+            raise ValueError("batch has a row that is not normalized")
+        logs = np.log(p[:, :2] / p[:, 1:])
+        return logs[:, 0], logs[:, 1]
     p = states.validate_state(p, 3)
     if np.any(p <= 0.0):
         raise ValueError("region classification needs strictly positive probabilities")
     return math.log(p[0] / p[1]), math.log(p[1] / p[2])
 
 
-def classify(p, ratio: RationalGapRatio, tol: float = R3_TOL) -> str:
+def _agree_with_scalar(out, near, p, scalar):
+    """Take the one-state answer on the batch rows flagged `near` an edge.
+
+    np.log may differ from math.log by an ulp, which can move a decision
+    only within ~1e-15 (relative) of its edge; the rows flagged within
+    1e-12 are decided again by the one-state path, so a batch gives
+    exactly what per-row calls give.
+    """
+    for i in np.flatnonzero(near):
+        out[i] = scalar(p[i])
+    return out
+
+
+def classify(p, ratio: RationalGapRatio, tol: float = R3_TOL):
     """R1, R2 or R3 for the given rational gap ratio; the comparison is
-    invariant under a common rescaling of all energies."""
+    invariant under a common rescaling of all energies.
+
+    p is one state, or an (N, 3) array of states, which gives an array of
+    N labels.
+    """
+    p = np.asarray(p, dtype=float)
     l1, l2 = _log_ratios(p)
     lhs = ratio.n_int * l2
     rhs = ratio.m_int * l1
-    if abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs)):
-        return R3
-    return R1 if lhs > rhs else R2
+    if p.ndim == 1:
+        if abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs)):
+            return R3
+        return R1 if lhs > rhs else R2
+    dist = abs(lhs - rhs)
+    band = tol * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+    labels = np.where(dist <= band, R3, np.where(lhs > rhs, R1, R2))
+    near = abs(dist - band) <= 1e-12 * (abs(lhs) + abs(rhs))
+    return _agree_with_scalar(labels, near, p, lambda q: classify(q, ratio, tol))
 
 
-def in_activation_region(p, energies, m: int, n: int) -> bool:
-    """True iff the (m, n) cycle extracts strictly positive work from p."""
+def in_activation_region(p, energies, m: int, n: int):
+    """True iff the (m, n) cycle extracts strictly positive work from p.
+
+    p is one state, or an (N, 3) array of states, which gives a bool array
+    of N flags.
+    """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m = {m}, n = {n}")
+    p = np.asarray(p, dtype=float)
     l1, l2 = _log_ratios(p)
     de10, de21 = states.gaps(energies)
     lever = m * de10 - n * de21
     if lever == 0.0:
-        return False
+        return False if p.ndim == 1 else np.zeros(len(p), dtype=bool)
     gap = n * l2 - m * l1
-    return gap > 0 if lever > 0 else gap < 0
+    active = gap > 0 if lever > 0 else gap < 0
+    if p.ndim == 1:
+        return active
+    near = abs(gap) <= 1e-12 * (n * abs(l2) + m * abs(l1))
+    return _agree_with_scalar(
+        active, near, p, lambda q: in_activation_region(q, energies, m, n)
+    )
 
 
 def covering_cycle(p, ratio: RationalGapRatio, n_max: int, tol: float = R3_TOL):
@@ -143,12 +191,14 @@ def passive_simplex_grid(resolution: int) -> np.ndarray:
     states: all (i, j, k)/resolution with i >= j >= k >= 1."""
     if resolution < 10:
         raise ValueError("need resolution >= 10")
-    pts = []
-    for k in range(1, resolution // 3 + 1):
-        for j in range(k, (resolution - k) // 2 + 1):
-            i = resolution - j - k
-            pts.append((i, j, k))
-    return np.array(pts, dtype=float) / resolution
+    # k ascending, then j from k to (resolution - k) // 2, then i = the rest
+    k = np.arange(1, resolution // 3 + 1)
+    count = (resolution - k) // 2 - k + 1
+    first = np.cumsum(count) - count  # row of each k's first point
+    k = np.repeat(k, count)
+    j = k + np.arange(k.size) - np.repeat(first, count)
+    i = resolution - j - k
+    return np.stack([i, j, k], axis=1).astype(float) / resolution
 
 
 def coverage_fraction(

@@ -33,9 +33,10 @@ def validate_state(probs, d: int | None = None) -> np.ndarray:
         raise ValueError("state must be a 1-d probability vector of length >= 2")
     if d is not None and p.size != d:
         raise ValueError(f"state has length {p.size}, expected {d}")
-    if np.any(p < 0):
-        raise ValueError("state has negative entries")
-    if abs(p.sum() - 1.0) > 1e-12:
+    # negated tests, so that a NaN entry fails them
+    if not np.all(p >= 0):
+        raise ValueError("state has negative or NaN entries")
+    if not abs(p.sum() - 1.0) <= 1e-12:
         raise ValueError(f"state not normalized: sum = {p.sum()!r}")
     return p
 
@@ -47,8 +48,10 @@ def validate_hamiltonian(energies, d: int | None = None) -> np.ndarray:
         raise ValueError("energy ladder must be 1-d with length >= 2")
     if d is not None and e.size != d:
         raise ValueError(f"ladder has length {e.size}, expected {d}")
-    if np.any(np.diff(e) < 0):
-        raise ValueError("energies must be non-decreasing")
+    # a NaN fails the first test; on a non-decreasing ladder an infinite
+    # level makes the span infinite
+    if not (np.all(np.diff(e) >= 0) and math.isfinite(e[-1] - e[0])):
+        raise ValueError("energies must be finite and non-decreasing")
     return e
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swapengine import cli, engine
+from swapengine import cli, engine, regions
 
 
 def run(argv):
@@ -79,6 +79,32 @@ class TestFig5:
         assert lines[0].startswith("p0,p1,p2,region,active_3_1")
         regions_seen = {line.split(",")[3] for line in lines[1:]}
         assert {"R1", "R2"} <= regions_seen
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matches_per_point_loop(self, tmp_path, fmt):
+        # (2, 1) is the degenerate cycle of this ladder: m dE10 = n dE21
+        cycles = [(3, 1), (5, 2), (2, 1), (1, 1)]
+        e = np.array([0.0, 1.0, 3.0])
+        out = tmp_path / f"f5.{fmt}"
+        assert run(["fig5", "--energies", "0,1,3", "--grid", "60", "--cycles",
+                    "3:1,5:2,2:1,1:1", "--format", fmt, "--out", str(out)]) == 0
+        ratio = regions.approximate_gap_ratio(e)
+        expected = []
+        for pt in regions.passive_simplex_grid(60):
+            row = [float(pt[0]), float(pt[1]), float(pt[2]), regions.classify(pt, ratio)]
+            row += [regions.in_activation_region(pt, e, m, n) for m, n in cycles]
+            expected.append(row)
+        header = ["p0", "p1", "p2", "region"] + [f"active_{m}_{n}" for m, n in cycles]
+        if fmt == "csv":
+            lines = [",".join(header)] + [
+                ",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
+                for row in expected
+            ]
+            assert out.read_text() == "\n".join(lines) + "\n"
+        else:
+            assert json.loads(out.read_text())["results"] == [
+                dict(zip(header, row)) for row in expected
+            ]
 
 
 class TestFig6:
@@ -165,6 +191,16 @@ class TestVerifyAndErrors:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("state, energies", [
+        ("0.5,0.35,0.15", "0,nan,4"), ("0.5,0.35,0.15", "0,3,inf"), ("0.5,nan,0.15", "0,3,4"),
+    ])
+    def test_non_finite_input_exits_1(self, capsys, state, energies):
+        assert run(["cycle", "--state", state, "--energies", energies,
+                    "--m", "2", "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_cycle_below_one_exits_1(self, capsys):
         assert run(["fig5", "--energies", "0,1,3", "--grid", "20", "--cycles", "0:1"]) == 1

@@ -107,6 +107,15 @@ class TestRunCycle:
         with pytest.raises(ValueError):
             engine.run_cycle([0.6, 0.4, 0.0], [0, 1, 2], 2, 3)
 
+    @pytest.mark.parametrize("p, e", [
+        ([0.5, 0.35, 0.15], [0.0, float("nan"), 4.0]),
+        ([0.5, 0.35, 0.15], [0.0, 3.0, float("inf")]),
+        ([0.5, float("nan"), 0.15], [0.0, 3.0, 4.0]),
+    ])
+    def test_rejects_non_finite_input(self, p, e):
+        with pytest.raises(ValueError):
+            engine.run_cycle(p, e, 2, 3)
+
     @pytest.mark.parametrize("m, n", [(0, 3), (2, 0), (-1, 3)])
     def test_rejects_cycle_below_one(self, worked_example, m, n):
         p, e = worked_example
@@ -143,13 +152,3 @@ class TestRunCycle:
         p, e = worked_example
         out = engine.run_cycle(p, e, 2, 3)
         assert out.efficiency == pytest.approx(1 - (3 * 1.0) / (2 * 3.0), abs=1e-12)
-
-
-class TestCoefficientTable:
-    def test_tail_ratio_matches_machine(self, worked_example):
-        p, _ = worked_example
-        table = engine.coefficient_table(p, 3, 4)
-        q = engine.machine_distribution(p, 3, 4)
-        assert table.d_mn == pytest.approx(q[-2] / q[-1], rel=1e-12)
-        assert table.t1(-1) == 0.0
-        assert table.t2(2) == pytest.approx(1 + 7 / 3 + (7 / 3) ** 2)

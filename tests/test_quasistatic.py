@@ -190,6 +190,15 @@ class TestOptimalWorkAndCarnot:
             0.0, abs=1e-9
         )
 
+    @pytest.mark.parametrize("p, e", [
+        ([0.5, 0.35, 0.15], [0.0, 3.0, float("inf")]),
+        ([0.5, 0.35, 0.15], [0.0, float("nan"), 4.0]),
+        ([0.5, 0.35, float("nan")], [0.0, 3.0, 4.0]),
+    ])
+    def test_rejects_non_finite_input(self, p, e):
+        with pytest.raises(ValueError):
+            quasistatic.optimal_work(p, e)
+
     def test_worked_example_positive(self, worked_example):
         p, e = worked_example
         w = quasistatic.optimal_work(p, e)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapengine import engine, regions, states
 from tests.conftest import random_passive_qutrits, tensor_power_ergotropy
@@ -62,6 +64,85 @@ class TestClassification:
             regions.in_activation_region([0.5, 0.35, 0.15], [0.0, 1.0, 3.0], m, n)
 
 
+# (M, N) gap ratios; the cycle (M, N) itself is the degenerate m dE10 = n dE21
+RATIOS = [(2, 1), (1, 2), (3, 2), (2, 3), (1, 1), (5, 2)]
+CYCLES = [(3, 1), (5, 2), (1, 1), (2, 3), (11, 5), (7, 2)]
+
+
+def _ladder(ratio):
+    m_int, n_int = ratio
+    return np.array([0.0, n_int, n_int + m_int])
+
+
+def _edge_states(rng, count, m, n, rel=0.0):
+    """Passive states with n ln(p1/p2) (1 - rel) = m ln(p0/p1) up to
+    rounding: rel = 0 puts them on the (m, n) cycle's activation edge, and
+    rel = R3_TOL with (m, n) = (M, N) on the edge of the R3 band."""
+    u = rng.uniform(1.0, 2.0, count)
+    l1, l2 = u / m, u / (n * (1.0 - rel))
+    p = np.stack([np.exp(l1 + l2), np.exp(l2), np.ones(count)], axis=1)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _assert_batch_matches_scalar(batch, ratio, cycles):
+    e = _ladder(ratio)
+    rgr = regions.RationalGapRatio(*ratio)
+    labels = regions.classify(batch, rgr)
+    assert labels.shape == (len(batch),)
+    assert labels.tolist() == [regions.classify(p, rgr) for p in batch]
+    for m, n in cycles:
+        flags = regions.in_activation_region(batch, e, m, n)
+        assert flags.dtype == bool and flags.shape == (len(batch),)
+        assert flags.tolist() == [regions.in_activation_region(p, e, m, n) for p in batch]
+
+
+class TestBatchPredicates:
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 40),
+        st.sampled_from(RATIOS), st.sampled_from(CYCLES),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_batch_matches_scalar(self, seed, count, ratio, cycle):
+        rng = np.random.default_rng(seed)
+        batch = np.vstack([
+            np.array(random_passive_qutrits(rng, count, min_p=1e-6)),
+            _edge_states(rng, 20, *cycle),
+            _edge_states(rng, 20, *ratio, rel=regions.R3_TOL),
+        ])
+        _assert_batch_matches_scalar(batch, ratio, [cycle, ratio])
+
+    @given(st.integers(10, 400), st.sampled_from(RATIOS), st.sampled_from(CYCLES))
+    @settings(max_examples=6, deadline=None)
+    def test_grid_matches_scalar(self, resolution, ratio, cycle):
+        grid = regions.passive_simplex_grid(resolution)
+        _assert_batch_matches_scalar(grid, ratio, [cycle, ratio])
+
+    def test_exact_ties_match_scalar(self):
+        # np.log differs from math.log by an ulp on some ratios, which flips
+        # a few of these 12,000 decisions (6 with this seed) unless rows at an
+        # edge take the scalar answer
+        rng = np.random.default_rng(0)
+        for m, n in [(7, 2), (3, 1), (2, 3)]:
+            ties = _edge_states(rng, 2000, m, n)
+            band = _edge_states(rng, 2000, m, n, rel=regions.R3_TOL)
+            _assert_batch_matches_scalar(ties, (1, 1), [(m, n)])
+            _assert_batch_matches_scalar(band, (m, n), [])
+
+    @pytest.mark.parametrize("batch", [
+        [[0.5, 0.35, 0.15], [0.6, 0.4, 0.0]],
+        [[0.5, 0.35, 0.15], [0.6, float("nan"), 0.4]],
+        [[0.5, 0.35, 0.15], [0.6, 0.3, 0.2]],
+        [[0.5, 0.35, 0.15], [0.6, float("inf"), 0.2]],
+        [[0.5, 0.3, 0.15, 0.05]],
+        [[[0.5, 0.35, 0.15]]],
+    ], ids=["zero", "nan", "unnormalized", "inf", "four-columns", "3-d"])
+    def test_rejects_bad_batch(self, batch):
+        with pytest.raises(ValueError):
+            regions.classify(batch, regions.RationalGapRatio(2, 1))
+        with pytest.raises(ValueError):
+            regions.in_activation_region(batch, [0.0, 1.0, 3.0], 3, 1)
+
+
 class TestCoveringCycle:
     def test_r1_state_gets_activating_cycle(self, worked_example):
         p, _ = worked_example
@@ -110,6 +191,19 @@ class TestGridAndCoverage:
         assert np.all(np.diff(grid, axis=1) <= 0)
         assert np.all(grid > 0)
         assert np.allclose(grid.sum(axis=1), 1.0)
+
+    def test_grid_matches_double_loop(self):
+        def loop_grid(resolution):
+            pts = []
+            for k in range(1, resolution // 3 + 1):
+                for j in range(k, (resolution - k) // 2 + 1):
+                    pts.append((resolution - j - k, j, k))
+            return np.array(pts, dtype=float) / resolution
+
+        for resolution in [*range(10, 151), 400]:
+            assert np.array_equal(
+                regions.passive_simplex_grid(resolution), loop_grid(resolution)
+            ), resolution
 
     def test_grid_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             states.validate_hamiltonian([0.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize("probs", [
+        [0.5, float("nan"), 0.15], [float("nan")] * 3, [0.5, float("inf"), 0.15],
+        [float("-inf"), 0.5, 0.5],
+    ])
+    def test_rejects_non_finite_state(self, probs):
+        with pytest.raises(ValueError):
+            states.validate_state(probs)
+
+    @pytest.mark.parametrize("energies", [
+        [0.0, float("nan"), 4.0], [float("nan"), 3.0, 4.0], [0.0, 3.0, float("inf")],
+        [float("-inf"), 3.0, 4.0],
+    ])
+    def test_rejects_non_finite_energies(self, energies):
+        with pytest.raises(ValueError, match="finite"):
+            states.validate_hamiltonian(energies)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             states.validate_state([0.5, 0.5], d=3)
