@@ -7,8 +7,11 @@ ratios r1 = p0/p1 and r2 = p1/p2.
 Numerics: the textbook expression for the machine occupations subtracts
 nearly equal geometric sums and loses all precision for skewed states, so
 every coefficient is assembled from an equivalent all-positive-term form.
-When r1**m or r2**n exceeds 1e12 the whole assembly switches to log space.
-The same formulas hold for every cycle with m, n >= 1.
+Each partial sum of powers of a ratio is one expm1 quotient of its log,
+accurate for every ratio including those within rounding of 1; a ratio of
+exactly 1 sums to the term count. When r1**m or r2**n exceeds 1e12 the
+whole assembly switches to log space, with the same quotient taken through
+log|expm1|. The same formulas hold for every cycle with m, n >= 1.
 """
 
 from __future__ import annotations
@@ -21,41 +24,26 @@ import numpy as np
 from . import states
 
 _LOG_SWITCH = math.log(1e12)
-_RATIO_ONE_TOL = 1e-9
 
 
-def geometric_sum(h: int, lam: float) -> float:
-    """Partial sum of powers of lam from 0 to h, with the boundary
-    conventions sum(-1) = 0 and sum(-2) = -1/lam."""
-    if h < -2:
-        raise ValueError("need h >= -2")
-    if lam <= 0:
-        raise ValueError("need lam > 0")
-    if h == -2:
-        return -1.0 / lam
-    if h == -1:
-        return 0.0
-    if abs(1.0 - lam) > _RATIO_ONE_TOL:
-        return (1.0 - lam ** (h + 1)) / (1.0 - lam)
-    return float(np.sum(lam ** np.arange(h + 1, dtype=float)))
+def _geometric_sum(k: int, log_lam: float) -> float:
+    """Sum of lam**i for 0 <= i < k, as expm1(k ln lam) / expm1(ln lam):
+    no cancellation as lam nears 1, and k at lam = 1."""
+    return math.expm1(k * log_lam) / math.expm1(log_lam) if log_lam else float(k)
 
 
-def _log_geometric_sum(h: np.ndarray, log_lam: float) -> np.ndarray:
-    """log of geometric_sum for h >= -1 (vectorized); -inf at h = -1."""
-    h = np.asarray(h, dtype=float)
-    out = np.full(h.shape, -np.inf)
-    pos = h >= 0
-    if abs(log_lam) <= _RATIO_ONE_TOL:
-        out[pos] = np.log(h[pos] + 1.0)
-    elif log_lam > 0:
-        hp = h[pos]
-        out[pos] = (hp + 1.0) * log_lam + np.log1p(-np.exp(-(hp + 1.0) * log_lam)) - math.log(
-            math.expm1(log_lam)
+def _log_geometric_sum(k, log_lam: float) -> np.ndarray:
+    """log of _geometric_sum, vectorized over k; -inf at k = 0. From
+    log|expm1(x)| = max(x, 0) + log(-expm1(-|x|)) at x = k ln lam and ln lam."""
+    k = np.asarray(k, dtype=float)
+    with np.errstate(divide="ignore"):  # log 0 at k = 0
+        if log_lam == 0:
+            return np.log(k)
+        return (
+            (k - 1.0) * max(log_lam, 0.0)
+            + np.log(-np.expm1(-k * abs(log_lam)))
+            - math.log(-math.expm1(-abs(log_lam)))
         )
-    else:
-        hp = h[pos]
-        out[pos] = np.log1p(-np.exp((hp + 1.0) * log_lam)) - math.log(-math.expm1(log_lam))
-    return out
 
 
 def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
@@ -76,29 +64,36 @@ def _check_cycle_input(p, m: int, n: int) -> np.ndarray:
     return p
 
 
-def _unnormalized_direct(r1: float, r2: float, m: int, n: int) -> np.ndarray:
-    """Machine occupations up to a common factor, all-positive assembly."""
-    t1 = lambda h: geometric_sum(h, r1)
-    t2 = lambda h: geometric_sum(h, r2)
+def _unnormalized_direct(
+    r1: float, r2: float, l1: float, l2: float, m: int, n: int
+) -> np.ndarray:
+    """Machine occupations up to a common factor, all-positive assembly;
+    l1, l2 are the logs of r1, r2."""
     u = np.empty(m + n)
     r2n = r2**n
-    t2n2 = t2(n - 2)
+    t2n1 = _geometric_sum(n - 1, l2)
     for j in range(m):
         jp = m - j
-        u[j] = r1**jp * t1(m - 1 - jp) + r2n * t1(jp - 1) + r2 * t2n2 * r1**jp + r1**jp * r2n
+        r1jp = r1**jp
+        u[j] = (
+            r1jp * _geometric_sum(m - jp, l1)
+            + r2n * _geometric_sum(jp, l1)
+            + r2 * t2n1 * r1jp
+            + r1jp * r2n
+        )
     r1m = r1**m
-    t1m1 = t1(m - 1)
+    t1m = _geometric_sum(m, l1)
     for j in range(m, m + n - 2):
         jp = m + n - (j + 2)
         u[j] = (
-            r2 * r1m * t2(jp - 1)
-            + r2 ** (jp + 1) * t1m1
+            r2 * r1m * _geometric_sum(jp, l2)
+            + r2 ** (jp + 1) * t1m
             + r2 ** (jp + 1) * r1m
-            + r2 ** (jp + 2) * t2(n - 2 - jp)
+            + r2 ** (jp + 2) * _geometric_sum(n - 1 - jp, l2)
         )
     if n > 1:  # for n = 1 this index is the last hot level, set above
-        u[m + n - 2] = r2 * t1(m) + r2**2 * t2n2
-    u[m + n - 1] = t1m1 + r2 * t2(n - 1)
+        u[m + n - 2] = r2 * _geometric_sum(m + 1, l1) + r2**2 * t2n1
+    u[m + n - 1] = t1m + r2 * _geometric_sum(n, l2)
     return u
 
 
@@ -108,9 +103,9 @@ def _log_unnormalized(l1: float, l2: float, m: int, n: int) -> np.ndarray:
     jp = np.arange(1, m + 1, dtype=float)
     terms = np.stack(
         [
-            jp * l1 + _log_geometric_sum(m - 1 - jp, l1),
-            n * l2 + _log_geometric_sum(jp - 1, l1),
-            l2 + jp * l1 + _log_geometric_sum(np.array([n - 2.0]), l2),
+            jp * l1 + _log_geometric_sum(m - jp, l1),
+            n * l2 + _log_geometric_sum(jp, l1),
+            l2 + jp * l1 + _log_geometric_sum(n - 1, l2),
             jp * l1 + n * l2,
         ]
     )
@@ -119,19 +114,17 @@ def _log_unnormalized(l1: float, l2: float, m: int, n: int) -> np.ndarray:
         jp = np.arange(1, n - 1, dtype=float)
         terms = np.stack(
             [
-                l2 + m * l1 + _log_geometric_sum(jp - 1, l2),
-                (jp + 1) * l2 + _log_geometric_sum(np.array([m - 1.0]), l1),
+                l2 + m * l1 + _log_geometric_sum(jp, l2),
+                (jp + 1) * l2 + _log_geometric_sum(m, l1),
                 (jp + 1) * l2 + m * l1,
-                (jp + 2) * l2 + _log_geometric_sum(n - 2 - jp, l2),
+                (jp + 2) * l2 + _log_geometric_sum(n - 1 - jp, l2),
             ]
         )
         logu[m : m + n - 2] = _logsumexp(terms, axis=0)[::-1]
     tail = np.array(
         [
-            [l2 + _log_geometric_sum(np.array([float(m)]), l1)[0],
-             2 * l2 + _log_geometric_sum(np.array([n - 2.0]), l2)[0]],
-            [_log_geometric_sum(np.array([m - 1.0]), l1)[0],
-             l2 + _log_geometric_sum(np.array([n - 1.0]), l2)[0]],
+            [l2 + _log_geometric_sum(m + 1, l1), 2 * l2 + _log_geometric_sum(n - 1, l2)],
+            [_log_geometric_sum(m, l1), l2 + _log_geometric_sum(n, l2)],
         ]
     )
     last = _logsumexp(tail, axis=1)
@@ -148,7 +141,7 @@ def _machine_solution(p: np.ndarray, m: int, n: int):
     l1 = math.log(r1)
     l2 = math.log(r2)
     if m * l1 <= _LOG_SWITCH and n * l2 <= _LOG_SWITCH:
-        u = _unnormalized_direct(r1, r2, m, n)
+        u = _unnormalized_direct(r1, r2, l1, l2, m, n)
         total = u.sum()
         q = u / total
         alpha = p[1] / total
@@ -196,8 +189,17 @@ class CycleOutcome:
     final_active: bool
 
 
-def _outcome_from_parts(p, energies, m, n, q, delta_p, alpha) -> CycleOutcome:
-    de10, de21 = states.gaps(energies)
+def run_cycle(p, energies, m: int, n: int) -> CycleOutcome:
+    """Evaluate one (m, n) cycle on a strictly positive passive qutrit.
+
+    The closed form covers every cycle with m, n >= 1.
+    """
+    p = _check_cycle_input(p, m, n)
+    energies = states.validate_hamiltonian(energies, 3)
+    if not states.is_passive(p, energies):
+        raise ValueError("run_cycle needs a passive state")
+    q, delta_p, alpha = _machine_solution(p, m, n)
+    de10, de21 = energies[1] - energies[0], energies[2] - energies[1]
     work = (m * de10 - n * de21) * delta_p
     q_hot = de10 * delta_p
     q_cold = de21 * delta_p
@@ -225,16 +227,3 @@ def _outcome_from_parts(p, energies, m, n, q, delta_p, alpha) -> CycleOutcome:
         alpha_coeff=alpha,
         final_active=bool(final_active),
     )
-
-
-def run_cycle(p, energies, m: int, n: int) -> CycleOutcome:
-    """Evaluate one (m, n) cycle on a strictly positive passive qutrit.
-
-    The closed form covers every cycle with m, n >= 1.
-    """
-    p = _check_cycle_input(p, m, n)
-    energies = states.validate_hamiltonian(energies, 3)
-    if not states.is_passive(p, energies):
-        raise ValueError("run_cycle needs a passive state")
-    q, delta_p, alpha = _machine_solution(p, m, n)
-    return _outcome_from_parts(p, energies, m, n, q, delta_p, alpha)

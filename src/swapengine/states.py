@@ -48,9 +48,7 @@ def validate_hamiltonian(energies, d: int | None = None) -> np.ndarray:
         raise ValueError("energy ladder must be 1-d with length >= 2")
     if d is not None and e.size != d:
         raise ValueError(f"ladder has length {e.size}, expected {d}")
-    # a NaN fails the first test; on a non-decreasing ladder an infinite
-    # level makes the span infinite
-    if not (np.all(np.diff(e) >= 0) and math.isfinite(e[-1] - e[0])):
+    if not (np.all(np.isfinite(e)) and np.all(np.diff(e) >= 0)):
         raise ValueError("energies must be finite and non-decreasing")
     return e
 

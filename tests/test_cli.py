@@ -194,6 +194,7 @@ class TestVerifyAndErrors:
 
     @pytest.mark.parametrize("state, energies", [
         ("0.5,0.35,0.15", "0,nan,4"), ("0.5,0.35,0.15", "0,3,inf"), ("0.5,nan,0.15", "0,3,4"),
+        ("0.5,0.35,0.15", "inf,inf,inf"),
     ])
     def test_non_finite_input_exits_1(self, capsys, state, energies):
         assert run(["cycle", "--state", state, "--energies", energies,

@@ -1,31 +1,91 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapengine import engine, oracle
 from tests.conftest import random_passive_qutrits
 
 
-class TestGeometricSum:
-    def test_boundary_conventions(self):
-        assert engine.geometric_sum(-1, 2.0) == 0.0
-        assert engine.geometric_sum(-2, 2.0) == -0.5
-        assert engine.geometric_sum(0, 2.0) == 1.0
+def _exact_machine(p, m: int, n: int) -> np.ndarray:
+    """Machine fixed point for the float state p in exact rationals: the
+    oracle's landing map as rates k -> j, solved by GTH elimination."""
+    d = m + n
+    rate = [{} for _ in range(d)]
+    for p_i, t_i in zip(map(Fraction, p), oracle._landing(m, n)):
+        for k, t in enumerate(t_i.tolist()):
+            if t // d != k:
+                rate[k][t // d] = rate[k].get(t // d, 0) + p_i
+    weights = [{} for _ in range(d)]
+    for top in range(d - 1, 0, -1):
+        s = sum(rate[top].values())
+        weights[top] = {i: rate[i].pop(top) / s for i in range(top) if top in rate[i]}
+        for i, w in weights[top].items():
+            for j, r in rate[top].items():
+                if j != i:
+                    rate[i][j] = rate[i].get(j, 0) + w * r
+    q = [Fraction(1)]
+    for top in range(1, d):
+        q.append(sum(q[i] * w for i, w in weights[top].items()))
+    total = sum(q)
+    return np.array([float(x / total) for x in q])
 
-    def test_matches_direct_sum(self):
-        for lam in (0.3, 1.0, 1.0 + 5e-10, 4.7):
-            for h in range(0, 12):
-                direct = sum(lam**k for k in range(h + 1))
-                assert engine.geometric_sum(h, lam) == pytest.approx(direct, rel=1e-13)
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            engine.geometric_sum(-3, 2.0)
-        with pytest.raises(ValueError):
-            engine.geometric_sum(3, 0.0)
+def _both_assemblies(p, m: int, n: int):
+    """Normalized occupations from the direct and the log-space assembly."""
+    r1, r2 = p[0] / p[1], p[1] / p[2]
+    l1, l2 = math.log(r1), math.log(r2)
+    u = engine._unnormalized_direct(r1, r2, l1, l2, m, n)
+    logu = engine._log_unnormalized(l1, l2, m, n)
+    return u / u.sum(), np.exp(logu - engine._logsumexp(logu))
+
+
+@st.composite
+def near_one_states(draw):
+    """Passive qutrits with r1 or r2 at 1 + delta, delta log-uniform in
+    [1e-13, 1e-2] or exactly 0; the other ratio anywhere in [1, 30]."""
+    delta = draw(st.just(0.0) | st.floats(-13.0, -2.0).map(lambda x: 10.0**x))
+    other = draw(st.floats(1.0, 30.0))
+    r1, r2 = (1.0 + delta, other) if draw(st.booleans()) else (other, 1.0 + delta)
+    p = np.array([r1 * r2, r2, 1.0])
+    return p / p.sum()
+
+
+class TestNearOneRatios:
+    def test_partial_sums_match_exact(self):
+        for lam in (0.3, 1.0, 1.0 + 5e-10, 1.0 + 1e-6, 4.7):
+            log_lam = math.log(lam)
+            assert engine._geometric_sum(0, log_lam) == 0.0
+            assert engine._log_geometric_sum(0, log_lam) == -math.inf
+            ks = np.arange(1, 13)
+            exact = [float(sum(Fraction(lam) ** i for i in range(k))) for k in ks]
+            got = [engine._geometric_sum(k, log_lam) for k in ks]
+            assert got == pytest.approx(exact, rel=1e-14)
+            logs = engine._log_geometric_sum(ks, log_lam)
+            assert np.exp(logs) == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("p, m, n", [
+        *[((1 - 2 * eps, eps, 0.999999 * eps), m, n)
+          for eps in (1e-6, 1e-8) for m, n in ((2, 3), (3, 5))],
+        # 13 ln r1 is past the log switch; ln r2 ~ delta
+        *[((1 - 0.05 - 0.05 * (1 - delta), 0.05, 0.05 * (1 - delta)), 13, 40)
+          for delta in (1e-9, 1e-10)],
+    ])
+    def test_assemblies_match_exact_rational(self, p, m, n):
+        exact = _exact_machine(p, m, n)
+        for q in _both_assemblies(np.array(p), m, n):
+            assert np.max(np.abs(q - exact)) <= 1e-14
+
+    @given(near_one_states(), st.integers(1, 12), st.integers(1, 12))
+    @example(np.array([0.8749820173757363, 0.06250899145320014, 0.06250899117106351]), 7, 5)
+    @settings(max_examples=150, deadline=None)
+    def test_near_one_matches_oracle(self, p, m, n):
+        q_ref = oracle.stationary_machine(p, m, n)
+        for q in (*_both_assemblies(p, m, n), engine.machine_distribution(p, m, n)):
+            assert np.max(np.abs(q - q_ref)) <= 1e-13
 
 
 class TestClosedFormVsOracle:

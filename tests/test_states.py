@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,16 @@ class TestValidation:
     def test_rejects_non_finite_energies(self, energies):
         with pytest.raises(ValueError, match="finite"):
             states.validate_hamiltonian(energies)
+
+    @pytest.mark.parametrize("energies", [
+        [float("inf")] * 3, [float("-inf")] * 3, [float("nan")] * 3,
+        [float("-inf"), 0.0, float("inf")],
+    ])
+    def test_non_finite_energies_reject_without_warning(self, energies):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                states.validate_hamiltonian(energies)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
