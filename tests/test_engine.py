@@ -54,12 +54,19 @@ def near_one_states(draw):
     return p / p.sum()
 
 
-class TestNearOneRatios:
-    def test_partial_sums_match_exact(self):
-        for lam in (0.3, 1.0, 1.0 + 5e-10, 1.0 + 1e-6, 4.7):
-            log_lam = math.log(lam)
+class TestGeometricSum:
+    def test_boundary_conventions(self):
+        for log_lam in (math.log(0.3), 0.0, math.log(4.7)):
             assert engine._geometric_sum(0, log_lam) == 0.0
             assert engine._log_geometric_sum(0, log_lam) == -math.inf
+            assert engine._geometric_sum(1, log_lam) == 1.0
+            assert engine._log_geometric_sum(1, log_lam) == 0.0
+        assert engine._geometric_sum(7, 0.0) == 7.0
+        assert engine._log_geometric_sum(7, 0.0) == np.log(7.0)
+
+    def test_matches_direct_sum(self):
+        for lam in (0.3, 1.0, 1.0 + 5e-10, 1.0 + 1e-6, 4.7):
+            log_lam = math.log(lam)
             ks = np.arange(1, 13)
             exact = [float(sum(Fraction(lam) ** i for i in range(k))) for k in ks]
             got = [engine._geometric_sum(k, log_lam) for k in ks]
@@ -67,6 +74,8 @@ class TestNearOneRatios:
             logs = engine._log_geometric_sum(ks, log_lam)
             assert np.exp(logs) == pytest.approx(exact, rel=1e-14)
 
+
+class TestNearOneRatios:
     @pytest.mark.parametrize("p, m, n", [
         *[((1 - 2 * eps, eps, 0.999999 * eps), m, n)
           for eps in (1e-6, 1e-8) for m, n in ((2, 3), (3, 5))],
