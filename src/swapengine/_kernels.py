@@ -34,50 +34,48 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps, term_tol):
 
     Halves the step whenever it would leave the passive simplex or
     overshoot the manifold; terminates when the R3 log-gap drops below
-    term_tol. Returns (t, states, n_samples, work, heat_hot, status).
+    term_tol. The first stage depends only on the step's start, so it is
+    evaluated once per step, not once per halving. Returns (t, states,
+    n_samples, work, heat, status) with t a list and states a (n, 3) array.
     """
-    ts = np.empty(max_steps + 1)
-    ps = np.empty((max_steps + 1, 3))
+    ts = [0.0]
+    ps = [(p0, p1, 1.0 - p0 - p1)]
     t = 0.0
-    ts[0] = 0.0
-    ps[0, 0] = p0
-    ps[0, 1] = p1
-    ps[0, 2] = 1.0 - p0 - p1
     work = 0.0
     heat = 0.0
-    k = 0
     if _r3_gap(p0, p1, 1.0 - p0 - p1, de10, de21) <= term_tol:
-        return ts, ps, 1, work, heat, STATUS_ON_MANIFOLD
+        return ts, np.array(ps), 1, work, heat, STATUS_ON_MANIFOLD
     status = STATUS_MAX_STEPS
-    while k < max_steps:
+    while len(ts) <= max_steps:
+        p2 = 1.0 - p0 - p1
+        f = _flow_rate(p0, p1, p2)
+        a = alpha(p0, p1, p2)
+        k1_0, k1_1 = f, -(1.0 + a) * f
         h = step
         accepted = False
         while h >= step * 1e-14:
-            y0, y1 = p0, p1
-            # RK4 stages
-            f = _flow_rate(y0, y1, 1.0 - y0 - y1)
-            a = alpha(y0, y1, 1.0 - y0 - y1)
-            k1_0, k1_1 = f, -(1.0 + a) * f
-            y0b = y0 + 0.5 * h * k1_0
-            y1b = y1 + 0.5 * h * k1_1
+            # remaining RK4 stages
+            y0b = p0 + 0.5 * h * k1_0
+            y1b = p1 + 0.5 * h * k1_1
             f = _flow_rate(y0b, y1b, 1.0 - y0b - y1b)
             a = alpha(y0b, y1b, 1.0 - y0b - y1b)
             k2_0, k2_1 = f, -(1.0 + a) * f
-            y0b = y0 + 0.5 * h * k2_0
-            y1b = y1 + 0.5 * h * k2_1
+            y0b = p0 + 0.5 * h * k2_0
+            y1b = p1 + 0.5 * h * k2_1
             f = _flow_rate(y0b, y1b, 1.0 - y0b - y1b)
             a = alpha(y0b, y1b, 1.0 - y0b - y1b)
             k3_0, k3_1 = f, -(1.0 + a) * f
-            y0b = y0 + h * k3_0
-            y1b = y1 + h * k3_1
+            y0b = p0 + h * k3_0
+            y1b = p1 + h * k3_1
             f = _flow_rate(y0b, y1b, 1.0 - y0b - y1b)
             a = alpha(y0b, y1b, 1.0 - y0b - y1b)
             k4_0, k4_1 = f, -(1.0 + a) * f
-            n0 = y0 + h / 6.0 * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)
-            n1 = y1 + h / 6.0 * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
+            n0 = p0 + h / 6.0 * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)
+            n1 = p1 + h / 6.0 * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
             n2 = 1.0 - n0 - n1
             if n2 > 0.0 and n1 > n2 and n0 >= n1:
-                if _r3_gap(n0, n1, n2, de10, de21) >= 0.0:
+                gap = _r3_gap(n0, n1, n2, de10, de21)
+                if gap >= 0.0:
                     accepted = True
                     break
             h *= 0.5
@@ -85,21 +83,18 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps, term_tol):
             status = STATUS_STALLED
             break
         dp0 = n0 - p0
-        dp2 = n2 - (1.0 - p0 - p1)
+        dp2 = n2 - p2
         # work == minus the mean-energy change, exactly, for every strategy
         work += de10 * dp0 - de21 * dp2
         heat += de10 * dp0
         p0, p1 = n0, n1
         t += h
-        k += 1
-        ts[k] = t
-        ps[k, 0] = p0
-        ps[k, 1] = p1
-        ps[k, 2] = 1.0 - p0 - p1
-        if _r3_gap(p0, p1, 1.0 - p0 - p1, de10, de21) <= term_tol:
+        ts.append(t)
+        ps.append((n0, n1, n2))
+        if gap <= term_tol:
             status = STATUS_ON_MANIFOLD
             break
-    return ts, ps, k + 1, work, heat, status
+    return ts, np.array(ps), len(ts), work, heat, status
 
 
 def coverage_counts(grid, big_m, big_n, m, n, lever, eps_band):

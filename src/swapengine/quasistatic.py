@@ -18,6 +18,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import states
+from .engine import _geometric_sum
 from ._kernels import (
     STATUS_MAX_STEPS,
     STATUS_STALLED,
@@ -93,11 +94,13 @@ def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
     if m < 3:
         raise ValueError("need m >= 3")
     n = math.ceil(alpha * m)
+    if n < 3:
+        raise ValueError(f"need n = ceil(alpha*m) >= 3 for a cold tail, got n={n}")
     rh = p[1] / p[0]  # e^{-beta_hot dE10}
     rc = p[2] / p[1]  # e^{-beta_cold dE21}
     lam = (1.0 - rc) / (1.0 - rh * rc)
-    z_hot = (1.0 - rh**m) / (1.0 - rh)
-    z_cold = (1.0 - rc ** (n - 2)) / (1.0 - rc)
+    z_hot = _geometric_sum(m, math.log(rh))
+    z_cold = _geometric_sum(n - 2, math.log(rc))
     return AsymptoticMachine(
         m=m, n=n, mixture_weight=lam, hot_ratio=rh, cold_ratio=rc,
         z_hot=z_hot, z_cold=z_cold,
@@ -150,8 +153,10 @@ def integrate_trajectory(
     if np.any(p <= 0.0):
         raise ValueError("need strictly positive probabilities")
     de10, de21 = states.gaps(energies)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    if not max_steps >= 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
     gap = _r3_gap(p[0], p[1], p[2], de10, de21)
     if gap < -TERMINATION_TOL:
         raise ValueError("state is on the wrong side of the thermal manifold")
@@ -180,21 +185,25 @@ def integrate_trajectory(
         def alpha(p0, p1, p2):
             return const
 
-    ts, ps, count, work, heat, status = trajectory_core(
+    ts, ps, _, work, heat, status = trajectory_core(
         p[0], p[1], de10, de21, alpha, step, max_steps, TERMINATION_TOL
     )
     if status == STATUS_MAX_STEPS:
         raise RuntimeError(f"no convergence within {max_steps} steps")
     if status == STATUS_STALLED:
         raise RuntimeError(
-            f"trajectory stalled at t={ts[count - 1]}: no step keeps the state "
+            f"trajectory stalled at t={ts[-1]}: no step keeps the state "
             "passive and on the work-extracting side of the thermal manifold"
         )
 
+    # the observables of states.diagram_point, over all samples at once;
+    # every accepted state is strictly positive, so no 0 ln 0 mask
     e = states.validate_hamiltonian(energies, 3)
+    energy = (ps @ e).tolist()
+    entropy = (-np.sum(ps * np.log(ps), axis=1)).tolist()
     samples = [
-        (float(ts[i]), ps[i].copy(), states.diagram_point(ps[i], e))
-        for i in range(count)
+        (t, y.copy(), states.DiagramPoint(en, s))
+        for t, y, en, s in zip(ts, ps, energy, entropy)
     ]
     final = samples[-1][1]
     beta = math.log(final[0] / final[2]) / (e[2] - e[0])

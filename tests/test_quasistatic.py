@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapengine import quasistatic, states
 
@@ -56,6 +58,20 @@ class TestAsymptoticMachine:
         p, e = worked_example
         with pytest.raises(ValueError):
             quasistatic.asymptotic_machine(p, e, 60, 5.0)
+
+    def test_equal_hot_pair_sums_term_count(self):
+        # p0 == p1: hot ratio exactly 1, window (0, 1); z_hot is m, not 0/0
+        am = quasistatic.asymptotic_machine([0.4, 0.4, 0.2], [0.0, 1.0, 2.0], 8, 0.5)
+        assert am.hot_ratio == 1.0
+        assert am.z_hot == 8.0
+        assert am.distribution().sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_empty_cold_tail_rejected(self, worked_example):
+        # ceil(0.5 * 4) = 2 leaves no cold level: the distribution would sum
+        # to the mixture weight
+        p, e = worked_example
+        with pytest.raises(ValueError, match="n=2"):
+            quasistatic.asymptotic_machine(p, e, 4, 0.5)
 
 
 class TestPrefactor:
@@ -175,6 +191,86 @@ class TestTrajectories:
         p, e = worked_example
         with pytest.raises(RuntimeError, match="stalled"):
             quasistatic.integrate_trajectory(p, e, lambda y: -0.5)
+
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"step": float("inf")}, "step"),  # halving inf never ends
+        ({"step": float("nan")}, "step"),
+        ({"max_steps": -1}, "max_steps"),
+    ])
+    def test_rejects_bad_step_settings(self, worked_example, kwargs, name):
+        p, e = worked_example
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            quasistatic.integrate_trajectory(p, e, "entropy", **kwargs)
+
+
+def _assert_samples_are_diagram_points(traj, e):
+    for _, y, pt in traj.samples:
+        assert pt == states.diagram_point(y, e)
+
+
+class TestSampleObservables:
+    """integrate_trajectory computes every sample's observables in one pass;
+    states.diagram_point on the sample's state is the definition."""
+
+    @pytest.mark.parametrize("strategy", ["entropy", "energy", 1.71, "callable"])
+    def test_worked_example_matches_diagram_point(self, worked_example, strategy):
+        p, e = worked_example
+        if strategy == "callable":
+            def strategy(y):
+                return 0.5 * (math.log(y[0] / y[1]) / math.log(y[1] / y[2]) + 3.0)
+        traj = quasistatic.integrate_trajectory(p, e, strategy)
+        assert len(traj.samples) > 10
+        _assert_samples_are_diagram_points(traj, e)
+
+    @given(
+        st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(1.2, 4.0),
+        st.sampled_from(["entropy", "energy", 0.1, 0.5, 0.9]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_in_window_states_match_diagram_point(self, l1, l2, factor, strategy):
+        # ln(p0/p1) = l1, ln(p1/p2) = l2 and dE10/dE21 = factor * l1/l2, so
+        # the window is (l1/l2, factor * l1/l2); a float is a share of it
+        w = np.array([math.exp(l1 + l2), math.exp(l2), 1.0])
+        p = w / w.sum()
+        e = np.array([0.0, factor * l1 / l2, factor * l1 / l2 + 1.0])
+        if isinstance(strategy, float):
+            rng = quasistatic.alpha_range(p, e)
+            strategy = rng.lower + strategy * (rng.upper - rng.lower)
+        traj = quasistatic.integrate_trajectory(p, e, strategy)
+        _assert_samples_are_diagram_points(traj, e)
+
+    def test_sample_states_are_independent(self, worked_example):
+        p, e = worked_example
+        traj = quasistatic.integrate_trajectory(p, e, "entropy")
+        before = [y.copy() for _, y, _ in traj.samples]
+        traj.samples[1][1][:] = -1.0
+        for i, (_, y, _) in enumerate(traj.samples):
+            if i != 1:
+                assert np.array_equal(y, before[i])
+
+    def test_callable_evaluated_once_per_step_start(self, worked_example):
+        # the first RK4 stage sits at the step's start whatever the step
+        # size, so a step halving must not evaluate the strategy there
+        # again. Short steps are skipped: there the previous step's last
+        # stage, at its start + h k3, can round onto this step's start.
+        p, e = worked_example
+        seen = []
+
+        def strategy(y):
+            seen.append(tuple(y))
+            return 1.71
+
+        step = 2.0
+        traj = quasistatic.integrate_trajectory(p, e, strategy, step=step)
+        ts = [t for t, _, _ in traj.samples]
+        starts = [
+            tuple(y) for (t, y, _), t_next in zip(traj.samples, ts[1:])
+            if t_next - t >= 1e-3
+        ]
+        assert ts[1] < step  # the first step was halved
+        assert len(starts) > 3
+        assert all(seen.count(y) == 1 for y in starts)
 
 
 class TestOptimalWorkAndCarnot:
