@@ -10,8 +10,9 @@ every coefficient is assembled from an equivalent all-positive-term form.
 Each partial sum of powers of a ratio is one expm1 quotient of its log,
 accurate for every ratio including those within rounding of 1; a ratio of
 exactly 1 sums to the term count. When r1**m or r2**n exceeds 1e12 the
-whole assembly switches to log space, with the same quotient taken through
-log|expm1|. The same formulas hold for every cycle with m, n >= 1.
+same terms are assembled divided by r1**m * r2**n, in the Boltzmann factors
+p1/p0 and p2/p1: both are at most 1 for a passive state, so no power
+overflows. The same formulas hold for every cycle with m, n >= 1.
 """
 
 from __future__ import annotations
@@ -30,27 +31,6 @@ def _geometric_sum(k: int, log_lam: float) -> float:
     """Sum of lam**i for 0 <= i < k, as expm1(k ln lam) / expm1(ln lam):
     no cancellation as lam nears 1, and k at lam = 1."""
     return math.expm1(k * log_lam) / math.expm1(log_lam) if log_lam else float(k)
-
-
-def _log_geometric_sum(k, log_lam: float) -> np.ndarray:
-    """log of _geometric_sum, vectorized over k; -inf at k = 0. From
-    log|expm1(x)| = max(x, 0) + log(-expm1(-|x|)) at x = k ln lam and ln lam."""
-    k = np.asarray(k, dtype=float)
-    with np.errstate(divide="ignore"):  # log 0 at k = 0
-        if log_lam == 0:
-            return np.log(k)
-        return (
-            (k - 1.0) * max(log_lam, 0.0)
-            + np.log(-np.expm1(-k * abs(log_lam)))
-            - math.log(-math.expm1(-abs(log_lam)))
-        )
-
-
-def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.squeeze(m, axis=axis) if axis is not None else m.ravel()[0]
-    return out + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
 def _check_cycle_input(p, m: int, n: int) -> np.ndarray:
@@ -97,68 +77,49 @@ def _unnormalized_direct(
     return u
 
 
-def _log_unnormalized(l1: float, l2: float, m: int, n: int) -> np.ndarray:
-    """log of the same occupations, for ranges where powers overflow."""
-    logu = np.empty(m + n)
-    jp = np.arange(1, m + 1, dtype=float)
-    terms = np.stack(
-        [
-            jp * l1 + _log_geometric_sum(m - jp, l1),
-            n * l2 + _log_geometric_sum(jp, l1),
-            l2 + jp * l1 + _log_geometric_sum(n - 1, l2),
-            jp * l1 + n * l2,
-        ]
-    )
-    logu[:m] = _logsumexp(terms, axis=0)[::-1]  # jp = m - j runs opposite to j
-    if n > 2:
-        jp = np.arange(1, n - 1, dtype=float)
-        terms = np.stack(
-            [
-                l2 + m * l1 + _log_geometric_sum(jp, l2),
-                (jp + 1) * l2 + _log_geometric_sum(m, l1),
-                (jp + 1) * l2 + m * l1,
-                (jp + 2) * l2 + _log_geometric_sum(n - 1 - jp, l2),
-            ]
-        )
-        logu[m : m + n - 2] = _logsumexp(terms, axis=0)[::-1]
-    tail = np.array(
-        [
-            [l2 + _log_geometric_sum(m + 1, l1), 2 * l2 + _log_geometric_sum(n - 1, l2)],
-            [_log_geometric_sum(m, l1), l2 + _log_geometric_sum(n, l2)],
-        ]
-    )
-    last = _logsumexp(tail, axis=1)
+def _unnormalized_scaled(
+    s1: float, s2: float, l1: float, l2: float, m: int, n: int
+) -> np.ndarray:
+    """The same occupations divided by r1**m * r2**n, in s1 = 1/r1 and
+    s2 = 1/r2 with logs l1, l2: every power is at most 1, so nothing
+    overflows where r1**m or r2**n would."""
+    u = np.empty(m + n)
+    g1 = [_geometric_sum(k, l1) for k in range(m + 2)]
+    g2 = [_geometric_sum(k, l2) for k in range(n + 1)]
+    s1m = s1**m
+    s2n = s2**n
+    for j in range(m):
+        s1j = s1**j
+        u[j] = s1 * s2n * g1[j] + s1j * s1 * g1[m - j] + s1j * s2 * g2[n - 1] + s1j
+    for i in range(1, n - 1):
+        s2i = s2**i
+        u[m + i - 1] = s2i * s2 * g2[n - 1 - i] + s2i * s1 * g1[m] + s2i + s1m * g2[i]
     if n > 1:  # for n = 1 this index is the last hot level, set above
-        logu[m + n - 2] = last[0]
-    logu[m + n - 1] = last[1]
-    return logu
+        u[m + n - 2] = s2 ** (n - 1) * g1[m + 1] + s1m * g2[n - 1]
+    u[m + n - 1] = s1 * s2n * g1[m] + s1m * g2[n]
+    return u
 
 
 def _machine_solution(p: np.ndarray, m: int, n: int):
     """(q, delta_p, alpha) from the closed form."""
-    r1 = p[0] / p[1]
-    r2 = p[1] / p[2]
+    p0, p1, p2 = p.tolist()  # Python floats: p1/p2 may overflow to inf, silently
+    r1 = p0 / p1
+    r2 = p1 / p2
     l1 = math.log(r1)
     l2 = math.log(r2)
     if m * l1 <= _LOG_SWITCH and n * l2 <= _LOG_SWITCH:
         u = _unnormalized_direct(r1, r2, l1, l2, m, n)
         total = u.sum()
-        q = u / total
-        alpha = p[1] / total
+        alpha = p1 / total
         delta_p = alpha * (r2**n - r1**m)
     else:
-        logu = _log_unnormalized(l1, l2, m, n)
-        log_total = _logsumexp(logu)
-        q = np.exp(logu - log_total)
-        q /= q.sum()  # tidy roundoff from the exponentials
-        alpha = math.exp(math.log(p[1]) - log_total)
-        a, b = n * l2, m * l1
-        if a == b:
-            delta_p = 0.0
-        else:
-            log_diff = max(a, b) + math.log1p(-math.exp(-abs(a - b)))
-            delta_p = math.copysign(math.exp(math.log(p[1]) + log_diff - log_total), a - b)
-    return q, delta_p, alpha
+        s1 = p1 / p0
+        s2 = p2 / p1
+        u = _unnormalized_scaled(s1, s2, math.log(s1), math.log(s2), m, n)
+        total = u.sum()
+        alpha = p1 * s1**m * s2**n / total
+        delta_p = p1 * (s1**m - s2**n) / total
+    return u / total, delta_p, alpha
 
 
 def machine_distribution(p, m: int, n: int) -> np.ndarray:

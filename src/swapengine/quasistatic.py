@@ -22,6 +22,7 @@ from .engine import _geometric_sum
 from ._kernels import (
     STATUS_MAX_STEPS,
     STATUS_STALLED,
+    _flow_rate,
     _r3_gap,
     flow_rate,
     trajectory_core,
@@ -50,7 +51,9 @@ def alpha_range(p, energies) -> AlphaRange:
     if np.any(p <= 0.0):
         raise ValueError("need strictly positive probabilities")
     de10, de21 = states.gaps(energies)
-    lower = math.log(p[0] / p[1]) / math.log(p[1] / p[2])
+    l2 = math.log(p[1] / p[2])
+    # p1 == p2 puts the lower bound at +inf: the window is empty
+    lower = math.log(p[0] / p[1]) / l2 if l2 else math.inf
     upper = de10 / de21
     if lower >= upper:
         raise ValueError(
@@ -143,7 +146,9 @@ def integrate_trajectory(
     work, pure cooling), "entropy" / "entropy_conserving" (alpha tracks the
     lower bound, isentropic, maximal work), a float (constant alpha), or a
     callable p -> alpha evaluated along the way. A float off the thermal
-    manifold must lie in the closed alpha_range window (ValueError).
+    manifold must lie in the closed alpha_range window (ValueError). A state
+    off the manifold where the flow rate is zero is a fixed point of the
+    flow (ValueError).
     RuntimeError if the flow stalls or needs more than max_steps steps.
 
     Work increments are the exact mean-energy drops of each accepted step,
@@ -160,6 +165,11 @@ def integrate_trajectory(
     gap = _r3_gap(p[0], p[1], p[2], de10, de21)
     if gap < -TERMINATION_TOL:
         raise ValueError("state is on the wrong side of the thermal manifold")
+    if gap > TERMINATION_TOL and _flow_rate(p[0], p[1], p[2]) == 0.0:
+        raise ValueError(
+            "flow rate is zero off the thermal manifold (p0 == p1): "
+            "the state is a fixed point of the flow"
+        )
 
     if callable(strategy):
         def alpha(p0, p1, p2):

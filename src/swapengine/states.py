@@ -169,7 +169,7 @@ def thermal_state(beta: float, energies) -> np.ndarray:
     """Gibbs state exp(-beta E_i)/Z; BETA_INF gives the (possibly shared)
     ground state."""
     e = validate_hamiltonian(energies)
-    if beta < 0:
+    if not beta >= 0:  # negated, so that NaN fails it
         raise ValueError("beta must be >= 0")
     if is_beta_inf(beta):
         ground = np.abs(e - e[0]) <= _DEGEN_TOL
@@ -192,6 +192,8 @@ def diagram_point(probs, energies) -> DiagramPoint:
 def _beta_upper(energies: np.ndarray) -> float:
     # exp underflow bound for the bisection bracket
     de = float(energies[-1] - energies[0])
+    if de == 0.0:
+        raise ValueError("flat energy ladder: every beta gives the same thermal state")
     return 700.0 / de
 
 
@@ -223,9 +225,10 @@ def beta_from_energy(target_energy: float, energies, tol: float = 1e-10) -> floa
     """
     e = validate_hamiltonian(energies)
     e_uniform = float(e.mean())
-    if target_energy > e_uniform + tol:
-        raise ValueError("target energy above the uniform-state energy (beta < 0 regime)")
-    if target_energy < e[0] - tol:
+    # negated tests, so that a NaN target fails them
+    if not target_energy <= e_uniform + tol:
+        raise ValueError(f"target energy {target_energy} above the uniform-state energy (beta < 0)")
+    if not target_energy >= e[0] - tol:
         raise ValueError("target energy below the ground energy")
     if abs(target_energy - e[0]) <= tol:
         return BETA_INF
@@ -238,8 +241,8 @@ def beta_from_entropy(target_entropy: float, energies, tol: float = 1e-10) -> fl
     """Inverse temperature whose thermal state has the given entropy (nats)."""
     e = validate_hamiltonian(energies)
     smax = math.log(e.size)
-    if target_entropy < -tol or target_entropy > smax + tol:
-        raise ValueError(f"target entropy outside [0, ln {e.size}]")
+    if not -tol <= target_entropy <= smax + tol:  # negated, so that NaN fails it
+        raise ValueError(f"target entropy {target_entropy} outside [0, ln {e.size}]")
     if target_entropy <= tol:
         return BETA_INF
     if target_entropy >= smax - tol:

@@ -124,6 +124,13 @@ class TestFig6:
         ]) == 0
         assert len(out.read_text().splitlines()) > 3
 
+    def test_flow_fixed_point_exits_1(self, capsys):
+        # p0 == p1: zero flow rate off the thermal manifold
+        assert run(["fig6", "--state", "0.4,0.4,0.2", "--energies", "0,1,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: flow rate is zero")
+
 
 class TestOptimize:
     def test_qudit_reports_window(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,10 @@ from swapengine import engine, oracle
 from tests.conftest import random_passive_qutrits
 
 
-def _exact_machine(p, m: int, n: int) -> np.ndarray:
-    """Machine fixed point for the float state p in exact rationals: the
-    oracle's landing map as rates k -> j, solved by GTH elimination."""
+def _exact_solution(p, m: int, n: int):
+    """Machine fixed point and delta_p for the float state p in exact
+    rationals: the oracle's landing map as rates k -> j, solved by GTH
+    elimination, then the cycle's swaps applied to p (x) q."""
     d = m + n
     rate = [{} for _ in range(d)]
     for p_i, t_i in zip(map(Fraction, p), oracle._landing(m, n)):
@@ -31,16 +33,24 @@ def _exact_machine(p, m: int, n: int) -> np.ndarray:
     for top in range(1, d):
         q.append(sum(q[i] * w for i, w in weights[top].items()))
     total = sum(q)
-    return np.array([float(x / total) for x in q])
+    q = [x / total for x in q]
+    joint = [[p_i * q_k for q_k in q] for p_i in map(Fraction, p)]
+    for s in oracle.build_cycle(m, n):
+        joint[s.a][s.e], joint[s.b][s.c] = joint[s.b][s.c], joint[s.a][s.e]
+    return q, (sum(joint[0]) - Fraction(p[0])) / m
+
+
+def _exact_machine(p, m: int, n: int) -> np.ndarray:
+    return np.array([float(x) for x in _exact_solution(p, m, n)[0]])
 
 
 def _both_assemblies(p, m: int, n: int):
-    """Normalized occupations from the direct and the log-space assembly."""
+    """Normalized occupations from the direct and the scaled assembly."""
     r1, r2 = p[0] / p[1], p[1] / p[2]
-    l1, l2 = math.log(r1), math.log(r2)
-    u = engine._unnormalized_direct(r1, r2, l1, l2, m, n)
-    logu = engine._log_unnormalized(l1, l2, m, n)
-    return u / u.sum(), np.exp(logu - engine._logsumexp(logu))
+    u = engine._unnormalized_direct(r1, r2, math.log(r1), math.log(r2), m, n)
+    s1, s2 = p[1] / p[0], p[2] / p[1]
+    v = engine._unnormalized_scaled(s1, s2, math.log(s1), math.log(s2), m, n)
+    return u / u.sum(), v / v.sum()
 
 
 @st.composite
@@ -56,23 +66,19 @@ def near_one_states(draw):
 
 class TestGeometricSum:
     def test_boundary_conventions(self):
-        for log_lam in (math.log(0.3), 0.0, math.log(4.7)):
+        for log_lam in (math.log(1e-300), math.log(0.3), 0.0, math.log(4.7)):
             assert engine._geometric_sum(0, log_lam) == 0.0
-            assert engine._log_geometric_sum(0, log_lam) == -math.inf
             assert engine._geometric_sum(1, log_lam) == 1.0
-            assert engine._log_geometric_sum(1, log_lam) == 0.0
         assert engine._geometric_sum(7, 0.0) == 7.0
-        assert engine._log_geometric_sum(7, 0.0) == np.log(7.0)
 
     def test_matches_direct_sum(self):
-        for lam in (0.3, 1.0, 1.0 + 5e-10, 1.0 + 1e-6, 4.7):
+        # ratios below 1, down to 1e-300, are those of the scaled assembly
+        for lam in (1e-300, 0.3, 1.0 - 1e-6, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.0 + 1e-6, 4.7):
             log_lam = math.log(lam)
             ks = np.arange(1, 13)
             exact = [float(sum(Fraction(lam) ** i for i in range(k))) for k in ks]
             got = [engine._geometric_sum(k, log_lam) for k in ks]
             assert got == pytest.approx(exact, rel=1e-14)
-            logs = engine._log_geometric_sum(ks, log_lam)
-            assert np.exp(logs) == pytest.approx(exact, rel=1e-14)
 
 
 class TestNearOneRatios:
@@ -126,17 +132,32 @@ class TestClosedFormVsOracle:
             q_ref = oracle.stationary_machine(p, m, n)
             assert np.max(np.abs(q - q_ref)) < 1e-12
 
-    def test_log_assembly_small_cycles(self):
-        # the log-space assembly on its own, where the direct path would run
+    def test_scaled_assembly_small_cycles(self):
+        # the scaled assembly on its own, where the direct path would run
         rng = np.random.default_rng(23)
         for p in random_passive_qutrits(rng, 10, min_p=1e-3):
-            l1, l2 = math.log(p[0] / p[1]), math.log(p[1] / p[2])
             for m in range(1, 9):
                 for n in range(1, 9):
-                    logu = engine._log_unnormalized(l1, l2, m, n)
-                    q = np.exp(logu - engine._logsumexp(logu))
+                    _, q = _both_assemblies(p, m, n)
                     q_ref = oracle.stationary_machine(p, m, n)
-                    assert np.max(np.abs(q / q.sum() - q_ref)) < 1e-12
+                    assert np.max(np.abs(q - q_ref)) < 1e-12
+
+    @pytest.mark.parametrize("p, m, n", [
+        ((0.9, 0.09, 0.01), 13, 1),
+        ((0.495, 0.49, 0.015), 2, 8),
+        ((0.9, 0.09, 0.01), 24, 24),
+        ((0.5, 0.35, 0.15), 40, 33),
+        ((0.6, 0.3999, 1e-4), 1, 4),
+        ((0.4, 0.4, 0.2), 3, 40),
+    ])
+    def test_past_switch_matches_exact_rational(self, p, m, n):
+        p = np.array(p)
+        assert max(m * math.log(p[0] / p[1]), n * math.log(p[1] / p[2])) > engine._LOG_SWITCH
+        q_exact, dp_exact = _exact_solution(p, m, n)
+        q_exact = np.array([float(x) for x in q_exact])
+        q, delta_p, _ = engine._machine_solution(p, m, n)
+        assert np.max(np.abs(q - q_exact) / q_exact) <= 1e-14
+        assert abs(delta_p - float(dp_exact)) <= 1e-14 * abs(float(dp_exact))
 
     def test_log_path_large_m_normalized(self):
         p = np.array([0.5, 0.35, 0.15])
@@ -184,6 +205,15 @@ class TestRunCycle:
     def test_rejects_non_finite_input(self, p, e):
         with pytest.raises(ValueError):
             engine.run_cycle(p, e, 2, 3)
+
+    def test_subnormal_p2_is_finite_without_warning(self):
+        # p1/p2 overflows to inf here; past the switch only p1/p0 and p2/p1 are used
+        p = np.array([0.999, 0.001, 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = engine.run_cycle(p, [0.0, 3.0, 4.0], 2, 3)
+        assert np.all(np.isfinite([out.delta_p, out.work, *out.final_system]))
+        assert np.max(np.abs(out.machine - oracle.stationary_machine(p, 2, 3))) <= 1e-15
 
     @pytest.mark.parametrize("m, n", [(0, 3), (2, 0), (-1, 3)])
     def test_rejects_cycle_below_one(self, worked_example, m, n):

@@ -29,6 +29,14 @@ class TestAlphaRange:
         with pytest.raises(ValueError):
             quasistatic.alpha_range(p, [0.0, 1.0, 2.0])
 
+    def test_equal_cold_pair_empty_range(self):
+        # ln(p1/p2) = 0 puts the lower bound at +inf
+        p = [0.4, 0.3, 0.3]
+        with pytest.raises(ValueError, match="empty alpha range"):
+            quasistatic.alpha_range(p, [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="empty alpha range"):
+            quasistatic.asymptotic_machine(p, [0.0, 1.0, 2.0], 10, 1.0)
+
 
 class TestAsymptoticMachine:
     def test_mixture_weight_formula(self):
@@ -148,6 +156,12 @@ class TestTrajectories:
         p = np.array([0.9, 0.052, 0.048])  # R2 side: flow undefined
         with pytest.raises(ValueError):
             quasistatic.integrate_trajectory(p, e, "entropy")
+
+    @pytest.mark.parametrize("strategy", ["entropy", "energy", lambda y: 0.5])
+    def test_flow_fixed_point_rejected(self, strategy):
+        # p0 == p1 off the manifold: dp0/dt = 0, so no step would move it
+        with pytest.raises(ValueError, match="fixed point"):
+            quasistatic.integrate_trajectory([0.4, 0.4, 0.2], [0.0, 1.0, 2.0], strategy)
 
     def test_callable_strategy_matches_constant(self, worked_example):
         p, e = worked_example

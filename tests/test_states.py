@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapengine import states
+from swapengine import quasistatic, states
 
 
 def _dirichlet(seed, d=3):
@@ -51,6 +51,17 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 states.validate_hamiltonian(energies)
+
+    @pytest.mark.parametrize("call", [
+        lambda: states.thermal_state(float("nan"), [0.0, 1.0, 3.0]),
+        lambda: states.beta_from_entropy(float("nan"), [0.0, 1.0, 3.0]),
+        lambda: states.beta_from_energy(float("nan"), [0.0, 1.0, 3.0]),
+        lambda: states.beta_from_entropy(0.5, [0.0, 0.0, 0.0]),
+        lambda: quasistatic.optimal_work([0.5, 0.35, 0.15], [0.0, 0.0, 0.0]),
+    ], ids=["thermal_nan", "entropy_nan", "energy_nan", "entropy_flat", "optimal_work_flat"])
+    def test_rejects_non_physical_input(self, call):
+        with pytest.raises(ValueError):
+            call()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
