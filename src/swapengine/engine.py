@@ -33,17 +33,6 @@ def _geometric_sum(k: int, log_lam: float) -> float:
     return math.expm1(k * log_lam) / math.expm1(log_lam) if log_lam else float(k)
 
 
-def _check_cycle_input(p, m: int, n: int) -> np.ndarray:
-    p = states.validate_state(p, 3)
-    if np.any(p <= 0.0):
-        raise ValueError("closed form needs strictly positive probabilities")
-    if not (p[0] >= p[1] >= p[2]):
-        raise ValueError("state must be passive (non-increasing probabilities)")
-    if m < 1 or n < 1:
-        raise ValueError(f"need m, n >= 1, got m = {m}, n = {n}")
-    return p
-
-
 def _unnormalized_direct(
     r1: float, r2: float, l1: float, l2: float, m: int, n: int
 ) -> np.ndarray:
@@ -124,7 +113,8 @@ def _machine_solution(p: np.ndarray, m: int, n: int):
 
 def machine_distribution(p, m: int, n: int) -> np.ndarray:
     """Closed-form stationary machine distribution for the (m, n) cycle."""
-    p = _check_cycle_input(p, m, n)
+    p = states.passive_qutrit(p)
+    states.check_cycle(m, n)
     q, _, _ = _machine_solution(p, m, n)
     return q
 
@@ -155,9 +145,10 @@ def run_cycle(p, energies, m: int, n: int) -> CycleOutcome:
 
     The closed form covers every cycle with m, n >= 1.
     """
-    p = _check_cycle_input(p, m, n)
+    p = states.passive_qutrit(p)
+    states.check_cycle(m, n)
     energies = states.validate_hamiltonian(energies, 3)
-    if not states.is_passive(p, energies):
+    if not states._is_passive(p, energies):  # equal populations on a degenerate pair
         raise ValueError("run_cycle needs a passive state")
     q, delta_p, alpha = _machine_solution(p, m, n)
     de10, de21 = energies[1] - energies[0], energies[2] - energies[1]

@@ -46,8 +46,7 @@ def build_cycle(m: int, n: int) -> list[SwapStep]:
     then (m-1, m+n-1). Cold stroke: (1,2) against (m+n-2, m+n-1) down to
     (m, m+1), then (0, m).
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m, n >= 1")
+    states.check_cycle(m, n)
     steps = [SwapStep(0, 1, j, j + 1) for j in range(m - 1)]
     steps.append(SwapStep(0, 1, m - 1, m + n - 1))
     steps.extend(SwapStep(1, 2, j, j + 1) for j in range(m + n - 2, m - 1, -1))
@@ -140,14 +139,11 @@ def _stationary_vector(b: np.ndarray) -> np.ndarray:
 
 
 def stationary_machine(p, m: int, n: int) -> np.ndarray:
-    """The machine distribution left invariant by one cycle on state p: one
-    GTH solve for every d (its elimination is O(d): the machine chain is a
+    """The machine distribution left invariant by one cycle on the passive
+    qutrit p > 0: one GTH solve for every d (O(d): the machine chain is a
     ring). Raises SingularFixedPointError when the fixed point is not unique
     or not strictly positive, or its residual exceeds 1e-12."""
-    p = states.validate_state(p, 3)
-    if np.any(p <= 0.0):
-        raise ValueError("stationary machine needs strictly positive system probabilities")
-    b = update_matrix(p, m, n)
+    b = update_matrix(states.passive_qutrit(p), m, n)
     q = _stationary_vector(b)
     residual = np.max(np.abs(b @ q - q))
     if not residual <= 1e-12:  # a NaN from overflow fails too
@@ -158,12 +154,8 @@ def stationary_machine(p, m: int, n: int) -> np.ndarray:
 def mutual_information(joint: np.ndarray) -> float:
     """I(S:M) = S(marg_S) + S(marg_M) - S(joint), in nats; clipped at 0."""
     j = np.asarray(joint, dtype=float)
-    if np.any(j < 0) or abs(j.sum() - 1.0) > 1e-12:
+    if not (np.all(j >= 0) and abs(j.sum() - 1.0) <= 1e-12):  # negated, so NaN fails
         raise ValueError("joint must be a normalized distribution")
-
-    def _h(x):
-        nz = x[x > 0]
-        return float(-np.sum(nz * np.log(nz)))
-
-    info = _h(system_marginal(j)) + _h(machine_marginal(j)) - _h(j.ravel())
+    h = states._entropy
+    info = h(system_marginal(j)) + h(machine_marginal(j)) - h(j.ravel())
     return max(info, 0.0)

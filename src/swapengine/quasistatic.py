@@ -45,16 +45,24 @@ class AlphaRange:
 
 
 def alpha_range(p, energies) -> AlphaRange:
-    """Open interval of admissible swap ratios n/m; empty (error) unless
-    the state lies strictly on the work-extracting side of thermal."""
-    p = states.validate_state(p, 3)
-    if np.any(p <= 0.0):
-        raise ValueError("need strictly positive probabilities")
-    de10, de21 = states.gaps(energies)
+    """Open interval of admissible swap ratios n/m (needs E2 > E1); empty
+    (error) unless the state lies strictly on the work-extracting side of thermal."""
+    return _alpha_window(states.passive_qutrit(p), _ladder(energies))
+
+
+def _ladder(energies) -> np.ndarray:
+    """A qutrit ladder on which the upper bound dE10/dE21 is defined."""
+    e = states.validate_hamiltonian(energies, 3)
+    if not e[2] > e[1]:
+        raise ValueError("need E2 > E1: admissible ratios are bounded by dE10/dE21")
+    return e
+
+
+def _alpha_window(p, e) -> AlphaRange:
     l2 = math.log(p[1] / p[2])
     # p1 == p2 puts the lower bound at +inf: the window is empty
     lower = math.log(p[0] / p[1]) / l2 if l2 else math.inf
-    upper = de10 / de21
+    upper = (e[1] - e[0]) / (e[2] - e[1])
     if lower >= upper:
         raise ValueError(
             f"empty alpha range [{lower}, {upper}]: no ratio extracts work here"
@@ -90,8 +98,8 @@ class AsymptoticMachine:
 def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
     """Limit shape of the stationary machine for a large (m, ceil(alpha*m))
     cycle. alpha must lie inside alpha_range(p, energies)."""
-    p = states.validate_state(p, 3)
-    rng = alpha_range(p, energies)
+    p = states.passive_qutrit(p)
+    rng = _alpha_window(p, _ladder(energies))
     if alpha not in rng:
         raise ValueError(f"alpha={alpha} outside admissible range {rng}")
     if m < 3:
@@ -112,8 +120,8 @@ def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
 
 def asymptotic_delta_p_prefactor(p) -> float:
     """c in the large-m law delta_p ~ c (p1/p0)^m."""
-    p = states.validate_state(p, 3)
-    if not (p[0] > p[1] > p[2] > 0.0):
+    p = states.passive_qutrit(p)
+    if p[0] == p[1] or p[1] == p[2]:
         raise ValueError("need strictly ordered probabilities")
     return flow_rate(p)
 
@@ -148,16 +156,15 @@ def integrate_trajectory(
     callable p -> alpha evaluated along the way. A float off the thermal
     manifold must lie in the closed alpha_range window (ValueError). A state
     off the manifold where the flow rate is zero is a fixed point of the
-    flow (ValueError).
+    flow (ValueError). The ladder needs E2 > E1.
     RuntimeError if the flow stalls or needs more than max_steps steps.
 
     Work increments are the exact mean-energy drops of each accepted step,
     so the energy-conserving strategy reports exactly zero work.
     """
-    p = states.validate_state(p, 3)
-    if np.any(p <= 0.0):
-        raise ValueError("need strictly positive probabilities")
-    de10, de21 = states.gaps(energies)
+    p = states.passive_qutrit(p)
+    e = _ladder(energies)
+    de10, de21 = e[1] - e[0], e[2] - e[1]
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     if not max_steps >= 1:
@@ -182,7 +189,7 @@ def integrate_trajectory(
             const = de10 / de21
         elif isinstance(strategy, float):
             if gap > TERMINATION_TOL:
-                rng = alpha_range(p, energies)
+                rng = _alpha_window(p, e)
                 if not rng.lower <= strategy <= rng.upper:
                     raise ValueError(
                         f"alpha={strategy} outside admissible range "
@@ -208,7 +215,6 @@ def integrate_trajectory(
 
     # the observables of states.diagram_point, over all samples at once;
     # every accepted state is strictly positive, so no 0 ln 0 mask
-    e = states.validate_hamiltonian(energies, 3)
     energy = (ps @ e).tolist()
     entropy = (-np.sum(ps * np.log(ps), axis=1)).tolist()
     samples = [
@@ -230,9 +236,8 @@ def optimal_work(p, energies) -> float:
     entropy (the isentropic endpoint)."""
     p = states.validate_state(p, 3)
     e = states.validate_hamiltonian(energies, 3)
-    beta = states.beta_from_entropy(states.entropy(p), e)
-    tau = states.thermal_state(beta, e)
-    return states.mean_energy(p, e) - states.mean_energy(tau, e)
+    tau = states._gibbs(states._beta_from_entropy(states._entropy(p), e), e)
+    return float(p @ e) - float(tau @ e)
 
 
 def carnot_check(p, energies) -> float:

@@ -50,13 +50,11 @@ def lifted_cycle(p, energies, k: int, m: int, n: int) -> engine.CycleOutcome:
     by the window mass; levels outside the window are untouched and the
     machine distribution is the window one (stationary, so unchanged).
     """
-    p = states.validate_state(p)
     win = decompose(p, energies, k)
     out = engine.run_cycle(win.reduced_state, win.reduced_h, m, n)
-    final = p.copy()
-    final[k : k + 3] = win.weight * out.final_system
     lam = win.weight
-    eff = out.work > 0.0
+    final = np.array(p, dtype=float)  # a copy, checked by decompose
+    final[k : k + 3] = lam * out.final_system
     return dataclasses.replace(
         out,
         delta_p=lam * out.delta_p,
@@ -88,7 +86,6 @@ def block_joint_cycle(p, energies, k: int, m: int, n: int):
     The machine is the stationary one of the reduced window state. Returns
     (final_system_marginal, final_machine_marginal).
     """
-    p = states.validate_state(p)
     win = decompose(p, energies, k)
     q = oracle.stationary_machine(win.reduced_state, m, n)
     joint = oracle.product_joint(p, q)

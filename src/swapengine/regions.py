@@ -67,21 +67,10 @@ def approximate_gap_ratio(energies, tol: float = 1e-9) -> RationalGapRatio:
 
 
 def _log_ratios(p):
-    """(ln(p0/p1), ln(p1/p2)): floats for one state, arrays over the rows of
-    an (N, 3) batch, which is validated once as a whole."""
-    p = np.asarray(p, dtype=float)
+    """(ln(p0/p1), ln(p1/p2)) of a checked state (floats) or batch (arrays)."""
     if p.ndim == 2:
-        if p.shape[1] != 3:
-            raise ValueError(f"batch of states must have shape (N, 3), got {p.shape}")
-        if not np.all(p > 0.0):
-            raise ValueError("region classification needs strictly positive probabilities")
-        if not np.all(abs(p.sum(axis=1) - 1.0) <= 1e-12):
-            raise ValueError("batch has a row that is not normalized")
         logs = np.log(p[:, :2] / p[:, 1:])
         return logs[:, 0], logs[:, 1]
-    p = states.validate_state(p, 3)
-    if np.any(p <= 0.0):
-        raise ValueError("region classification needs strictly positive probabilities")
     return math.log(p[0] / p[1]), math.log(p[1] / p[2])
 
 
@@ -105,7 +94,7 @@ def classify(p, ratio: RationalGapRatio, tol: float = R3_TOL):
     p is one state, or an (N, 3) array of states, which gives an array of
     N labels.
     """
-    p = np.asarray(p, dtype=float)
+    p = states.passive_qutrit(p)
     l1, l2 = _log_ratios(p)
     lhs = ratio.n_int * l2
     rhs = ratio.m_int * l1
@@ -126,9 +115,8 @@ def in_activation_region(p, energies, m: int, n: int):
     p is one state, or an (N, 3) array of states, which gives a bool array
     of N flags.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"need m, n >= 1, got m = {m}, n = {n}")
-    p = np.asarray(p, dtype=float)
+    states.check_cycle(m, n)
+    p = states.passive_qutrit(p)
     l1, l2 = _log_ratios(p)
     de10, de21 = states.gaps(energies)
     lever = m * de10 - n * de21
@@ -155,7 +143,7 @@ def covering_cycle(p, ratio: RationalGapRatio, n_max: int, tol: float = R3_TOL):
     label = classify(p, ratio, tol)
     if label == R3:
         raise ValueError("state is completely passive (R3): never activable")
-    l1, l2 = _log_ratios(p)
+    l1, l2 = _log_ratios(np.asarray(p, dtype=float))  # checked by classify
     m_int, n_int = ratio.m_int, ratio.n_int
     if label == R1:
         for n in range(1, n_max + 1):
@@ -214,8 +202,7 @@ def coverage_fraction(
     around R3, where no finite cycle ever wins. Degenerate cycles with
     m dE10 = n dE21 activate nothing and return 0.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"need m, n >= 1, got m = {m}, n = {n}")
+    states.check_cycle(m, n)
     grid = passive_simplex_grid(grid_resolution)
     lever = m * ratio.n_int - n * ratio.m_int  # sign of m dE10 - n dE21
     in_r1, activated = coverage_counts(

@@ -4,7 +4,9 @@ temperatures, thermal states and energy/entropy observables.
 States are plain probability vectors (numpy arrays) over the eigenbasis of a
 non-decreasing energy ladder. Entropy is in nats throughout. An infinite
 inverse temperature (ground state) is represented by the sentinel
-``BETA_INF``; it is never fed into exponentials.
+``BETA_INF``; it is never fed into exponentials. Input validation lives
+here: public functions check their arguments once, and private cores
+(`_gibbs`, `_entropy`, ...) take checked arrays as given.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ def validate_state(probs, d: int | None = None) -> np.ndarray:
         raise ValueError("state must be a 1-d probability vector of length >= 2")
     if d is not None and p.size != d:
         raise ValueError(f"state has length {p.size}, expected {d}")
-    # negated tests, so that a NaN entry fails them
-    if not np.all(p >= 0):
-        raise ValueError("state has negative or NaN entries")
+    # negated tests, so that a NaN entry fails them; entries at most 1 cannot
+    # overflow the sum
+    if not ((p >= 0) & (p <= 1)).all():
+        raise ValueError("state has entries that are negative, above 1 or NaN")
     if not abs(p.sum() - 1.0) <= 1e-12:
         raise ValueError(f"state not normalized: sum = {p.sum()!r}")
     return p
@@ -53,6 +56,29 @@ def validate_hamiltonian(energies, d: int | None = None) -> np.ndarray:
     return e
 
 
+def passive_qutrit(probs) -> np.ndarray:
+    """Coerce to a passive qutrit, p0 >= p1 >= p2 > 0, or an (N, 3) batch of them."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim == 2:
+        if p.shape[1] != 3:
+            raise ValueError(f"batch of states must have shape (N, 3), got {p.shape}")
+        p0, p1, p2 = p.T
+        ok = ((1.0 >= p0) & (p0 >= p1) & (p1 >= p2) & (p2 > 0.0)).all()
+        ok = ok and (abs(p.sum(axis=1) - 1.0) <= 1e-12).all()
+    else:
+        p = validate_state(p, 3)
+        ok = p[0] >= p[1] >= p[2] > 0.0
+    if not ok:  # negated, so that NaN fails it
+        raise ValueError("need a normalized passive qutrit with p0 >= p1 >= p2 > 0")
+    return p
+
+
+def check_cycle(m: int, n: int) -> None:
+    """Raise ValueError unless the (m, n) swap cycle has m, n >= 1."""
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got m = {m}, n = {n}")
+
+
 def gaps(energies) -> tuple[float, float]:
     """Qutrit gaps (E1 - E0, E2 - E1)."""
     e = validate_hamiltonian(energies, 3)
@@ -61,13 +87,15 @@ def gaps(energies) -> tuple[float, float]:
 
 def mean_energy(probs, energies) -> float:
     p = validate_state(probs)
-    e = validate_hamiltonian(energies, p.size)
-    return float(p @ e)
+    return float(p @ validate_hamiltonian(energies, p.size))
 
 
 def entropy(probs) -> float:
     """Shannon/von Neumann entropy in nats, with 0 ln 0 = 0."""
-    p = validate_state(probs)
+    return _entropy(validate_state(probs))
+
+
+def _entropy(p: np.ndarray) -> float:
     nz = p[p > 0]
     return float(-np.sum(nz * np.log(nz)))
 
@@ -79,7 +107,10 @@ def is_passive(probs, energies, tol: float = 0.0) -> bool:
     the stability requirement that makes passivity well defined on them.
     """
     p = validate_state(probs)
-    e = validate_hamiltonian(energies, p.size)
+    return _is_passive(p, validate_hamiltonian(energies, p.size), tol)
+
+
+def _is_passive(p: np.ndarray, e: np.ndarray, tol: float = 0.0) -> bool:
     for i in range(p.size - 1):
         if e[i + 1] - e[i] <= _DEGEN_TOL:
             if abs(p[i] - p[i + 1]) > max(tol, _DEGEN_TOL):
@@ -99,8 +130,7 @@ def passify(probs, energies) -> np.ndarray:
 def ergotropy(probs, energies) -> float:
     """Maximal unitary work: <H>(state) - <H>(passified state). Non-negative."""
     p = validate_state(probs)
-    e = validate_hamiltonian(energies, p.size)
-    return float((p - passify(p, e)) @ e)
+    return float((p - np.sort(p)[::-1]) @ validate_hamiltonian(energies, p.size))
 
 
 @dataclass(frozen=True)
@@ -171,10 +201,15 @@ def thermal_state(beta: float, energies) -> np.ndarray:
     e = validate_hamiltonian(energies)
     if not beta >= 0:  # negated, so that NaN fails it
         raise ValueError("beta must be >= 0")
+    return _gibbs(beta, e)
+
+
+def _gibbs(beta: float, e: np.ndarray) -> np.ndarray:
     if is_beta_inf(beta):
         ground = np.abs(e - e[0]) <= _DEGEN_TOL
         return ground / ground.sum()
-    w = np.exp(-beta * (e - e[0]))  # shift for stability
+    # shifted for stability; Python floats: an exponent past the range is -inf, silently
+    w = np.exp([-float(beta) * x for x in (e - e[0]).tolist()])
     return w / w.sum()
 
 
@@ -186,7 +221,8 @@ class DiagramPoint:
 
 def diagram_point(probs, energies) -> DiagramPoint:
     """(mean energy, entropy) coordinates in the energy-entropy diagram."""
-    return DiagramPoint(mean_energy(probs, energies), entropy(probs))
+    p = validate_state(probs)
+    return DiagramPoint(float(p @ validate_hamiltonian(energies, p.size)), _entropy(p))
 
 
 def _beta_upper(energies: np.ndarray) -> float:
@@ -234,12 +270,15 @@ def beta_from_energy(target_energy: float, energies, tol: float = 1e-10) -> floa
         return BETA_INF
     # BETA_INF when the target lies between the ground energy and the coldest
     # representable thermal state
-    return _bisect_beta(lambda b: mean_energy(thermal_state(b, e), e) - target_energy, e)
+    return _bisect_beta(lambda b: float(_gibbs(b, e) @ e) - target_energy, e)
 
 
 def beta_from_entropy(target_entropy: float, energies, tol: float = 1e-10) -> float:
     """Inverse temperature whose thermal state has the given entropy (nats)."""
-    e = validate_hamiltonian(energies)
+    return _beta_from_entropy(target_entropy, validate_hamiltonian(energies), tol)
+
+
+def _beta_from_entropy(target_entropy: float, e: np.ndarray, tol: float = 1e-10) -> float:
     smax = math.log(e.size)
     if not -tol <= target_entropy <= smax + tol:  # negated, so that NaN fails it
         raise ValueError(f"target entropy {target_entropy} outside [0, ln {e.size}]")
@@ -247,7 +286,7 @@ def beta_from_entropy(target_entropy: float, energies, tol: float = 1e-10) -> fl
         return BETA_INF
     if target_entropy >= smax - tol:
         return 0.0
-    return _bisect_beta(lambda b: entropy(thermal_state(b, e)) - target_entropy, e)
+    return _bisect_beta(lambda b: _entropy(_gibbs(b, e)) - target_entropy, e)
 
 
 def is_completely_passive(probs, energies, tol: float) -> bool:
@@ -255,11 +294,10 @@ def is_completely_passive(probs, energies, tol: float) -> bool:
     pairwise virtual temperatures agree within tol."""
     p = validate_state(probs)
     e = validate_hamiltonian(energies, p.size)
-    if not is_passive(p, e, tol=_NORM_TOL):
+    if not _is_passive(p, e, _NORM_TOL):
         return False
     if np.any(p == 0.0):
         # passive with zero tail: thermal iff exactly the ground state(s)
         ground = np.abs(e - e[0]) <= _DEGEN_TOL
         return bool(np.all((p > 0) == ground))
-    table = virtual_temperatures(p, e)
-    return table.spread() <= tol
+    return virtual_temperatures(p, e).spread() <= tol

@@ -151,3 +151,9 @@ class TestMutualInformation:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             oracle.mutual_information(np.ones((3, 2)))
+
+    def test_rejects_nan_entry(self):
+        joint = oracle.product_joint([0.5, 0.3, 0.2], [0.6, 0.4])
+        joint[1, 1] = np.nan
+        with pytest.raises(ValueError):
+            oracle.mutual_information(joint)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,20 @@ class TestAlphaRange:
             quasistatic.alpha_range(p, [0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="empty alpha range"):
             quasistatic.asymptotic_machine(p, [0.0, 1.0, 2.0], 10, 1.0)
+
+
+    @pytest.mark.parametrize("call", [
+        lambda p, e: quasistatic.alpha_range(p, e),
+        lambda p, e: quasistatic.integrate_trajectory(p, e, "entropy"),
+        lambda p, e: quasistatic.integrate_trajectory(p, e, "energy"),
+    ], ids=["alpha_range", "trajectory_entropy", "trajectory_energy"])
+    def test_equal_upper_levels_rejected_without_warning(self, call):
+        # E1 == E2 leaves dE10/dE21 undefined, and (0.5, 0.3, 0.2) is not
+        # passive on that ladder
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="E2 > E1"):
+                call([0.5, 0.3, 0.2], [0.0, 1.0, 1.0])
 
 
 class TestAsymptoticMachine:

@@ -63,6 +63,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             call()
 
+    @pytest.mark.parametrize("probs", [[1e308, 1e308, 0.0], [[1e308, 1e308, 1e308]] * 2])
+    def test_huge_entries_reject_without_overflow(self, probs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                states.passive_qutrit(probs)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             states.validate_state([0.5, 0.5], d=3)
@@ -109,6 +116,28 @@ class TestThermal:
     def test_beta_inf_shared_ground(self):
         tau = states.thermal_state(states.BETA_INF, [0.0, 0.0, 2.0])
         assert np.allclose(tau, [0.5, 0.5, 0.0])
+
+    @pytest.mark.parametrize("energies, ground", [
+        ([0.0, 1.0, 2.0], [1.0, 0.0, 0.0]), ([0.0, 0.0, 2.0], [0.5, 0.5, 0.0]),
+    ])
+    def test_beta_past_overflow_is_ground_state(self, energies, ground):
+        # beta * (E2 - E0) overflows: those levels are empty, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(states.thermal_state(1e308, energies), ground)
+
+    def test_large_beta_gap_product_is_not_the_ground_state(self):
+        # beta * (E2 - E0) = 1000, yet the first gap is only 1e-3
+        tau = states.thermal_state(1.0, [0.0, 1e-3, 1000.0])
+        assert tau[1] / tau[0] == pytest.approx(math.exp(-1e-3), rel=1e-15)
+
+    @given(st.floats(0.0, 1e300), st.sampled_from([[0.0, 1.0, 3.0], [-2.0, 0.5, 0.5, 7.0]]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy_gibbs_weights(self, beta, energies):
+        # the same floats as exp(-beta (E - E0)) / Z wherever that product stays finite
+        e = np.array(energies)
+        w = np.exp(-beta * (e - e[0]))
+        assert np.array_equal(states.thermal_state(beta, e), w / w.sum())
 
     def test_athermal_passive_not_completely_passive(self, worked_example):
         p, e = worked_example
