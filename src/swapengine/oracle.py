@@ -154,7 +154,8 @@ def stationary_machine(p, m: int, n: int) -> np.ndarray:
 def mutual_information(joint: np.ndarray) -> float:
     """I(S:M) = S(marg_S) + S(marg_M) - S(joint), in nats; clipped at 0."""
     j = np.asarray(joint, dtype=float)
-    if not (np.all(j >= 0) and abs(j.sum() - 1.0) <= 1e-12):  # negated, so NaN fails
+    # negated, so that NaN fails; entries at most 1 cannot overflow the sum
+    if not (((j >= 0) & (j <= 1)).all() and abs(j.sum() - 1.0) <= 1e-12):
         raise ValueError("joint must be a normalized distribution")
     h = states._entropy
     info = h(system_marginal(j)) + h(machine_marginal(j)) - h(j.ravel())

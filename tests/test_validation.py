@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapengine import engine, oracle, quasistatic, reduction, regions, states
@@ -108,6 +108,19 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 SWAPS = st.one_of(st.integers(1, 6), st.integers(-1, 0))
 
 
+def _trajectory(p, e, strategy):
+    """integrate_trajectory on a short step budget. Near p0 == p1 the flow
+    rate vanishes like (p0 - p1)**2, so an in-domain state can need more
+    steps than any budget: that is the documented RuntimeError, not a
+    validation failure."""
+    try:
+        return quasistatic.integrate_trajectory(p, e, strategy, max_steps=2000)
+    except RuntimeError as exc:
+        if not str(exc).startswith(("no convergence", "trajectory stalled")):
+            raise
+        return None
+
+
 def _finite(x) -> bool:
     if isinstance(x, (bool, np.bool_, str)) or x is None:
         return True
@@ -131,6 +144,10 @@ def _finite(x) -> bool:
     beta=st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e308), ANY_FLOAT),
     target=st.one_of(st.floats(-0.1, 1.2), st.floats(-1.0, 8.0), ANY_FLOAT),
 )
+@example(  # p0 - p1 = 3.5e-6: the flow runs out of steps
+    p=np.array([0.34815658, 0.3481531, 0.30369033]) / 1.00000001, e=[0.0, 1.0, 8.0],
+    m=1, n=1, strategy="entropy", alpha=0.0, ratio=(1, 0), beta=0.0, target=0.0,
+)
 @settings(max_examples=300, deadline=None)
 def test_fuzz_public_entry_points(p, e, m, n, strategy, alpha, ratio, beta, target):
     """Non-finite, negative, unnormalized, non-passive and degenerate-ladder
@@ -145,7 +162,7 @@ def test_fuzz_public_entry_points(p, e, m, n, strategy, alpha, ratio, beta, targ
         lambda: quasistatic.asymptotic_machine(p, e, 3 * m, alpha),
         lambda: quasistatic.asymptotic_machine(p, e, 12, quasistatic.alpha_range(p, e).midpoint()),
         lambda: quasistatic.asymptotic_delta_p_prefactor(p),
-        lambda: quasistatic.integrate_trajectory(p, e, strategy),
+        lambda: _trajectory(p, e, strategy),
         lambda: quasistatic.optimal_work(p, e),
         lambda: regions.classify(p, ratio),
         lambda: regions.classify(batch, ratio),
