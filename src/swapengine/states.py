@@ -4,9 +4,8 @@ temperatures, thermal states and energy/entropy observables.
 States are plain probability vectors (numpy arrays) over the eigenbasis of a
 non-decreasing energy ladder. Entropy is in nats throughout. An infinite
 inverse temperature (ground state) is represented by the sentinel
-``BETA_INF``; it is never fed into exponentials. Input validation lives
-here: public functions check their arguments once, and private cores
-(`_gibbs`, `_entropy`, ...) take checked arrays as given.
+``BETA_INF``; it is never fed into exponentials. Validation lives here;
+private cores (`_gibbs`, `_entropy`, ...) take checked arrays as given.
 """
 
 from __future__ import annotations
@@ -87,7 +86,8 @@ def gaps(energies) -> tuple[float, float]:
 
 def mean_energy(probs, energies) -> float:
     p = validate_state(probs)
-    return float(p @ validate_hamiltonian(energies, p.size))
+    e = validate_hamiltonian(energies, p.size)
+    return float(p @ e)
 
 
 def entropy(probs) -> float:
@@ -300,4 +300,5 @@ def is_completely_passive(probs, energies, tol: float) -> bool:
         # passive with zero tail: thermal iff exactly the ground state(s)
         ground = np.abs(e - e[0]) <= _DEGEN_TOL
         return bool(np.all((p > 0) == ground))
-    return virtual_temperatures(p, e).spread() <= tol
+    table = virtual_temperatures(p, e)
+    return table.spread() <= tol
