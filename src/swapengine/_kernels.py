@@ -32,11 +32,12 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps, term_tol):
     """Adaptive RK4 flow of (p0, p1) toward the thermal manifold, with the
     swap ratio given by alpha(p0, p1, p2).
 
-    Halves the step whenever it would leave the passive simplex or
-    overshoot the manifold; terminates when the R3 log-gap drops below
-    term_tol. The first stage depends only on the step's start, so it is
-    evaluated once per step, not once per halving. Returns (t, states,
-    n_samples, work, heat, status) with t a list and states a (n, 3) array.
+    Each step starts at twice the last accepted size, capped at step, and
+    halves while it would leave the passive simplex or overshoot the
+    manifold; terminates when the R3 log-gap drops below term_tol. The
+    first stage depends only on the step's start, so it is evaluated once
+    per step, not once per halving. Returns (t, states, n_samples, work,
+    heat, status) with t a list and states a (n, 3) array.
     """
     ts = [0.0]
     ps = [(p0, p1, 1.0 - p0 - p1)]
@@ -46,13 +47,13 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps, term_tol):
     if _r3_gap(p0, p1, 1.0 - p0 - p1, de10, de21) <= term_tol:
         return ts, np.array(ps), 1, work, heat, STATUS_ON_MANIFOLD
     status = STATUS_MAX_STEPS
+    h = math.inf  # the last accepted step size; none yet
     while len(ts) <= max_steps:
         p2 = 1.0 - p0 - p1
         f = _flow_rate(p0, p1, p2)
         a = alpha(p0, p1, p2)
         k1_0, k1_1 = f, -(1.0 + a) * f
-        h = step
-        accepted = False
+        h = min(step, 2.0 * h)
         while h >= step * 1e-14:
             # remaining RK4 stages
             y0b = p0 + 0.5 * h * k1_0
@@ -76,10 +77,9 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps, term_tol):
             if n2 > 0.0 and n1 > n2 and n0 >= n1:
                 gap = _r3_gap(n0, n1, n2, de10, de21)
                 if gap >= 0.0:
-                    accepted = True
                     break
             h *= 0.5
-        if not accepted:
+        else:
             status = STATUS_STALLED
             break
         dp0 = n0 - p0

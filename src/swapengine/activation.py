@@ -34,13 +34,14 @@ def assess_activation(p, energies, outcome: engine.CycleOutcome) -> ActivationRe
     entropy not below the initial one."""
     p = states.validate_state(p)
     e = states.validate_hamiltonian(energies, p.size)
-    erg = states.ergotropy(p, e)
-    final = outcome.final_system
-    energy_ok = states.mean_energy(final, e) < states.mean_energy(states.passify(p, e), e)
-    entropy_ok = states.entropy(final) >= states.entropy(p) - 1e-12
+    final = states.validate_state(outcome.final_system, p.size)
+    passive = np.sort(p)[::-1].copy()  # states.passify
+    erg = float((p - passive) @ e)
+    energy_ok = float(final @ e) < float(passive @ e)
+    entropy_ok = states._entropy(final) >= states._entropy(p) - 1e-12
     return ActivationReport(
         work_cycle=float(outcome.work),
-        ergotropy_value=float(erg),
+        ergotropy_value=erg,
         activated=bool(outcome.work > erg),
         energy_ok=bool(energy_ok),
         entropy_ok=bool(entropy_ok),

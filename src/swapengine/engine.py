@@ -73,8 +73,9 @@ def _unnormalized_scaled(
     s2 = 1/r2 with logs l1, l2: every power is at most 1, so nothing
     overflows where r1**m or r2**n would."""
     u = np.empty(m + n)
-    g1 = [_geometric_sum(k, l1) for k in range(m + 2)]
-    g2 = [_geometric_sum(k, l2) for k in range(n + 1)]
+    d1, d2 = math.expm1(l1), math.expm1(l2)  # _geometric_sum's denominators
+    g1 = [math.expm1(k * l1) / d1 if l1 else float(k) for k in range(m + 2)]
+    g2 = [math.expm1(k * l2) / d2 if l2 else float(k) for k in range(n + 1)]
     s1m = s1**m
     s2n = s2**n
     for j in range(m):

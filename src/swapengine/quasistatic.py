@@ -51,10 +51,12 @@ def alpha_range(p, energies) -> AlphaRange:
 
 
 def _ladder(energies) -> np.ndarray:
-    """A qutrit ladder on which the upper bound dE10/dE21 is defined."""
+    """A qutrit ladder on which the upper bound dE10/dE21 is defined and finite."""
     e = states.validate_hamiltonian(energies, 3)
     if not e[2] > e[1]:
         raise ValueError("need E2 > E1: admissible ratios are bounded by dE10/dE21")
+    if not math.isfinite(float(e[1] - e[0]) / float(e[2] - e[1])):  # Python floats: inf, silently
+        raise ValueError("dE10/dE21 overflows the float range")
     return e
 
 

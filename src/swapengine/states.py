@@ -50,8 +50,11 @@ def validate_hamiltonian(energies, d: int | None = None) -> np.ndarray:
         raise ValueError("energy ladder must be 1-d with length >= 2")
     if d is not None and e.size != d:
         raise ValueError(f"ladder has length {e.size}, expected {d}")
-    if not (np.all(np.isfinite(e)) and np.all(np.diff(e) >= 0)):
+    # comparisons, not differences, so that nothing overflows before the span check
+    if not (np.all(np.isfinite(e)) and np.all(e[1:] >= e[:-1])):
         raise ValueError("energies must be finite and non-decreasing")
+    if not math.isfinite(float(e[-1]) - float(e[0])):  # Python floats: inf, silently
+        raise ValueError("energy span E[-1] - E[0] overflows the float range")
     return e
 
 

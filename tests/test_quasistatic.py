@@ -3,10 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swapengine import quasistatic, states
+from swapengine import _kernels, quasistatic, states
 
 
 class TestAlphaRange:
@@ -300,6 +300,86 @@ class TestSampleObservables:
         assert ts[1] < step  # the first step was halved
         assert len(starts) > 3
         assert all(seen.count(y) == 1 for y in starts)
+
+
+def _restarting_run(p0, p1, de10, de21, alpha, step):
+    """The stepper without step-size memory: trajectory_core with
+    max_steps=1, chained from each accepted state, starts every step at the
+    full step. Returns (ts, states, work, heat) as trajectory_core does."""
+    ts, ps, work, heat = [0.0], [(p0, p1, 1.0 - p0 - p1)], 0.0, 0.0
+    tol = quasistatic.TERMINATION_TOL
+    status = _kernels.STATUS_MAX_STEPS
+    while status == _kernels.STATUS_MAX_STEPS:
+        t, y, n, w, q, status = _kernels.trajectory_core(p0, p1, de10, de21, alpha, step, 1, tol)
+        assert status != _kernels.STATUS_STALLED
+        if n == 1:  # on the manifold at the start
+            break
+        ts.append(ts[-1] + t[1])
+        ps.append(tuple(y[1]))
+        work += w
+        heat += q
+        p0, p1 = y[1][0], y[1][1]
+    return ts, np.array(ps), work, heat
+
+
+class TestStepSizeMemory:
+    """Each step starts at min(step, 2 h_last) rather than at step. It tries
+    the same sizes step / 2**k and skips only those above twice the last
+    accepted one, so it takes the same steps wherever no accepted size
+    would grow by two or more halvings at once."""
+
+    @given(
+        st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(1.2, 4.0),
+        st.sampled_from(["entropy", "energy", "float", "tracking"]),
+        st.floats(0.0, 1.0), st.sampled_from([0.05, 0.02, 0.2]),
+    )
+    @example(1.04, 0.06, 3.92, "energy", 0.0, 0.2)  # an accepted size grows back
+    @settings(max_examples=200, deadline=None)
+    def test_same_trajectory_as_restarting_every_step(self, l1, l2, factor, kind, u, step):
+        # ln(p0/p1) = l1, ln(p1/p2) = l2 and dE10/dE21 = factor * l1/l2, so
+        # the window is (l1/l2, factor * l1/l2) and u is a share of it
+        w = np.array([math.exp(l1 + l2), math.exp(l2), 1.0])
+        p = w / w.sum()
+        de10, de21 = factor * l1 / l2, 1.0
+        upper = de10 / de21
+        if kind == "entropy":
+            def alpha(p0, p1, p2):
+                return math.log(p0 / p1) / math.log(p1 / p2)
+        elif kind == "tracking":
+            def alpha(p0, p1, p2):
+                lower = math.log(p0 / p1) / math.log(p1 / p2)
+                return lower + u * (upper - lower)
+        else:
+            const = upper if kind == "energy" else l1 / l2 + u * (upper - l1 / l2)
+
+            def alpha(p0, p1, p2):
+                return const
+        tol = quasistatic.TERMINATION_TOL
+        ts, ps, n, work, heat, status = _kernels.trajectory_core(
+            p[0], p[1], de10, de21, alpha, step, 200_000, tol
+        )
+        assert status == _kernels.STATUS_ON_MANIFOLD
+        ref_ts, ref_ps, ref_work, ref_heat = _restarting_run(p[0], p[1], de10, de21, alpha, step)
+        assert n == len(ref_ts)
+        assert ts == ref_ts
+        assert np.array_equal(ps, ref_ps)
+        assert work == ref_work
+        assert heat == ref_heat
+
+    def test_worked_example_flow_rate_evaluations(self, worked_example, monkeypatch):
+        # 920 evaluations for 62 steps when every step restarts at step
+        calls = []
+        real = _kernels._flow_rate
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "_flow_rate", counted)
+        p, e = worked_example
+        traj = quasistatic.integrate_trajectory(p, e, "entropy", step=0.05)
+        assert len(traj.samples) == 63
+        assert len(calls) <= 400
 
 
 class TestOptimalWorkAndCarnot:

@@ -4,6 +4,7 @@ ValueError or returning finite values on bad input."""
 
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swapengine import engine, oracle, quasistatic, reduction, regions, states
+from swapengine import activation, engine, oracle, quasistatic, reduction, regions, states
 
 NAN = float("nan")
 INF = float("inf")
@@ -78,6 +79,26 @@ class TestValidatesOnce:
         call(*worked_example)
         assert calls["validate_state"] == 1
         assert calls["validate_hamiltonian"] == 1
+
+    def test_assess_activation(self, calls, worked_example):
+        p, e = worked_example
+        outcome = engine.run_cycle(p, e, 2, 3)
+        calls.clear()
+        activation.assess_activation(p, e, outcome)
+        # p and outcome.final_system once each, the ladder once
+        assert calls == {"validate_state": 2, "validate_hamiltonian": 1}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: states.thermal_state(1.0, [-1e308, 0.0, 1e308]),  # E2 - E0 overflows
+    lambda: quasistatic.alpha_range([0.5, 0.35, 0.15], [-5.0, 0.0, 5e-324]),  # dE10/dE21 does
+    lambda: quasistatic.integrate_trajectory([0.5, 0.35, 0.15], [-5.0, 0.0, 5e-324], "energy"),
+], ids=["span", "gap_ratio", "trajectory_gap_ratio"])
+def test_overflowing_ladder_rejected_without_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows the float range"):
+            call()
 
 
 _passive = st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3).map(
