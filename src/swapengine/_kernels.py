@@ -97,18 +97,11 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps, term_tol):
     return ts, np.array(ps), len(ts), work, heat, status
 
 
-def coverage_counts(grid, big_m, big_n, m, n, lever, eps_band):
-    l1 = np.log(grid[:, 0] / grid[:, 1])
-    l2 = np.log(grid[:, 1] / grid[:, 2])
+def coverage_counts(l1, l2, big_m, big_n, m, n, eps_band):
     r1_mask = big_n * l2 - big_m * l1 > eps_band
     gap = n * l2[r1_mask] - m * l1[r1_mask]
-    if lever > 0:
-        act = int(np.count_nonzero(gap > 0.0))
-    elif lever < 0:
-        act = int(np.count_nonzero(gap < 0.0))
-    else:
-        act = 0
-    return int(np.count_nonzero(r1_mask)), act
+    lever = m * big_n - n * big_m  # the sign of m dE10 - n dE21; 0 activates nothing
+    return int(np.count_nonzero(r1_mask)), int(np.count_nonzero(lever * gap > 0.0))
 
 
 def flow_rate(p) -> float:

@@ -37,8 +37,8 @@ def _parse_cycles(text: str):
 
 def _parse_sweep(text: str) -> tuple[float, float, float]:
     sweep = tuple(float(tok) for tok in text.split(":"))
-    if len(sweep) != 3:
-        raise argparse.ArgumentTypeError(f"need lo:hi:steps, got {text!r}")
+    if len(sweep) != 3 or not (sweep[2] >= 1 and sweep[2].is_integer()):
+        raise argparse.ArgumentTypeError(f"need lo:hi:steps with whole steps >= 1, got {text!r}")
     return sweep
 
 
@@ -52,22 +52,20 @@ def _resolve_state(args, energies) -> np.ndarray:
 
 def _emit(rows, header, args, config):
     """Write rows as CSV or JSON to --out (or stdout)."""
-    rows = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
     if args.format == "csv":
+        fmts = {}  # one %-format per tuple of column types: FMT for floats, %s otherwise
         lines = [",".join(header)]
-        lines += [
-            ",".join([FMT % v if isinstance(v, float) else str(v) for v in row]) for row in rows
-        ]
+        for row in map(tuple, rows):
+            key = tuple(map(type, row))
+            if key not in fmts:
+                fmts[key] = ",".join(
+                    FMT if issubclass(t, (float, np.floating)) else "%s" for t in key)
+            lines.append(fmts[key] % row)
         text = "\n".join(lines) + "\n"
     else:
-        payload = {
-            "config": config,
-            "results": [
-                {k: (float(FMT % v) if isinstance(v, float) else v) for k, v in zip(header, row)}
-                for row in rows
-            ],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        results = [{k: v.item() if isinstance(v, np.generic) else v for k, v in zip(header, row)}
+                   for row in rows]
+        text = json.dumps({"config": config, "results": results}, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -143,7 +141,7 @@ def cmd_fig5(args) -> int:
     header = ["p0", "p1", "p2", "region"] + [f"active_{m}_{n}" for m, n in cycles]
     labels = regions.classify(grid, ratio).tolist()
     flags = [regions.in_activation_region(grid, e, m, n).tolist() for m, n in cycles]
-    rows = [pt + [label, *fl] for pt, label, *fl in zip(grid.tolist(), labels, *flags)]
+    rows = zip(*grid.T.tolist(), labels, *flags)
     _emit(rows, header, args, _config_dict(args, cycles=[list(c) for c in cycles]))
     return 0
 

@@ -148,12 +148,19 @@ def run_cycle(p, energies, m: int, n: int) -> CycleOutcome:
     """
     p = states.passive_qutrit(p)
     states.check_cycle(m, n)
-    energies = states.validate_hamiltonian(energies, 3)
+    return _run_cycle(p, states.validate_hamiltonian(energies, 3), m, n)
+
+
+def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int) -> CycleOutcome:
+    """run_cycle on a checked passive qutrit, cycle and ladder."""
     if not states._is_passive(p, energies):  # equal populations on a degenerate pair
         raise ValueError("run_cycle needs a passive state")
+    de10, de21 = float(energies[1] - energies[0]), float(energies[2] - energies[1])
+    lever = m * de10 - n * de21  # Python floats: inf or nan past the float range, silently
+    if not math.isfinite(lever):
+        raise ValueError("m dE10 - n dE21 overflows the float range")
     q, delta_p, alpha = _machine_solution(p, m, n)
-    de10, de21 = energies[1] - energies[0], energies[2] - energies[1]
-    work = (m * de10 - n * de21) * delta_p
+    work = lever * delta_p
     q_hot = de10 * delta_p
     q_cold = de21 * delta_p
     final = np.array(

@@ -29,7 +29,11 @@ class SubspaceWindow:
 def decompose(p, energies, k: int) -> SubspaceWindow:
     """Renormalized 3-level window starting at level k."""
     p = states.validate_state(p)
-    e = states.validate_hamiltonian(energies, p.size)
+    return _window(p, states.validate_hamiltonian(energies, p.size), k)
+
+
+def _window(p: np.ndarray, e: np.ndarray, k: int) -> SubspaceWindow:
+    """decompose on a checked state and ladder."""
     if not 0 <= k <= p.size - 3:
         raise ValueError(f"window start {k} out of range for d={p.size}")
     lam = float(p[k : k + 3].sum())
@@ -50,11 +54,18 @@ def lifted_cycle(p, energies, k: int, m: int, n: int) -> engine.CycleOutcome:
     by the window mass; levels outside the window are untouched and the
     machine distribution is the window one (stationary, so unchanged).
     """
-    win = decompose(p, energies, k)
-    out = engine.run_cycle(win.reduced_state, win.reduced_h, m, n)
+    return _lifted_cycle(p, decompose(p, energies, k), m, n)
+
+
+def _lifted_cycle(p, win: SubspaceWindow, m: int, n: int) -> engine.CycleOutcome:
+    """lifted_cycle on window win of p, both checked."""
+    # a window of a checked state is normalized: the batch form checks only its order
+    q = states.passive_qutrit(win.reduced_state[None])[0]
+    states.check_cycle(m, n)
+    out = engine._run_cycle(q, win.reduced_h, m, n)
     lam = win.weight
-    final = np.array(p, dtype=float)  # a copy, checked by decompose
-    final[k : k + 3] = lam * out.final_system
+    final = np.array(p, dtype=float)  # a copy
+    final[win.k : win.k + 3] = lam * out.final_system
     return dataclasses.replace(
         out,
         delta_p=lam * out.delta_p,
@@ -70,13 +81,10 @@ def lifted_cycle(p, energies, k: int, m: int, n: int) -> engine.CycleOutcome:
 def best_window(p, energies, m: int, n: int):
     """(k, outcome) maximizing lifted work; ties break toward smaller k."""
     p = states.validate_state(p)
-    best = None
-    best_k = 0
-    for k in range(p.size - 2):
-        out = lifted_cycle(p, energies, k, m, n)
-        if best is None or out.work > best.work:
-            best, best_k = out, k
-    return best_k, best
+    e = states.validate_hamiltonian(energies, p.size)
+    # k = 0 even for d < 3, so that _window raises; max keeps the first of equal maxima
+    outs = [_lifted_cycle(p, _window(p, e, k), m, n) for k in range(max(p.size - 2, 1))]
+    return max(enumerate(outs), key=lambda k_out: k_out[1].work)
 
 
 def block_joint_cycle(p, energies, k: int, m: int, n: int):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,8 +70,7 @@ def approximate_gap_ratio(energies, tol: float = 1e-9) -> RationalGapRatio:
 def _log_ratios(p):
     """(ln(p0/p1), ln(p1/p2)) of a checked state (floats) or batch (arrays)."""
     if p.ndim == 2:
-        logs = np.log(p[:, :2] / p[:, 1:])
-        return logs[:, 0], logs[:, 1]
+        return np.log(p[:, 0] / p[:, 1]), np.log(p[:, 1] / p[:, 2])
     return math.log(p[0] / p[1]), math.log(p[1] / p[2])
 
 
@@ -189,6 +189,14 @@ def passive_simplex_grid(resolution: int) -> np.ndarray:
     return np.stack([i, j, k], axis=1).astype(float) / resolution
 
 
+@lru_cache(maxsize=8)
+def _grid_log_ratios(resolution: int):
+    """Read-only _log_ratios of passive_simplex_grid(resolution)."""
+    l1, l2 = _log_ratios(passive_simplex_grid(resolution))
+    l1.flags.writeable = l2.flags.writeable = False
+    return l1, l2
+
+
 def coverage_fraction(
     ratio: RationalGapRatio,
     m: int,
@@ -203,11 +211,8 @@ def coverage_fraction(
     m dE10 = n dE21 activate nothing and return 0.
     """
     states.check_cycle(m, n)
-    grid = passive_simplex_grid(grid_resolution)
-    lever = m * ratio.n_int - n * ratio.m_int  # sign of m dE10 - n dE21
-    in_r1, activated = coverage_counts(
-        grid, ratio.m_int, ratio.n_int, m, n, lever, eps_band
-    )
+    l1, l2 = _grid_log_ratios(grid_resolution)
+    in_r1, activated = coverage_counts(l1, l2, ratio.m_int, ratio.n_int, m, n, eps_band)
     if in_r1 == 0:
         return 0.0
     return activated / in_r1

@@ -263,7 +263,10 @@ def beta_from_energy(target_energy: float, energies, tol: float = 1e-10) -> floa
     BETA_INF sentinel.
     """
     e = validate_hamiltonian(energies)
-    e_uniform = float(e.mean())
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, rejected next
+        e_uniform = float(e.mean())
+    if math.isinf(e_uniform):
+        raise ValueError("uniform-state energy overflows the float range")
     # negated tests, so that a NaN target fails them
     if not target_energy <= e_uniform + tol:
         raise ValueError(f"target energy {target_energy} above the uniform-state energy (beta < 0)")

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swapengine import cli, engine, regions
 
@@ -223,6 +228,16 @@ class TestVerifyAndErrors:
         assert exc.value.code == 2
         assert "lo:hi:steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", ["0.5:7.5:inf", "0.5:7.5:-3", "0.5:7.5:2.7"])
+    def test_sweep_gap_needs_whole_steps(self, capsys, sweep):
+        with pytest.raises(SystemExit) as exc:
+            run(["fig4", "--state", "0.5,0.35,0.15", "--energies", "0,3,4",
+                 "--sweep-gap", sweep])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "whole steps >= 1" in captured.err
+
     def test_parse_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["cycle", "--energies", "0,1,2"])  # missing required --m/--n
@@ -245,6 +260,61 @@ class TestDeterminism:
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_emit(rows, header, fmt, config):
+    """The per-value rule _emit follows: .item() on numpy scalars, then %.17g
+    for floats and str() for the rest in CSV, float("%.17g" % v) in JSON."""
+    rows = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
+    if fmt == "csv":
+        lines = [",".join(header)] + [
+            ",".join(["%.17g" % v if isinstance(v, float) else str(v) for v in row])
+            for row in rows
+        ]
+        return "\n".join(lines) + "\n"
+    results = [
+        {k: (float("%.17g" % v) if isinstance(v, float) else v) for k, v in zip(header, row)}
+        for row in rows
+    ]
+    return json.dumps({"config": config, "results": results}, indent=2, sort_keys=True) + "\n"
+
+
+_SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.5e-310,
+            np.float64(-0.0), np.float64(4e-320), np.float32(1e-45), np.float32(-0.0)]
+CELLS = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.text(max_size=4), st.none(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.sampled_from(_SPECIAL),
+)
+
+
+@given(
+    table=st.integers(1, 5).flatmap(
+        lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=8)
+    ),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+@example(  # one column, four type signatures
+    table=[[1.5], [np.float32(0.1)], [np.int64(3)], [None]], fmt="csv",
+)
+@example(
+    table=[
+        [0.1, 1, True, "R1", None, np.float64(-0.0), np.float32(2.5), np.int64(-7), np.bool_(1)],
+        [float("nan"), np.float64(float("inf")), np.bool_(0), "x", 5e-324, -0.0,
+         np.float32(float("nan")), 2**70, np.float64(-float("inf"))],
+        [np.int64(0), np.float32(1e-45), None, 3.0, "", False, 2.2e-308, np.float64(1e300), 7],
+    ],
+    fmt="json",
+)
+@settings(max_examples=200, deadline=None)
+def test_emit_matches_per_value_rule(table, fmt):
+    header = [f"c{i}" for i in range(len(table[0]))] if table else ["c0"]
+    config = {"command": "test", "format": fmt}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(table, header, SimpleNamespace(format=fmt, out=None), config)
+    assert out.getvalue() == _reference_emit(table, header, fmt, config)
 
 
 def _readme_examples():

@@ -115,3 +115,18 @@ class TestBestWindow:
         k, out = reduction.best_window(tau, e, 2, 2)  # lever = 0 everywhere
         assert k == 0
         assert out.work == pytest.approx(0.0, abs=1e-15)
+
+    def test_two_levels_have_no_window(self):
+        with pytest.raises(ValueError, match="window start 0 out of range for d=2"):
+            reduction.best_window([0.6, 0.4], [0.0, 1.0], 1, 1)
+
+    def test_same_as_lifted_cycle_window_by_window(self):
+        p = np.array([0.4, 0.25, 0.15, 0.12, 0.08])
+        e = np.array([0.0, 1.0, 1.5, 4.0, 4.5])
+        for m, n in [(1, 1), (2, 3), (4, 1)]:
+            k, out = reduction.best_window(p, e, m, n)
+            lifted = [reduction.lifted_cycle(p, e, j, m, n) for j in range(3)]
+            works = [o.work for o in lifted]
+            assert k == works.index(max(works))
+            assert out.work == lifted[k].work
+            assert np.array_equal(out.final_system, lifted[k].final_system)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -226,3 +227,62 @@ class TestGridAndCoverage:
     def test_coverage_rejects_cycle_below_one(self, m, n):
         with pytest.raises(ValueError, match="need m, n >= 1"):
             regions.coverage_fraction(regions.RationalGapRatio(2, 1), m, n, 20)
+
+
+class TestGridLogRatioCache:
+    def test_read_only_and_equal_to_fresh_logs(self):
+        for resolution in (10, 37, 90, 401):
+            l1, l2 = regions._grid_log_ratios(resolution)
+            grid = regions.passive_simplex_grid(resolution)
+            assert np.array_equal(l1, np.log(grid[:, 0] / grid[:, 1]))
+            assert np.array_equal(l2, np.log(grid[:, 1] / grid[:, 2]))
+            for logs in (l1, l2):
+                with pytest.raises(ValueError, match="read-only"):
+                    logs[0] = 0.0
+
+    def test_grid_built_once_per_resolution(self, monkeypatch):
+        built = Counter()
+        real = regions.passive_simplex_grid
+
+        def counted(resolution):
+            built[resolution] += 1
+            return real(resolution)
+
+        monkeypatch.setattr(regions, "passive_simplex_grid", counted)
+        regions._grid_log_ratios.cache_clear()
+        ratio = regions.RationalGapRatio(2, 1)
+        for _ in range(3):
+            for resolution in (40, 41):
+                for m, n in [(3, 1), (5, 2), (2, 1)]:
+                    regions.coverage_fraction(ratio, m, n, resolution)
+            with pytest.raises(ValueError, match="resolution >= 10"):
+                regions.coverage_fraction(ratio, 3, 1, 9)
+        # a resolution below 10 raises, and is tried again, on every call
+        assert built == {40: 1, 41: 1, 9: 3}
+
+    def test_simplex_grid_stays_fresh_and_writable(self):
+        regions.coverage_fraction(regions.RationalGapRatio(2, 1), 3, 1, 30)
+        grid = regions.passive_simplex_grid(30)
+        assert grid.flags.writeable
+        grid[0] = -1.0
+        assert regions.passive_simplex_grid(30)[0, 0] > 0
+
+    @pytest.mark.parametrize("ratio", [(2, 1), (1, 2), (3, 2), (1, 1)])
+    def test_coverage_equals_direct_count(self, ratio):
+        """The fraction counted over a fresh grid, side by side on the lever's sign."""
+        big_m, big_n = ratio
+        grid = regions.passive_simplex_grid(57)
+        l1 = np.log(grid[:, 0] / grid[:, 1])
+        l2 = np.log(grid[:, 1] / grid[:, 2])
+        for eps_band in (1e-3, 0.05):
+            r1 = big_n * l2 - big_m * l1 > eps_band
+            for m in range(1, 7):
+                for n in range(1, 7):
+                    gap = n * l2[r1] - m * l1[r1]
+                    lever = m * big_n - n * big_m
+                    act = np.count_nonzero(gap > 0 if lever > 0 else gap < 0) if lever else 0
+                    expected = act / np.count_nonzero(r1) if r1.any() else 0.0
+                    got = regions.coverage_fraction(
+                        regions.RationalGapRatio(*ratio), m, n, 57, eps_band
+                    )
+                    assert got == expected, (m, n, eps_band)

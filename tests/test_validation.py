@@ -88,12 +88,27 @@ class TestValidatesOnce:
         # p and outcome.final_system once each, the ladder once
         assert calls == {"validate_state": 2, "validate_hamiltonian": 1}
 
+    def test_best_window(self, calls):
+        p = np.array([0.4, 0.25, 0.15, 0.12, 0.08])
+        e = np.arange(5.0)
+        k, out = reduction.best_window(p, e, 2, 3)
+        assert calls == {"validate_state": 1, "validate_hamiltonian": 1}
+        calls.clear()
+        lifted = reduction.lifted_cycle(p, e, k, 2, 3)
+        assert lifted.work == out.work
+        assert np.array_equal(lifted.final_system, out.final_system)
+
 
 @pytest.mark.parametrize("call", [
     lambda: states.thermal_state(1.0, [-1e308, 0.0, 1e308]),  # E2 - E0 overflows
     lambda: quasistatic.alpha_range([0.5, 0.35, 0.15], [-5.0, 0.0, 5e-324]),  # dE10/dE21 does
     lambda: quasistatic.integrate_trajectory([0.5, 0.35, 0.15], [-5.0, 0.0, 5e-324], "energy"),
-], ids=["span", "gap_ratio", "trajectory_gap_ratio"])
+    # finite spans: the uniform-state energy's sum, and m dE10, overflow
+    lambda: states.beta_from_energy(0.0, [0.0, 8.99e307, 8.99e307]),
+    lambda: engine.run_cycle([0.5, 0.3, 0.2], [0.0, 1e308, 1.5e308], 3, 1),
+    lambda: reduction.lifted_cycle([0.5, 0.25, 0.25], [0.0, 6e307, 6e307], 0, 3, 1),
+], ids=["span", "gap_ratio", "trajectory_gap_ratio", "uniform_energy", "cycle_lever",
+        "lifted_cycle_lever"])
 def test_overflowing_ladder_rejected_without_warning(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
