@@ -55,8 +55,8 @@ def optimal_bound_check(p, energies, outcome: engine.CycleOutcome) -> bool:
 
 def relative_entropy(p, q) -> float:
     """D(p||q) in nats; 0 ln 0 = 0, support violation -> inf."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    q = states.validate_state(q)
+    p = states.validate_state(p, q.size)
     mask = p > 0.0
     if np.any(q[mask] <= 0.0):
         return math.inf
@@ -87,31 +87,34 @@ def bath_ledger(p, energies, final_joint, beta: float, initial_machine=None) -> 
     drop F_beta(p) - F_beta(tau_beta) identically.
 
     When initial_machine is given, the machine marginal of final_joint must
-    match it within 1e-10 (reusability), else ValueError.
+    match it within 1e-10 (reusability), else ValueError. So is a beta
+    outside 0 < beta < inf, or one at which a term leaves the float range.
     """
     p = states.validate_state(p)
     e = states.validate_hamiltonian(energies, p.size)
+    if not 0.0 < beta < math.inf:  # negated, so that NaN fails it
+        raise ValueError("bath ledger needs 0 < beta < inf")
+    info = oracle.mutual_information(final_joint)  # checks the joint
     joint = np.asarray(final_joint, dtype=float)
-    if beta <= 0.0:
-        raise ValueError("bath ledger needs beta > 0")
     if initial_machine is not None:
         drift = np.max(np.abs(oracle.machine_marginal(joint) - initial_machine))
-        if drift > 1e-10:
+        if not drift <= 1e-10:  # negated, so that NaN fails it
             raise ValueError(f"machine marginal drifted by {drift:g}: reusability violated")
     sigma = oracle.system_marginal(joint)
-    tau = states.thermal_state(beta, e)
-    info = oracle.mutual_information(joint)
-    f_init = states.mean_energy(p, e) - states.entropy(p) / beta
-    f_thermal = states.mean_energy(tau, e) - states.entropy(tau) / beta
-    dw1 = states.mean_energy(p, e) - states.mean_energy(sigma, e)
-    dw2 = (relative_entropy(sigma, tau) + info) / beta
-    q2 = (states.entropy(tau) - states.entropy(p)) / beta
-    return BathLedger(
+    tau = states._gibbs(beta, e)
+    d_sigma = relative_entropy(sigma, tau)  # checks sigma: a state of tau's length
+    u_p, s_p = float(p @ e), states._entropy(p)
+    u_tau, s_tau = float(tau @ e), states._entropy(tau)
+    ledger = BathLedger(
         beta=beta,
-        free_energy_initial=f_init,
-        free_energy_thermal=f_thermal,
-        delta_w1=dw1,
-        delta_w2=dw2,
-        q2=q2,
+        free_energy_initial=u_p - s_p / beta,
+        free_energy_thermal=u_tau - s_tau / beta,
+        delta_w1=u_p - float(sigma @ e),
+        delta_w2=(d_sigma + info) / beta,
+        q2=(s_tau - s_p) / beta,
         mutual_info=info,
     )
+    # tau has no zero entry at a finite beta: an infinite D(sigma||tau) is an underflow
+    if not all(map(math.isfinite, vars(ledger).values())):
+        raise ValueError(f"bath ledger leaves the float range at beta = {beta!r}")
+    return ledger

@@ -18,6 +18,7 @@ import numpy as np
 from . import engine, oracle, quasistatic, reduction, regions, states
 
 FMT = "%.17g"
+_LN_FLOAT_MAX = math.log(sys.float_info.max)  # the largest argument math.exp takes
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -37,8 +38,10 @@ def _parse_cycles(text: str):
 
 def _parse_sweep(text: str) -> tuple[float, float, float]:
     sweep = tuple(float(tok) for tok in text.split(":"))
-    if len(sweep) != 3 or not (sweep[2] >= 1 and sweep[2].is_integer()):
-        raise argparse.ArgumentTypeError(f"need lo:hi:steps with whole steps >= 1, got {text!r}")
+    ok = len(sweep) == 3 and math.isfinite(sweep[1] - sweep[0]) and sweep[2] >= 1
+    if not (ok and sweep[2].is_integer()):
+        raise argparse.ArgumentTypeError(
+            f"need lo:hi:steps with finite hi - lo and whole steps >= 1, got {text!r}")
     return sweep
 
 
@@ -115,15 +118,18 @@ def cmd_fig4(args) -> int:
     """
     e = states.validate_hamiltonian(args.energies, 3)
     p = _resolve_state(args, e)
-    de21 = e[2] - e[1]
+    de21 = float(e[2] - e[1])
     vt = states.virtual_temperatures(p, e)
     beta_hot, beta_cold = vt.hot, vt.cold
     lo, hi, steps = args.sweep_gap
     rows = []
-    for gap in np.linspace(lo, hi, int(steps)):
+    # Python floats: a sum or product past the float range is inf, silently
+    for gap in np.linspace(lo, hi, int(steps)).tolist():
         ee = np.array([0.0, gap, gap + de21])
-        r1 = math.exp(beta_hot * gap)
-        r2 = math.exp(beta_cold * de21)
+        x1, x2 = beta_hot * gap, beta_cold * de21
+        if not (x1 <= _LN_FLOAT_MAX and x2 <= _LN_FLOAT_MAX):  # negated, so that NaN fails it
+            raise ValueError(f"at gap {gap!r} the state's population ratios overflow the float range")
+        r1, r2 = math.exp(x1), math.exp(x2)
         pg = np.array([r1, 1.0, 1.0 / r2])
         pg /= pg.sum()
         out = engine.run_cycle(pg, ee, 1, 1)
@@ -170,11 +176,13 @@ def cmd_optimize(args) -> int:
         return 2
     e = states.validate_hamiltonian(args.energies)
     p = _resolve_state(args, e)
+    if p.size == 3:  # run_cycle's checks, once for every (m, n)
+        p, e = states.passive_qutrit(p), states.validate_hamiltonian(e, 3)
     best = None
     for m in range(1, args.max_dim):
         for n in range(1, args.max_dim - m + 1):
             if p.size == 3:
-                out = engine.run_cycle(p, e, m, n)
+                out = engine._run_cycle(p, e, m, n)
                 k = 0
             else:
                 k, out = reduction.best_window(p, e, m, n)

@@ -27,55 +27,43 @@ from . import states
 _LOG_SWITCH = math.log(1e12)
 
 
-def _geometric_sum(k: int, log_lam: float) -> float:
-    """Sum of lam**i for 0 <= i < k, as expm1(k ln lam) / expm1(ln lam):
-    no cancellation as lam nears 1, and k at lam = 1."""
-    return math.expm1(k * log_lam) / math.expm1(log_lam) if log_lam else float(k)
+def _geometric_sums(count: int, log_lam: float) -> list[float]:
+    """Sums of lam**i for 0 <= i < k, for k = 0 ... count - 1, each as
+    expm1(k ln lam) / expm1(ln lam): no cancellation as lam nears 1, and k
+    at lam = 1."""
+    d = math.expm1(log_lam)
+    return [math.expm1(k * log_lam) / d if log_lam else float(k) for k in range(count)]
 
 
-def _unnormalized_direct(
-    r1: float, r2: float, l1: float, l2: float, m: int, n: int
-) -> np.ndarray:
+def _unnormalized_direct(r1: float, r2: float, g1, g2, m: int, n: int) -> np.ndarray:
     """Machine occupations up to a common factor, all-positive assembly;
-    l1, l2 are the logs of r1, r2."""
+    g1, g2 are the _geometric_sums of r1 (m + 2 entries) and r2 (n + 1)."""
     u = np.empty(m + n)
     r2n = r2**n
-    t2n1 = _geometric_sum(n - 1, l2)
     for j in range(m):
         jp = m - j
         r1jp = r1**jp
-        u[j] = (
-            r1jp * _geometric_sum(m - jp, l1)
-            + r2n * _geometric_sum(jp, l1)
-            + r2 * t2n1 * r1jp
-            + r1jp * r2n
-        )
+        u[j] = r1jp * g1[j] + r2n * g1[jp] + r2 * g2[n - 1] * r1jp + r1jp * r2n
     r1m = r1**m
-    t1m = _geometric_sum(m, l1)
     for j in range(m, m + n - 2):
         jp = m + n - (j + 2)
         u[j] = (
-            r2 * r1m * _geometric_sum(jp, l2)
-            + r2 ** (jp + 1) * t1m
+            r2 * r1m * g2[jp]
+            + r2 ** (jp + 1) * g1[m]
             + r2 ** (jp + 1) * r1m
-            + r2 ** (jp + 2) * _geometric_sum(n - 1 - jp, l2)
+            + r2 ** (jp + 2) * g2[n - 1 - jp]
         )
     if n > 1:  # for n = 1 this index is the last hot level, set above
-        u[m + n - 2] = r2 * _geometric_sum(m + 1, l1) + r2**2 * t2n1
-    u[m + n - 1] = t1m + r2 * _geometric_sum(n, l2)
+        u[m + n - 2] = r2 * g1[m + 1] + r2**2 * g2[n - 1]
+    u[m + n - 1] = g1[m] + r2 * g2[n]
     return u
 
 
-def _unnormalized_scaled(
-    s1: float, s2: float, l1: float, l2: float, m: int, n: int
-) -> np.ndarray:
+def _unnormalized_scaled(s1: float, s2: float, g1, g2, m: int, n: int) -> np.ndarray:
     """The same occupations divided by r1**m * r2**n, in s1 = 1/r1 and
-    s2 = 1/r2 with logs l1, l2: every power is at most 1, so nothing
-    overflows where r1**m or r2**n would."""
+    s2 = 1/r2 with their _geometric_sums g1, g2: every power is at most 1,
+    so nothing overflows where r1**m or r2**n would."""
     u = np.empty(m + n)
-    d1, d2 = math.expm1(l1), math.expm1(l2)  # _geometric_sum's denominators
-    g1 = [math.expm1(k * l1) / d1 if l1 else float(k) for k in range(m + 2)]
-    g2 = [math.expm1(k * l2) / d2 if l2 else float(k) for k in range(n + 1)]
     s1m = s1**m
     s2n = s2**n
     for j in range(m):
@@ -98,14 +86,16 @@ def _machine_solution(p: np.ndarray, m: int, n: int):
     l1 = math.log(r1)
     l2 = math.log(r2)
     if m * l1 <= _LOG_SWITCH and n * l2 <= _LOG_SWITCH:
-        u = _unnormalized_direct(r1, r2, l1, l2, m, n)
+        g1, g2 = _geometric_sums(m + 2, l1), _geometric_sums(n + 1, l2)
+        u = _unnormalized_direct(r1, r2, g1, g2, m, n)
         total = u.sum()
         alpha = p1 / total
         delta_p = alpha * (r2**n - r1**m)
     else:
         s1 = p1 / p0
         s2 = p2 / p1
-        u = _unnormalized_scaled(s1, s2, math.log(s1), math.log(s2), m, n)
+        g1, g2 = _geometric_sums(m + 2, math.log(s1)), _geometric_sums(n + 1, math.log(s2))
+        u = _unnormalized_scaled(s1, s2, g1, g2, m, n)
         total = u.sum()
         alpha = p1 * s1**m * s2**n / total
         delta_p = p1 * (s1**m - s2**n) / total
@@ -181,7 +171,7 @@ def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int) -> CycleOutc
         heat_hot=m * q_hot,
         heat_cold=n * q_cold,
         efficiency=efficiency,
-        efficiency_meaningful=work > 0,
+        efficiency_meaningful=bool(work > 0 and m * de10 > 0),
         final_system=final,
         machine=q,
         alpha_coeff=alpha,

@@ -18,7 +18,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import states
-from .engine import _geometric_sum
+from .engine import _geometric_sums
 from ._kernels import (
     STATUS_MAX_STEPS,
     STATUS_STALLED,
@@ -112,8 +112,8 @@ def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
     rh = p[1] / p[0]  # e^{-beta_hot dE10}
     rc = p[2] / p[1]  # e^{-beta_cold dE21}
     lam = (1.0 - rc) / (1.0 - rh * rc)
-    z_hot = _geometric_sum(m, math.log(rh))
-    z_cold = _geometric_sum(n - 2, math.log(rc))
+    z_hot = _geometric_sums(m + 1, math.log(rh))[m]
+    z_cold = _geometric_sums(n - 1, math.log(rc))[n - 2]
     return AsymptoticMachine(
         m=m, n=n, mixture_weight=lam, hot_ratio=rh, cold_ratio=rc,
         z_hot=z_hot, z_cold=z_cold,
@@ -171,6 +171,8 @@ def integrate_trajectory(
         raise ValueError(f"step must be finite and positive, got {step!r}")
     if not max_steps >= 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
+    if not 1.0 - p[0] - p[1] > 0.0:  # the stepper carries p2 as 1 - p0 - p1
+        raise ValueError(f"p2 = {p[2]:.3g} is below the float resolution of 1 - p0 - p1")
     gap = _r3_gap(p[0], p[1], p[2], de10, de21)
     if gap < -TERMINATION_TOL:
         raise ValueError("state is on the wrong side of the thermal manifold")
@@ -249,8 +251,8 @@ def carnot_check(p, energies) -> float:
     Zero up to roundoff: at the lower alpha bound the two expressions are
     algebraically identical.
     """
-    de10, de21 = states.gaps(energies)
-    traj = integrate_trajectory(p, energies, "entropy")
+    traj = integrate_trajectory(p, energies, "entropy")  # checks both arguments
+    de10, de21 = np.diff(np.asarray(energies, dtype=float))
     worst = 0.0
     for _, y, _pt in traj.samples:
         l1 = math.log(y[0] / y[1])

@@ -48,9 +48,9 @@ def approximate_gap_ratio(energies, tol: float = 1e-9) -> RationalGapRatio:
     inside tolerance has the smallest admissible M.
     """
     de10, de21 = states.gaps(energies)
-    if de21 <= 0:
-        raise ValueError("dE21 must be positive")
-    x = de10 / de21
+    x = de10 / de21 if de21 > 0 else math.inf  # Python floats: inf past the float range, silently
+    if math.isinf(x):
+        raise ValueError("dE10/dE21 is infinite: dE21 is 0 or the ratio overflows the float range")
     # convergents N_k / M_k of x
     n_prev, m_prev = 1, 0
     n_cur, m_cur = int(math.floor(x)), 1
@@ -119,7 +119,9 @@ def in_activation_region(p, energies, m: int, n: int):
     p = states.passive_qutrit(p)
     l1, l2 = _log_ratios(p)
     de10, de21 = states.gaps(energies)
-    lever = m * de10 - n * de21
+    lever = m * de10 - n * de21  # Python floats: inf or nan past the float range, silently
+    if not math.isfinite(lever):
+        raise ValueError("m dE10 - n dE21 overflows the float range")
     if lever == 0.0:
         return False if p.ndim == 1 else np.zeros(len(p), dtype=bool)
     gap = n * l2 - m * l1
@@ -167,6 +169,7 @@ def k_activability_witness(p, energies, m: int, n: int) -> bool:
     level pair |1...1> vs |0..0 2..2> (m zeros, n twos)."""
     p = states.validate_state(p, 3)
     e = states.validate_hamiltonian(energies, 3)
+    states.check_cycle(m, n)
     if np.any(p <= 0.0):
         return False
     energy_gap = (m + n) * e[1] - (m * e[0] + n * e[2])

@@ -82,9 +82,9 @@ def check_cycle(m: int, n: int) -> None:
 
 
 def gaps(energies) -> tuple[float, float]:
-    """Qutrit gaps (E1 - E0, E2 - E1)."""
+    """Qutrit gaps (E1 - E0, E2 - E1), as Python floats."""
     e = validate_hamiltonian(energies, 3)
-    return e[1] - e[0], e[2] - e[1]
+    return float(e[1] - e[0]), float(e[2] - e[1])
 
 
 def mean_energy(probs, energies) -> float:
@@ -182,9 +182,10 @@ def virtual_temperatures(probs, energies) -> VirtualTemperatureTable:
     """
     p = validate_state(probs)
     e = validate_hamiltonian(energies, p.size)
+    p, e = p.tolist(), e.tolist()  # Python floats: a ratio past the float range is inf, silently
     betas: dict[tuple[int, int], float] = {}
     degen = set()
-    for i in range(p.size):
+    for i in range(len(p)):
         for j in range(i):
             if e[i] - e[j] <= _DEGEN_TOL:
                 degen.add((i, j))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import shlex
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swapengine import cli, engine, regions
+from swapengine import cli, engine, quasistatic, regions
+from tests.test_validation import ANY_FLOAT, BETAS, LADDERS, STATES, SWAPS
 
 
 def run(argv):
@@ -238,6 +240,28 @@ class TestVerifyAndErrors:
         assert captured.out == ""
         assert "whole steps >= 1" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        "fig4 --state 0.5,0.3,0.2 --energies 0,1,2 --sweep-gap 0:1e308:3",  # exp(beta gap)
+        "fig5 --energies 0,1e308,1.7e308 --grid 12 --cycles 5:7",  # m dE10 - n dE21
+        "fig5 --energies=-1e300,0,5e-324 --grid 12",  # dE10/dE21
+    ])
+    def test_float_range_overflow_exits_1(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "overflow" in captured.err
+
+    @pytest.mark.parametrize("sweep", ["-1e308:1e308:3", "0:inf:3", "nan:1:3"])
+    def test_sweep_gap_needs_a_finite_span(self, capsys, sweep):
+        with pytest.raises(SystemExit) as exc:
+            run(["fig4", "--state", "0.5,0.35,0.15", "--energies", "0,3,4",
+                 f"--sweep-gap={sweep}"])
+        assert exc.value.code == 2
+        assert "finite hi - lo" in capsys.readouterr().err
+
     def test_parse_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["cycle", "--energies", "0,1,2"])  # missing required --m/--n
@@ -333,3 +357,75 @@ def test_readme_example_runs(tmp_path, argv):
         i = argv.index("--out")
         argv = argv[:i] + argv[i + 2:]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+def _floats(xs) -> str:
+    return ",".join(repr(float(x)) for x in xs)
+
+
+_ENDS = st.one_of(ANY_FLOAT, st.sampled_from([1e308, -1e308, 1.7e308]))
+SWEEPS = st.one_of(
+    st.tuples(st.floats(-2.0, 10.0), st.floats(-2.0, 10.0), st.integers(1, 4)),
+    st.tuples(_ENDS, _ENDS, st.integers(1, 4)),
+    st.tuples(st.floats(-2.0, 10.0), _ENDS, st.integers(1, 4)),
+).map(lambda t: f"{t[0]!r}:{t[1]!r}:{t[2]}") | st.sampled_from(
+    ["0:1", "0:1:0", "0:1:2.5", "0:1:inf", "1:x:3", "", "0:1:3:4"])
+CYCLES = st.one_of(*(
+    st.lists(st.tuples(swaps, swaps), min_size=1, max_size=3).map(
+        lambda cs: ",".join(f"{m}:{n}" for m, n in cs))
+    for swaps in (st.integers(1, 8), SWAPS)
+), st.sampled_from(["3", "3:", ":2", "a:b", "3:1,,5:2", ""]))
+STRATEGIES = st.one_of(
+    st.sampled_from(["entropy", "energy", "entropy_conserving", "bogus", "alpha=", "alpha=x"]),
+    st.one_of(st.floats(0.0, 5.0), ANY_FLOAT).map(lambda a: f"alpha={a!r}"),
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv for one subcommand, from the library fuzz's states and ladders."""
+    command = draw(st.sampled_from(["cycle", "fig4", "fig5", "fig6", "optimize", "verify"]))
+    if command == "verify":
+        return ["verify", *draw(st.sampled_from([[], ["--format=csv"], ["--format=json"]]))]
+    argv = [command, f"--energies={_floats(draw(LADDERS))}",
+            f"--format={draw(st.sampled_from(['csv', 'json']))}"]
+    if command != "fig5":
+        argv.append(draw(st.one_of(STATES.map(lambda p: f"--state={_floats(p)}"),
+                                   BETAS.map(lambda b: f"--beta={b!r}"))))
+    if command == "cycle":
+        argv += [f"--m={draw(SWAPS)}", f"--n={draw(SWAPS)}"]
+    elif command == "fig4":
+        argv.append(f"--sweep-gap={draw(SWEEPS)}")
+    elif command == "fig5":
+        argv += [f"--grid={draw(st.integers(8, 16))}", f"--cycles={draw(CYCLES)}"]
+    elif command == "fig6":
+        argv.append(f"--strategy={draw(STRATEGIES)}")
+    else:
+        argv.append(f"--max-dim={draw(st.integers(-1, 6))}")
+    return argv
+
+
+@given(argv=cli_argvs())
+@example(argv="fig4 --state 0.5,0.3,0.2 --energies 0,1,2 --sweep-gap 0:1e308:3".split())
+@example(argv="fig5 --energies 0,1e308,1.7e308 --grid 12 --cycles 5:7".split())
+@example(argv="fig6 --energies 0,0,5 --beta 8 --strategy entropy".split())  # 1 - p0 - p1 == 0
+@settings(max_examples=200, deadline=None)
+def test_fuzz_cli_subcommands(argv):
+    """Every subcommand exits 0, 1 with one error line, or 2 on a usage error,
+    with warnings as errors; nothing else escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        # a short step budget, as in the library fuzz: near p0 == p1 a flow can
+        # need more steps than any budget, which is the documented exit 1
+        mp.setattr(quasistatic.integrate_trajectory, "__defaults__", (0.05, 2000))
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1) or (code == 2 and argv[0] == "optimize"), argv  # 2: --max-dim < 2
+    if code and argv[0] != "verify":
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

@@ -46,10 +46,11 @@ def _exact_machine(p, m: int, n: int) -> np.ndarray:
 
 def _both_assemblies(p, m: int, n: int):
     """Normalized occupations from the direct and the scaled assembly."""
+    g = engine._geometric_sums
     r1, r2 = p[0] / p[1], p[1] / p[2]
-    u = engine._unnormalized_direct(r1, r2, math.log(r1), math.log(r2), m, n)
+    u = engine._unnormalized_direct(r1, r2, g(m + 2, math.log(r1)), g(n + 1, math.log(r2)), m, n)
     s1, s2 = p[1] / p[0], p[2] / p[1]
-    v = engine._unnormalized_scaled(s1, s2, math.log(s1), math.log(s2), m, n)
+    v = engine._unnormalized_scaled(s1, s2, g(m + 2, math.log(s1)), g(n + 1, math.log(s2)), m, n)
     return u / u.sum(), v / v.sum()
 
 
@@ -67,9 +68,9 @@ def near_one_states(draw):
 class TestGeometricSum:
     def test_boundary_conventions(self):
         for log_lam in (math.log(1e-300), math.log(0.3), 0.0, math.log(4.7)):
-            assert engine._geometric_sum(0, log_lam) == 0.0
-            assert engine._geometric_sum(1, log_lam) == 1.0
-        assert engine._geometric_sum(7, 0.0) == 7.0
+            assert engine._geometric_sums(2, log_lam) == [0.0, 1.0]
+        assert engine._geometric_sums(8, 0.0)[7] == 7.0
+        assert engine._geometric_sums(0, 0.7) == []
 
     def test_matches_direct_sum(self):
         # ratios below 1, down to 1e-300, are those of the scaled assembly
@@ -77,8 +78,16 @@ class TestGeometricSum:
             log_lam = math.log(lam)
             ks = np.arange(1, 13)
             exact = [float(sum(Fraction(lam) ** i for i in range(k))) for k in ks]
-            got = [engine._geometric_sum(k, log_lam) for k in ks]
+            got = engine._geometric_sums(13, log_lam)[1:]
             assert got == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("log_lam", [math.log(1e-300), -1.3, -1e-12, 0.0, 5e-13, 0.8, 3.1])
+    def test_each_entry_is_one_quotient(self, log_lam):
+        # the table, entry by entry, against the one-k formula it replaces
+        def one(k):
+            return math.expm1(k * log_lam) / math.expm1(log_lam) if log_lam else float(k)
+
+        assert engine._geometric_sums(60, log_lam) == [one(k) for k in range(60)]
 
 
 class TestNearOneRatios:
@@ -246,6 +255,18 @@ class TestRunCycle:
             [p[0] + 3 * dp, p[1] - 7 * dp, p[2] + 4 * dp],
             atol=1e-15,
         )
+
+    @pytest.mark.parametrize("p, e, m, n, meaningful", [
+        # m dE10 == 0 and delta_p < 0: positive work, but no efficiency
+        ([0.3333333333333334, 0.3333333333333333, 0.3333333333333333],
+         [0.001, 0.001, 0.0010000000000000002], 2, 4, False),
+        ([0.4, 0.4, 0.2], [0.0, 0.0, 1.0], 1, 1, False),
+        ([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], 2, 3, True),
+    ])
+    def test_efficiency_meaningful_only_where_defined(self, p, e, m, n, meaningful):
+        out = engine.run_cycle(p, e, m, n)
+        assert out.efficiency_meaningful is meaningful
+        assert out.efficiency_meaningful == (out.work > 0 and math.isfinite(out.efficiency))
 
     def test_efficiency_formula(self, worked_example):
         p, e = worked_example

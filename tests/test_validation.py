@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swapengine import activation, engine, oracle, quasistatic, reduction, regions, states
+from swapengine import activation, cli, engine, oracle, quasistatic, reduction, regions, states
 
 NAN = float("nan")
 INF = float("inf")
@@ -88,6 +88,30 @@ class TestValidatesOnce:
         # p and outcome.final_system once each, the ladder once
         assert calls == {"validate_state": 2, "validate_hamiltonian": 1}
 
+    def test_bath_ledger(self, calls, worked_example):
+        p, e = worked_example
+        q = oracle.stationary_machine(p, 2, 3)
+        joint = oracle.apply_cycle(oracle.product_joint(p, q), oracle.build_cycle(2, 3))
+        calls.clear()
+        activation.bath_ledger(p, e, joint, 0.7, initial_machine=q)
+        # p, and the final marginal and the Gibbs state in relative_entropy; the ladder once
+        assert calls == {"validate_state": 3, "validate_hamiltonian": 1, "_gibbs": 1}
+
+    def test_carnot_check(self, calls, worked_example):
+        quasistatic.carnot_check(*worked_example)
+        assert calls == {"validate_state": 1, "validate_hamiltonian": 1}
+
+    @pytest.mark.parametrize("state", [["--state", "0.5,0.35,0.15"], ["--beta", "0.4"]],
+                             ids=["state", "beta"])
+    def test_optimize_checks_do_not_grow_with_max_dim(self, calls, capsys, state):
+        counts = []
+        for max_dim in ("4", "12"):
+            calls.clear()
+            assert cli.main(["optimize", *state, "--energies", "0,3,4", "--max-dim", max_dim]) == 0
+            counts.append(dict(calls))
+        capsys.readouterr()
+        assert counts[0] == counts[1]
+
     def test_best_window(self, calls):
         p = np.array([0.4, 0.25, 0.15, 0.12, 0.08])
         e = np.arange(5.0)
@@ -107,13 +131,41 @@ class TestValidatesOnce:
     lambda: states.beta_from_energy(0.0, [0.0, 8.99e307, 8.99e307]),
     lambda: engine.run_cycle([0.5, 0.3, 0.2], [0.0, 1e308, 1.5e308], 3, 1),
     lambda: reduction.lifted_cycle([0.5, 0.25, 0.25], [0.0, 6e307, 6e307], 0, 3, 1),
+    lambda: regions.in_activation_region([0.5, 0.3, 0.2], [0.0, 1e308, 1.7e308], 5, 7),
+    lambda: regions.in_activation_region(
+        np.array([[0.5, 0.3, 0.2], [0.6, 0.3, 0.1]]), [0.0, 1e308, 1.7e308], 5, 7),
+    lambda: regions.approximate_gap_ratio([-1e300, 0.0, 5e-324]),  # a finite span
 ], ids=["span", "gap_ratio", "trajectory_gap_ratio", "uniform_energy", "cycle_lever",
-        "lifted_cycle_lever"])
+        "lifted_cycle_lever", "region_lever", "region_lever_batch", "rational_gap_ratio"])
 def test_overflowing_ladder_rejected_without_warning(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows the float range"):
             call()
+
+
+_JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: activation.relative_entropy([NAN, 0.5, 0.5], [0.3, 0.3, 0.4]),
+    lambda: activation.relative_entropy([0.5, 0.5, 0.5], [0.3, 0.3, 0.4]),  # unnormalized p
+    lambda: activation.relative_entropy([0.5, 0.5], [0.3, 0.3, 0.4]),
+    lambda: activation.bath_ledger([0.5, 0.35, 0.15], E, _JOINT, 1.0, [NAN, NAN]),
+    lambda: activation.bath_ledger([0.5, 0.35, 0.15], E, _JOINT, INF),
+    lambda: activation.bath_ledger([0.5, 0.35, 0.15], E, _JOINT, NAN),
+    lambda: activation.bath_ledger([0.5, 0.35, 0.15], E, _JOINT, 1e308),  # tau underflows
+    lambda: activation.bath_ledger([0.4, 0.3, 0.2, 0.1], E + [3.0], _JOINT, 1.0),
+    lambda: regions.k_activability_witness([0.5, 0.35, 0.15], E, -1, 3),
+    # p2 below the resolution of 1 - p0 - p1, the stepper's p2
+    lambda: quasistatic.integrate_trajectory([1.0, 5e-324, 5e-324], E, "entropy"),
+    lambda: quasistatic.integrate_trajectory([0.9, 0.1, 1e-17], E, "entropy"),
+], ids=["relative_entropy_nan", "relative_entropy_unnormalized", "relative_entropy_lengths",
+        "ledger_nan_machine", "ledger_beta_inf", "ledger_beta_nan", "ledger_underflow",
+        "ledger_joint_rows", "witness_cycle", "trajectory_subnormal_p2", "trajectory_tiny_p2"])
+def test_domain_holes_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 _passive = st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3).map(
@@ -142,6 +194,8 @@ LADDERS = st.one_of(_ladder.map(sorted), st.one_of(
 ))
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 SWAPS = st.one_of(st.integers(1, 6), st.integers(-1, 0))
+BETAS = st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e308), ANY_FLOAT)
+_OUTCOME = engine.run_cycle([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], 2, 3)
 
 
 def _trajectory(p, e, strategy):
@@ -177,7 +231,7 @@ def _finite(x) -> bool:
     strategy=st.one_of(st.sampled_from(["entropy", "energy"]), st.floats(0.0, 5.0)),
     alpha=st.one_of(st.floats(0.0, 5.0), ANY_FLOAT),
     ratio=st.tuples(st.integers(1, 3), st.integers(0, 3)),
-    beta=st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e308), ANY_FLOAT),
+    beta=BETAS,
     target=st.one_of(st.floats(-0.1, 1.2), st.floats(-1.0, 8.0), ANY_FLOAT),
 )
 @example(  # p0 - p1 = 3.5e-6: the flow runs out of steps
@@ -213,6 +267,11 @@ def test_fuzz_public_entry_points(p, e, m, n, strategy, alpha, ratio, beta, targ
         lambda: states.beta_from_entropy(target, e),
         lambda: states.beta_from_energy(target, e),
         lambda: oracle.mutual_information(np.outer(p, [0.25, 0.75])),
+        lambda: activation.bath_ledger(p, e, np.outer(p, [0.25, 0.75]), beta),
+        lambda: activation.bath_ledger(p, e, _JOINT, beta, [0.25, 0.75]),
+        lambda: activation.relative_entropy(p, [0.3, 0.3, 0.4]),
+        lambda: activation.assess_activation(p, e, _OUTCOME),
+        lambda: regions.k_activability_witness(p, e, m, n),
     ]
     for i, call in enumerate(calls):
         try:
