@@ -11,9 +11,8 @@ import math
 
 import numpy as np
 
-STATUS_ON_MANIFOLD = 0
-STATUS_MAX_STEPS = 1
-STATUS_STALLED = 2
+# R3 log-gap below which a trajectory counts as thermal
+TERMINATION_TOL = 1e-10
 
 
 def backend() -> str:
@@ -28,49 +27,41 @@ def _r3_gap(p0, p1, p2, de10, de21):
     return de10 * math.log(p1 / p2) - de21 * math.log(p0 / p1)
 
 
-def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps, term_tol):
+def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps):
     """Adaptive RK4 flow of (p0, p1) toward the thermal manifold, with the
     swap ratio given by alpha(p0, p1, p2).
 
     Each step starts at twice the last accepted size, capped at step, and
     halves while it would leave the passive simplex or overshoot the
-    manifold; terminates when the R3 log-gap drops below term_tol. The
-    first stage depends only on the step's start, so it is evaluated once
-    per step, not once per halving. Returns (t, states, n_samples, work,
-    heat, status) with t a list and states a (n, 3) array.
+    manifold; the flow ends once the R3 log-gap is at most TERMINATION_TOL.
+    The first stage depends only on the step's start, so it is evaluated
+    once per step, not once per halving. Returns (t, states, work, heat)
+    with t a list and states a (n, 3) array. RuntimeError if the flow
+    needs more than max_steps steps or no step size is accepted.
     """
+    def rate(y0, y1):  # (dp0/dt, dp1/dt) at (y0, y1)
+        y2 = 1.0 - y0 - y1
+        f = _flow_rate(y0, y1, y2)
+        return f, -(1.0 + alpha(y0, y1, y2)) * f
+
+    p2 = 1.0 - p0 - p1
     ts = [0.0]
-    ps = [(p0, p1, 1.0 - p0 - p1)]
+    ps = [(p0, p1, p2)]
     t = 0.0
     work = 0.0
     heat = 0.0
-    if _r3_gap(p0, p1, 1.0 - p0 - p1, de10, de21) <= term_tol:
-        return ts, np.array(ps), 1, work, heat, STATUS_ON_MANIFOLD
-    status = STATUS_MAX_STEPS
+    gap = _r3_gap(p0, p1, p2, de10, de21)
     h = math.inf  # the last accepted step size; none yet
-    while len(ts) <= max_steps:
-        p2 = 1.0 - p0 - p1
-        f = _flow_rate(p0, p1, p2)
-        a = alpha(p0, p1, p2)
-        k1_0, k1_1 = f, -(1.0 + a) * f
+    while gap > TERMINATION_TOL:
+        if len(ts) > max_steps:
+            raise RuntimeError(f"no convergence within {max_steps} steps")
+        k1_0, k1_1 = rate(p0, p1)
         h = min(step, 2.0 * h)
         while h >= step * 1e-14:
             # remaining RK4 stages
-            y0b = p0 + 0.5 * h * k1_0
-            y1b = p1 + 0.5 * h * k1_1
-            f = _flow_rate(y0b, y1b, 1.0 - y0b - y1b)
-            a = alpha(y0b, y1b, 1.0 - y0b - y1b)
-            k2_0, k2_1 = f, -(1.0 + a) * f
-            y0b = p0 + 0.5 * h * k2_0
-            y1b = p1 + 0.5 * h * k2_1
-            f = _flow_rate(y0b, y1b, 1.0 - y0b - y1b)
-            a = alpha(y0b, y1b, 1.0 - y0b - y1b)
-            k3_0, k3_1 = f, -(1.0 + a) * f
-            y0b = p0 + h * k3_0
-            y1b = p1 + h * k3_1
-            f = _flow_rate(y0b, y1b, 1.0 - y0b - y1b)
-            a = alpha(y0b, y1b, 1.0 - y0b - y1b)
-            k4_0, k4_1 = f, -(1.0 + a) * f
+            k2_0, k2_1 = rate(p0 + 0.5 * h * k1_0, p1 + 0.5 * h * k1_1)
+            k3_0, k3_1 = rate(p0 + 0.5 * h * k2_0, p1 + 0.5 * h * k2_1)
+            k4_0, k4_1 = rate(p0 + h * k3_0, p1 + h * k3_1)
             n0 = p0 + h / 6.0 * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)
             n1 = p1 + h / 6.0 * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
             n2 = 1.0 - n0 - n1
@@ -80,21 +71,20 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps, term_tol):
                     break
             h *= 0.5
         else:
-            status = STATUS_STALLED
-            break
+            raise RuntimeError(
+                f"trajectory stalled at t={t}: no step keeps the state "
+                "passive and on the work-extracting side of the thermal manifold"
+            )
         dp0 = n0 - p0
         dp2 = n2 - p2
         # work == minus the mean-energy change, exactly, for every strategy
         work += de10 * dp0 - de21 * dp2
         heat += de10 * dp0
-        p0, p1 = n0, n1
+        p0, p1, p2 = n0, n1, n2
         t += h
         ts.append(t)
         ps.append((n0, n1, n2))
-        if gap <= term_tol:
-            status = STATUS_ON_MANIFOLD
-            break
-    return ts, np.array(ps), len(ts), work, heat, status
+    return ts, np.array(ps), work, heat
 
 
 def coverage_counts(l1, l2, big_m, big_n, m, n, eps_band):

@@ -176,21 +176,21 @@ def cmd_optimize(args) -> int:
         return 2
     e = states.validate_hamiltonian(args.energies)
     p = _resolve_state(args, e)
-    if p.size == 3:  # run_cycle's checks, once for every (m, n)
-        p, e = states.passive_qutrit(p), states.validate_hamiltonian(e, 3)
-    best = None
+    e = states.validate_hamiltonian(e, p.size)
+    if p.size == 3:  # a qutrit is its own window, of weight 1.0
+        wins = [reduction._checked(reduction.SubspaceWindow(0, 1.0, p, e))]
+    else:
+        wins = reduction._windows(p, e)
+    best = None  # (lifted work, m, n, k, outcome); > keeps the first of equal maxima
     for m in range(1, args.max_dim):
         for n in range(1, args.max_dim - m + 1):
-            if p.size == 3:
-                out = engine._run_cycle(p, e, m, n)
-                k = 0
-            else:
-                k, out = reduction.best_window(p, e, m, n)
-            if best is None or out.work > best[2].work:
-                best = (m, n, out, k)
-    m, n, out, k = best
+            for win in wins:
+                out = engine._run_cycle(win.reduced_state, win.reduced_h, m, n)
+                if best is None or win.weight * out.work > best[0]:
+                    best = (win.weight * out.work, m, n, win.k, out)
+    work, m, n, k, out = best
     header = ["m", "n", "window", "work", "efficiency"]
-    _emit([[m, n, k, float(out.work), float(out.efficiency)]], header, args,
+    _emit([[m, n, k, float(work), float(out.efficiency)]], header, args,
           _config_dict(args))
     return 0
 

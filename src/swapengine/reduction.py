@@ -54,15 +54,27 @@ def lifted_cycle(p, energies, k: int, m: int, n: int) -> engine.CycleOutcome:
     by the window mass; levels outside the window are untouched and the
     machine distribution is the window one (stationary, so unchanged).
     """
-    return _lifted_cycle(p, decompose(p, energies, k), m, n)
+    win = _checked(decompose(p, energies, k))
+    states.check_cycle(m, n)
+    return _lifted_cycle(p, win, m, n)
+
+
+def _checked(win: SubspaceWindow) -> SubspaceWindow:
+    """win, once its reduced state is checked as a passive qutrit."""
+    # a window of a checked state is normalized: the batch form checks only its order
+    states.passive_qutrit(win.reduced_state[None])
+    return win
+
+
+def _windows(p: np.ndarray, e: np.ndarray) -> list[SubspaceWindow]:
+    """Every window of a checked state and ladder, each checked once."""
+    # k = 0 even for d < 3, so that _window raises
+    return [_checked(_window(p, e, k)) for k in range(max(p.size - 2, 1))]
 
 
 def _lifted_cycle(p, win: SubspaceWindow, m: int, n: int) -> engine.CycleOutcome:
-    """lifted_cycle on window win of p, both checked."""
-    # a window of a checked state is normalized: the batch form checks only its order
-    q = states.passive_qutrit(win.reduced_state[None])[0]
-    states.check_cycle(m, n)
-    out = engine._run_cycle(q, win.reduced_h, m, n)
+    """lifted_cycle on a checked window win of p, for checked m, n."""
+    out = engine._run_cycle(win.reduced_state, win.reduced_h, m, n)
     lam = win.weight
     final = np.array(p, dtype=float)  # a copy
     final[win.k : win.k + 3] = lam * out.final_system
@@ -81,9 +93,10 @@ def _lifted_cycle(p, win: SubspaceWindow, m: int, n: int) -> engine.CycleOutcome
 def best_window(p, energies, m: int, n: int):
     """(k, outcome) maximizing lifted work; ties break toward smaller k."""
     p = states.validate_state(p)
-    e = states.validate_hamiltonian(energies, p.size)
-    # k = 0 even for d < 3, so that _window raises; max keeps the first of equal maxima
-    outs = [_lifted_cycle(p, _window(p, e, k), m, n) for k in range(max(p.size - 2, 1))]
+    wins = _windows(p, states.validate_hamiltonian(energies, p.size))
+    states.check_cycle(m, n)
+    outs = [_lifted_cycle(p, win, m, n) for win in wins]
+    # max keeps the first of equal maxima
     return max(enumerate(outs), key=lambda k_out: k_out[1].work)
 
 

@@ -48,6 +48,7 @@ def approximate_gap_ratio(energies, tol: float = 1e-9) -> RationalGapRatio:
     inside tolerance has the smallest admissible M.
     """
     de10, de21 = states.gaps(energies)
+    states.check_tol(tol)
     x = de10 / de21 if de21 > 0 else math.inf  # Python floats: inf past the float range, silently
     if math.isinf(x):
         raise ValueError("dE10/dE21 is infinite: dE21 is 0 or the ratio overflows the float range")
@@ -95,6 +96,7 @@ def classify(p, ratio: RationalGapRatio, tol: float = R3_TOL):
     N labels.
     """
     p = states.passive_qutrit(p)
+    states.check_tol(tol)
     l1, l2 = _log_ratios(p)
     lhs = ratio.n_int * l2
     rhs = ratio.m_int * l1
@@ -214,6 +216,7 @@ def coverage_fraction(
     m dE10 = n dE21 activate nothing and return 0.
     """
     states.check_cycle(m, n)
+    states.check_tol(eps_band, "eps_band")
     l1, l2 = _grid_log_ratios(grid_resolution)
     in_r1, activated = coverage_counts(l1, l2, ratio.m_int, ratio.n_int, m, n, eps_band)
     if in_r1 == 0:

@@ -81,6 +81,12 @@ def check_cycle(m: int, n: int) -> None:
         raise ValueError(f"need m, n >= 1, got m = {m}, n = {n}")
 
 
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Raise ValueError unless the tolerance is finite and >= 0."""
+    if not 0.0 <= tol < math.inf:  # negated, so that NaN fails it
+        raise ValueError(f"need a finite {name} >= 0, got {tol!r}")
+
+
 def gaps(energies) -> tuple[float, float]:
     """Qutrit gaps (E1 - E0, E2 - E1), as Python floats."""
     e = validate_hamiltonian(energies, 3)
@@ -110,6 +116,7 @@ def is_passive(probs, energies, tol: float = 0.0) -> bool:
     the stability requirement that makes passivity well defined on them.
     """
     p = validate_state(probs)
+    check_tol(tol)
     return _is_passive(p, validate_hamiltonian(energies, p.size), tol)
 
 
@@ -301,6 +308,7 @@ def is_completely_passive(probs, energies, tol: float) -> bool:
     pairwise virtual temperatures agree within tol."""
     p = validate_state(probs)
     e = validate_hamiltonian(energies, p.size)
+    check_tol(tol)
     if not _is_passive(p, e, _NORM_TOL):
         return False
     if np.any(p == 0.0):

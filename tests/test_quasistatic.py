@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,8 +219,32 @@ class TestTrajectories:
         # alpha < 0 pushes p1 up until no step stays passive; the endpoint
         # there is not thermal and its work exceeds optimal_work
         p, e = worked_example
-        with pytest.raises(RuntimeError, match="stalled"):
+        with pytest.raises(RuntimeError, match=(
+            r"^trajectory stalled at t=[0-9.]+: no step keeps the state passive "
+            "and on the work-extracting side of the thermal manifold$"
+        )):
             quasistatic.integrate_trajectory(p, e, lambda y: -0.5)
+
+    def test_step_budget_is_max_steps(self, worked_example):
+        # the worked example takes 62 accepted steps at the default step
+        assert len(quasistatic.integrate_trajectory(*worked_example, "entropy", max_steps=62).samples) == 63
+        for max_steps in (1, 61):
+            with pytest.raises(RuntimeError, match=f"^no convergence within {max_steps} steps$"):
+                quasistatic.integrate_trajectory(*worked_example, "entropy", max_steps=max_steps)
+
+    def test_core_raises_its_own_errors(self, worked_example):
+        p, e = worked_example
+        with pytest.raises(RuntimeError, match="^no convergence within 1 steps$"):
+            _kernels.trajectory_core(p[0], p[1], 3.0, 1.0, lambda *y: 1.0, 0.05, 1)
+        with pytest.raises(RuntimeError, match="^trajectory stalled at t="):
+            _kernels.trajectory_core(p[0], p[1], 3.0, 1.0, lambda *y: -0.5, 0.05, 200_000)
+
+    def test_p2_the_stepper_cannot_represent_rejected(self, worked_example):
+        # 1 - p0 - p1, the stepper's p2, is ~9e-18 here, not the state's 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^p2 = 4.94e-324 is below the float resolution"):
+                quasistatic.integrate_trajectory([1 - 1e-15, 9.9e-16, 5e-324], worked_example[1], "entropy")
 
 
     @pytest.mark.parametrize("kwargs, name", [
@@ -303,23 +328,11 @@ class TestSampleObservables:
 
 
 def _restarting_run(p0, p1, de10, de21, alpha, step):
-    """The stepper without step-size memory: trajectory_core with
-    max_steps=1, chained from each accepted state, starts every step at the
-    full step. Returns (ts, states, work, heat) as trajectory_core does."""
-    ts, ps, work, heat = [0.0], [(p0, p1, 1.0 - p0 - p1)], 0.0, 0.0
-    tol = quasistatic.TERMINATION_TOL
-    status = _kernels.STATUS_MAX_STEPS
-    while status == _kernels.STATUS_MAX_STEPS:
-        t, y, n, w, q, status = _kernels.trajectory_core(p0, p1, de10, de21, alpha, step, 1, tol)
-        assert status != _kernels.STATUS_STALLED
-        if n == 1:  # on the manifold at the start
-            break
-        ts.append(ts[-1] + t[1])
-        ps.append(tuple(y[1]))
-        work += w
-        heat += q
-        p0, p1 = y[1][0], y[1][1]
-    return ts, np.array(ps), work, heat
+    """The stepper without step-size memory: trajectory_core with the
+    module's min(step, 2 h_last) pinned to step, so every step starts at
+    the full step. Returns (ts, states, work, heat) as trajectory_core does."""
+    with mock.patch.object(_kernels, "min", lambda step, _: step, create=True):
+        return _kernels.trajectory_core(p0, p1, de10, de21, alpha, step, 200_000)
 
 
 class TestStepSizeMemory:
@@ -354,13 +367,10 @@ class TestStepSizeMemory:
 
             def alpha(p0, p1, p2):
                 return const
-        tol = quasistatic.TERMINATION_TOL
-        ts, ps, n, work, heat, status = _kernels.trajectory_core(
-            p[0], p[1], de10, de21, alpha, step, 200_000, tol
-        )
-        assert status == _kernels.STATUS_ON_MANIFOLD
+        ts, ps, work, heat = _kernels.trajectory_core(p[0], p[1], de10, de21, alpha, step, 200_000)
+        assert _kernels._r3_gap(*ps[-1], de10, de21) <= quasistatic.TERMINATION_TOL
         ref_ts, ref_ps, ref_work, ref_heat = _restarting_run(p[0], p[1], de10, de21, alpha, step)
-        assert n == len(ref_ts)
+        assert len(ts) == len(ref_ts)
         assert ts == ref_ts
         assert np.array_equal(ps, ref_ps)
         assert work == ref_work

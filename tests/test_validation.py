@@ -101,16 +101,22 @@ class TestValidatesOnce:
         quasistatic.carnot_check(*worked_example)
         assert calls == {"validate_state": 1, "validate_hamiltonian": 1}
 
-    @pytest.mark.parametrize("state", [["--state", "0.5,0.35,0.15"], ["--beta", "0.4"]],
-                             ids=["state", "beta"])
+    @pytest.mark.parametrize("state", [
+        ["--state", "0.5,0.35,0.15", "--energies", "0,3,4"],
+        ["--beta", "0.4", "--energies", "0,3,4"],
+        ["--state", "0.4,0.25,0.15,0.12,0.08", "--energies", "0,1,2,3,4"],
+        ["--beta", "0.4", "--energies", "0,1,2,3,4"],
+    ], ids=["state", "beta", "qudit_state", "qudit_beta"])
     def test_optimize_checks_do_not_grow_with_max_dim(self, calls, capsys, state):
         counts = []
-        for max_dim in ("4", "12"):
+        for max_dim in ("4", "12", "24"):
             calls.clear()
-            assert cli.main(["optimize", *state, "--energies", "0,3,4", "--max-dim", max_dim]) == 0
+            assert cli.main(["optimize", *state, "--max-dim", max_dim]) == 0
             counts.append(dict(calls))
         capsys.readouterr()
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] == counts[2]
+        if state[0] == "--state":  # the ladder as parsed and as sized to the state
+            assert counts[0] == {"validate_state": 1, "validate_hamiltonian": 2}
 
     def test_best_window(self, calls):
         p = np.array([0.4, 0.25, 0.15, 0.12, 0.08])
@@ -166,6 +172,26 @@ _JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
 def test_domain_holes_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+_TAU = states.thermal_state(1.0, E)  # R3 for the gap ratio 1:1
+
+
+@pytest.mark.parametrize("tol", [NAN, INF, -1e-9])
+@pytest.mark.parametrize("call", [
+    lambda tol: states.is_passive([0.2, 0.3, 0.5], E, tol),
+    lambda tol: states.is_completely_passive(_TAU, E, tol),
+    lambda tol: regions.classify(_TAU, regions.RationalGapRatio(1, 1), tol),
+    lambda tol: regions.classify(np.array([_TAU, _TAU]), regions.RationalGapRatio(1, 1), tol),
+    lambda tol: regions.covering_cycle(_TAU, regions.RationalGapRatio(1, 1), 6, tol),
+    lambda tol: regions.coverage_fraction(regions.RationalGapRatio(1, 1), 2, 1, 20, tol),
+    lambda tol: regions.approximate_gap_ratio([0.0, 1.0, 2.5], tol),
+], ids=["is_passive", "is_completely_passive", "classify", "classify_batch", "covering_cycle",
+        "coverage_fraction", "approximate_gap_ratio"])
+def test_bad_tolerance_rejected(call, tol):
+    # a NaN tolerance used to answer: True, False, R2, R2, None, 0.0 and a 32-digit ratio
+    with pytest.raises(ValueError, match="^need a finite (tol|eps_band) >= 0"):
+        call(tol)
 
 
 _passive = st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3).map(
@@ -233,15 +259,19 @@ def _finite(x) -> bool:
     ratio=st.tuples(st.integers(1, 3), st.integers(0, 3)),
     beta=BETAS,
     target=st.one_of(st.floats(-0.1, 1.2), st.floats(-1.0, 8.0), ANY_FLOAT),
+    tol=st.one_of(st.floats(0.0, 1e-3), st.floats(-1.0, 1e6), ANY_FLOAT),
+    eps_band=st.one_of(st.floats(0.0, 0.1), ANY_FLOAT),
 )
 @example(  # p0 - p1 = 3.5e-6: the flow runs out of steps
     p=np.array([0.34815658, 0.3481531, 0.30369033]) / 1.00000001, e=[0.0, 1.0, 8.0],
     m=1, n=1, strategy="entropy", alpha=0.0, ratio=(1, 0), beta=0.0, target=0.0,
+    tol=1e-9, eps_band=1e-3,
 )
 @settings(max_examples=300, deadline=None)
-def test_fuzz_public_entry_points(p, e, m, n, strategy, alpha, ratio, beta, target):
+def test_fuzz_public_entry_points(p, e, m, n, strategy, alpha, ratio, beta, target, tol, eps_band):
     """Non-finite, negative, unnormalized, non-passive and degenerate-ladder
-    inputs raise ValueError or give finite values, with warnings as errors."""
+    inputs raise ValueError or give finite values, with warnings as errors;
+    a tolerance that is not finite and >= 0 raises ValueError."""
     ratio = regions.RationalGapRatio(*ratio)
     batch = np.array([p, p], dtype=float)
     calls = [
@@ -273,6 +303,20 @@ def test_fuzz_public_entry_points(p, e, m, n, strategy, alpha, ratio, beta, targ
         lambda: activation.assess_activation(p, e, _OUTCOME),
         lambda: regions.k_activability_witness(p, e, m, n),
     ]
+    tol_calls = [
+        (tol, lambda: states.is_passive(p, e, tol)),
+        (tol, lambda: states.is_completely_passive(p, e, tol)),
+        (tol, lambda: regions.classify(p, ratio, tol)),
+        (tol, lambda: regions.classify(batch, ratio, tol)),
+        (tol, lambda: regions.covering_cycle(p, ratio, 6, tol)),
+        (tol, lambda: regions.approximate_gap_ratio(e, tol)),
+        (eps_band, lambda: regions.coverage_fraction(ratio, m, n, 12, eps_band)),
+    ]
+    for bound, call in tol_calls:
+        if not 0.0 <= bound < math.inf:
+            with pytest.raises(ValueError):
+                call()
+        calls.append(call)
     for i, call in enumerate(calls):
         try:
             out = call()
