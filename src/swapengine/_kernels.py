@@ -32,15 +32,18 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps):
     swap ratio given by alpha(p0, p1, p2).
 
     Each step starts at twice the last accepted size, capped at step, and
-    halves while it would leave the passive simplex or overshoot the
-    manifold; the flow ends once the R3 log-gap is at most TERMINATION_TOL.
+    halves while a stage or its end would leave the open passive set
+    p0 >= p1 > p2 > 0, on which alpha is defined, or its end would overshoot
+    the manifold; the flow ends once the R3 log-gap is at most TERMINATION_TOL.
     The first stage depends only on the step's start, so it is evaluated
     once per step, not once per halving. Returns (t, states, work, heat)
     with t a list and states a (n, 3) array. RuntimeError if the flow
     needs more than max_steps steps or no step size is accepted.
     """
-    def rate(y0, y1):  # (dp0/dt, dp1/dt) at (y0, y1)
+    def rate(y0, y1):  # (dp0/dt, dp1/dt) at (y0, y1); None off the open passive set
         y2 = 1.0 - y0 - y1
+        if not y0 >= y1 > y2 > 0.0:  # negated, so that NaN fails it
+            return None
         f = _flow_rate(y0, y1, y2)
         return f, -(1.0 + alpha(y0, y1, y2)) * f
 
@@ -55,20 +58,21 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps):
     while gap > TERMINATION_TOL:
         if len(ts) > max_steps:
             raise RuntimeError(f"no convergence within {max_steps} steps")
-        k1_0, k1_1 = rate(p0, p1)
+        k1 = rate(p0, p1)  # not None: a start with a positive R3 log-gap is in the set
         h = min(step, 2.0 * h)
         while h >= step * 1e-14:
-            # remaining RK4 stages
-            k2_0, k2_1 = rate(p0 + 0.5 * h * k1_0, p1 + 0.5 * h * k1_1)
-            k3_0, k3_1 = rate(p0 + 0.5 * h * k2_0, p1 + 0.5 * h * k2_1)
-            k4_0, k4_1 = rate(p0 + h * k3_0, p1 + h * k3_1)
-            n0 = p0 + h / 6.0 * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)
-            n1 = p1 + h / 6.0 * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
-            n2 = 1.0 - n0 - n1
-            if n2 > 0.0 and n1 > n2 and n0 >= n1:
-                gap = _r3_gap(n0, n1, n2, de10, de21)
-                if gap >= 0.0:
-                    break
+            # remaining RK4 stages, each only where the one before is defined
+            k2 = rate(p0 + 0.5 * h * k1[0], p1 + 0.5 * h * k1[1])
+            k3 = k2 and rate(p0 + 0.5 * h * k2[0], p1 + 0.5 * h * k2[1])
+            k4 = k3 and rate(p0 + h * k3[0], p1 + h * k3[1])
+            if k4:
+                n0 = p0 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+                n1 = p1 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+                n2 = 1.0 - n0 - n1
+                if n0 >= n1 > n2 > 0.0:
+                    gap = _r3_gap(n0, n1, n2, de10, de21)
+                    if gap >= 0.0:
+                        break
             h *= 0.5
         else:
             raise RuntimeError(

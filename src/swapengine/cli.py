@@ -47,7 +47,7 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
 
 def _resolve_state(args, energies) -> np.ndarray:
     if args.state is not None:
-        return states.validate_state(args.state)
+        return args.state
     if args.beta is not None:
         return states.thermal_state(args.beta, energies)
     raise ValueError("need --state or --beta")
@@ -91,9 +91,8 @@ def _config_dict(args, **extra):
 
 
 def cmd_cycle(args) -> int:
-    e = states.validate_hamiltonian(args.energies)
-    p = _resolve_state(args, e)
-    out = engine.run_cycle(p, e, args.m, args.n)
+    p = _resolve_state(args, args.energies)
+    out = engine.run_cycle(p, args.energies, args.m, args.n)
     header = [
         "m", "n", "delta_p", "work", "q_hot", "q_cold", "heat_hot", "heat_cold",
         "efficiency", "efficiency_meaningful", "final_p0", "final_p1", "final_p2",
@@ -116,10 +115,9 @@ def cmd_fig4(args) -> int:
     state is rebuilt at every gap value; work is positive exactly on the
     band dE21 < dE10 < (beta_cold/beta_hot) dE21.
     """
-    e = states.validate_hamiltonian(args.energies, 3)
-    p = _resolve_state(args, e)
-    de21 = float(e[2] - e[1])
-    vt = states.virtual_temperatures(p, e)
+    _, de21 = states.gaps(args.energies)
+    p = _resolve_state(args, args.energies)
+    vt = states.virtual_temperatures(p, args.energies)
     beta_hot, beta_cold = vt.hot, vt.cold
     lo, hi, steps = args.sweep_gap
     rows = []
@@ -140,13 +138,12 @@ def cmd_fig4(args) -> int:
 
 def cmd_fig5(args) -> int:
     """Region label and per-cycle activation flags on a simplex grid."""
-    e = states.validate_hamiltonian(args.energies, 3)
-    ratio = regions.approximate_gap_ratio(e)
+    ratio = regions.approximate_gap_ratio(args.energies)
     cycles = args.cycles or [(3, 1), (5, 2), (11, 5)]
     grid = regions.passive_simplex_grid(args.grid)
     header = ["p0", "p1", "p2", "region"] + [f"active_{m}_{n}" for m, n in cycles]
     labels = regions.classify(grid, ratio).tolist()
-    flags = [regions.in_activation_region(grid, e, m, n).tolist() for m, n in cycles]
+    flags = [regions.in_activation_region(grid, args.energies, m, n).tolist() for m, n in cycles]
     rows = zip(*grid.T.tolist(), labels, *flags)
     _emit(rows, header, args, _config_dict(args, cycles=[list(c) for c in cycles]))
     return 0
@@ -154,12 +151,11 @@ def cmd_fig5(args) -> int:
 
 def cmd_fig6(args) -> int:
     """Quasi-static trajectory samples in the energy-entropy plane."""
-    e = states.validate_hamiltonian(args.energies, 3)
-    p = _resolve_state(args, e)
+    p = _resolve_state(args, args.energies)
     strategy = args.strategy
     if strategy.startswith("alpha="):
         strategy = float(strategy[len("alpha="):])
-    traj = quasistatic.integrate_trajectory(p, e, strategy)
+    traj = quasistatic.integrate_trajectory(p, args.energies, strategy)
     rows = [
         [float(t), float(y[0]), float(y[1]), float(y[2]), pt.energy, pt.entropy]
         for t, y, pt in traj.samples
@@ -174,24 +170,10 @@ def cmd_optimize(args) -> int:
     if args.max_dim < 2:
         print(f"error: need --max-dim >= 2, got {args.max_dim}", file=sys.stderr)
         return 2
-    e = states.validate_hamiltonian(args.energies)
-    p = _resolve_state(args, e)
-    e = states.validate_hamiltonian(e, p.size)
-    if p.size == 3:  # a qutrit is its own window, of weight 1.0
-        wins = [reduction._checked(reduction.SubspaceWindow(0, 1.0, p, e))]
-    else:
-        wins = reduction._windows(p, e)
-    best = None  # (lifted work, m, n, k, outcome); > keeps the first of equal maxima
-    for m in range(1, args.max_dim):
-        for n in range(1, args.max_dim - m + 1):
-            for win in wins:
-                out = engine._run_cycle(win.reduced_state, win.reduced_h, m, n)
-                if best is None or win.weight * out.work > best[0]:
-                    best = (win.weight * out.work, m, n, win.k, out)
-    work, m, n, k, out = best
+    p = _resolve_state(args, args.energies)
+    k, out = reduction.best_cycle(p, args.energies, args.max_dim)
     header = ["m", "n", "window", "work", "efficiency"]
-    _emit([[m, n, k, float(work), float(out.efficiency)]], header, args,
-          _config_dict(args))
+    _emit([[out.m, out.n, k, out.work, out.efficiency]], header, args, _config_dict(args))
     return 0
 
 

@@ -156,11 +156,15 @@ def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int) -> CycleOutc
     final = np.array(
         [p[0] + m * delta_p, p[1] - (m + n) * delta_p, p[2] + n * delta_p]
     )
+    # efficiency = work / heat drawn in: heat enters through the (0,1) pair
+    # when delta_p >= 0, and through the (1,2) pair when the cycle runs the other way
     if delta_p >= 0:
         final_active = final[1] < final[2]
+        heat_in, heat_out = m * de10, n * de21
     else:
         final_active = final[0] < final[1]
-    efficiency = 1.0 - (n * de21) / (m * de10) if m * de10 > 0 else math.nan
+        heat_in, heat_out = n * de21, m * de10
+    efficiency = 1.0 - heat_out / heat_in if heat_in > 0 else math.nan
     return CycleOutcome(
         m=m,
         n=n,
@@ -171,7 +175,7 @@ def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int) -> CycleOutc
         heat_hot=m * q_hot,
         heat_cold=n * q_cold,
         efficiency=efficiency,
-        efficiency_meaningful=bool(work > 0 and m * de10 > 0),
+        efficiency_meaningful=bool(work > 0 and heat_in > 0),
         final_system=final,
         machine=q,
         alpha_coeff=alpha,

@@ -154,9 +154,9 @@ def integrate_trajectory(
     Work increments are the exact mean-energy drops of each accepted step,
     so the energy-conserving strategy reports exactly zero work.
     """
+    e = _ladder(energies)  # before p: a thermal state built on a bad ladder fails as the ladder
     p = states.passive_qutrit(p)
-    e = _ladder(energies)
-    de10, de21 = e[1] - e[0], e[2] - e[1]
+    de10, de21 = float(e[1] - e[0]), float(e[2] - e[1])
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     if not max_steps >= 1:
@@ -197,7 +197,7 @@ def integrate_trajectory(
         def alpha(p0, p1, p2):
             return const
 
-    ts, ps, work, heat = trajectory_core(p[0], p[1], de10, de21, alpha, step, max_steps)
+    ts, ps, work, heat = trajectory_core(p0, p1, de10, de21, alpha, step, max_steps)
 
     # the observables of states.diagram_point, over all samples at once;
     # every accepted state is strictly positive, so no 0 ln 0 mask

@@ -27,7 +27,8 @@ class SubspaceWindow:
 
 
 def decompose(p, energies, k: int) -> SubspaceWindow:
-    """Renormalized 3-level window starting at level k."""
+    """Renormalized 3-level window starting at level k; a qutrit is its own
+    window, of weight 1.0."""
     p = states.validate_state(p)
     return _window(p, states.validate_hamiltonian(energies, p.size), k)
 
@@ -36,7 +37,8 @@ def _window(p: np.ndarray, e: np.ndarray, k: int) -> SubspaceWindow:
     """decompose on a checked state and ladder."""
     if not 0 <= k <= p.size - 3:
         raise ValueError(f"window start {k} out of range for d={p.size}")
-    lam = float(p[k : k + 3].sum())
+    # a checked qutrit sums to 1 within 1e-12; dividing by its sum would only add rounding
+    lam = 1.0 if p.size == 3 else float(p[k : k + 3].sum())
     if lam <= 0.0:
         raise ValueError("window has zero mass")
     return SubspaceWindow(
@@ -54,27 +56,15 @@ def lifted_cycle(p, energies, k: int, m: int, n: int) -> engine.CycleOutcome:
     by the window mass; levels outside the window are untouched and the
     machine distribution is the window one (stationary, so unchanged).
     """
-    win = _checked(decompose(p, energies, k))
-    states.check_cycle(m, n)
-    return _lifted_cycle(p, win, m, n)
-
-
-def _checked(win: SubspaceWindow) -> SubspaceWindow:
-    """win, once its reduced state is checked as a passive qutrit."""
+    win = decompose(p, energies, k)
     # a window of a checked state is normalized: the batch form checks only its order
     states.passive_qutrit(win.reduced_state[None])
-    return win
+    states.check_cycle(m, n)
+    return _lift(p, win, engine._run_cycle(win.reduced_state, win.reduced_h, m, n))
 
 
-def _windows(p: np.ndarray, e: np.ndarray) -> list[SubspaceWindow]:
-    """Every window of a checked state and ladder, each checked once."""
-    # k = 0 even for d < 3, so that _window raises
-    return [_checked(_window(p, e, k)) for k in range(max(p.size - 2, 1))]
-
-
-def _lifted_cycle(p, win: SubspaceWindow, m: int, n: int) -> engine.CycleOutcome:
-    """lifted_cycle on a checked window win of p, for checked m, n."""
-    out = engine._run_cycle(win.reduced_state, win.reduced_h, m, n)
+def _lift(p, win: SubspaceWindow, out: engine.CycleOutcome) -> engine.CycleOutcome:
+    """out, the cycle run on window win of p, as an outcome on all of p."""
     lam = win.weight
     final = np.array(p, dtype=float)  # a copy
     final[win.k : win.k + 3] = lam * out.final_system
@@ -93,11 +83,32 @@ def _lifted_cycle(p, win: SubspaceWindow, m: int, n: int) -> engine.CycleOutcome
 def best_window(p, energies, m: int, n: int):
     """(k, outcome) maximizing lifted work; ties break toward smaller k."""
     p = states.validate_state(p)
-    wins = _windows(p, states.validate_hamiltonian(energies, p.size))
+    e = states.validate_hamiltonian(energies, p.size)
     states.check_cycle(m, n)
-    outs = [_lifted_cycle(p, win, m, n) for win in wins]
+    return _best(p, e, [(m, n)])
+
+
+def best_cycle(p, energies, max_dim: int):
+    """(k, outcome) maximizing lifted work over every window k and every
+    (m, n) with m + n <= max_dim; ties break toward smaller m, then n, then k."""
+    p = states.validate_state(p)
+    e = states.validate_hamiltonian(energies, p.size)
+    if max_dim < 2:
+        raise ValueError(f"need max_dim >= 2, got {max_dim}")
+    return _best(p, e, [(m, n) for m in range(1, max_dim) for n in range(1, max_dim - m + 1)])
+
+
+def _best(p: np.ndarray, e: np.ndarray, pairs) -> tuple[int, engine.CycleOutcome]:
+    """best_cycle over the checked (m, n) pairs, on a checked state and ladder."""
+    # k = 0 even for d < 3, so that _window raises
+    wins = [_window(p, e, k) for k in range(max(p.size - 2, 1))]
+    # windows of a checked state are normalized: the batch form checks only their order
+    states.passive_qutrit(np.array([win.reduced_state for win in wins]))
+    runs = ((win, engine._run_cycle(win.reduced_state, win.reduced_h, m, n))
+            for m, n in pairs for win in wins)
     # max keeps the first of equal maxima
-    return max(enumerate(outs), key=lambda k_out: k_out[1].work)
+    win, out = max(runs, key=lambda run: run[0].weight * run[1].work)
+    return win.k, _lift(p, win, out)
 
 
 def block_joint_cycle(p, energies, k: int, m: int, n: int):

@@ -257,9 +257,10 @@ class TestRunCycle:
         )
 
     @pytest.mark.parametrize("p, e, m, n, meaningful", [
-        # m dE10 == 0 and delta_p < 0: positive work, but no efficiency
+        # m dE10 == 0 and delta_p < 0: heat enters through the (1,2) pair, and
+        # none leaves through the (0,1) pair, so the efficiency is 1
         ([0.3333333333333334, 0.3333333333333333, 0.3333333333333333],
-         [0.001, 0.001, 0.0010000000000000002], 2, 4, False),
+         [0.001, 0.001, 0.0010000000000000002], 2, 4, True),
         ([0.4, 0.4, 0.2], [0.0, 0.0, 1.0], 1, 1, False),
         ([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], 2, 3, True),
     ])
@@ -272,3 +273,30 @@ class TestRunCycle:
         p, e = worked_example
         out = engine.run_cycle(p, e, 2, 3)
         assert out.efficiency == pytest.approx(1 - (3 * 1.0) / (2 * 3.0), abs=1e-12)
+
+    @pytest.mark.parametrize("p, e, m, n, eta", [
+        # delta_p < 0: heat 3 dE21 enters through the (1,2) pair, 2 dE10 leaves
+        (np.array([0.25, 0.15, 0.12]) / 0.52, [0.0, 1.0, 2.0], 2, 3, 1 / 3),
+        ([0.3333333333333334, 0.3333333333333333, 0.3333333333333333],
+         [0.001, 0.001, 0.0010000000000000002], 2, 4, 1.0),
+    ])
+    def test_efficiency_of_a_cycle_run_the_other_way(self, p, e, m, n, eta):
+        out = engine.run_cycle(p, e, m, n)
+        assert out.delta_p < 0 < out.work
+        assert out.efficiency == pytest.approx(eta, abs=1e-12)
+        assert out.efficiency_meaningful
+
+    @given(
+        st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3),
+        st.floats(0.01, 10.0), st.floats(0.01, 10.0), st.integers(1, 12), st.integers(1, 12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_efficiency_below_carnot(self, ws, de10, de21, m, n):
+        # "hot" is the pair with the smaller virtual beta, whichever way the cycle runs
+        p = np.sort(np.array(ws) / sum(ws))[::-1]
+        out = engine.run_cycle(p, [0.0, de10, de10 + de21], m, n)
+        if not out.work > 0:
+            return
+        betas = sorted([math.log(p[0] / p[1]) / de10, math.log(p[1] / p[2]) / de21])
+        assert out.efficiency_meaningful
+        assert 0.0 <= out.efficiency <= 1.0 - betas[0] / betas[1] + 1e-12

@@ -27,3 +27,19 @@ def test_declared_dependencies_match_imports():
         for req in project["dependencies"]
     }
     assert _third_party_imports() == declared
+
+
+
+def test_cli_reads_no_private_name_of_the_package():
+    """The CLI calls only the public API: it imports no `_`-prefixed name
+    and reads no `_`-prefixed attribute of a swapengine module."""
+    path = ROOT / "src" / "swapengine" / "cli.py"
+    modules = {p.stem for p in path.parent.glob("*.py")}  # cli imports each under its own name
+    private = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            private.append(ast.unparse(node))
+    assert private == []

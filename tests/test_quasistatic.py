@@ -392,6 +392,48 @@ class TestStepSizeMemory:
         assert len(calls) <= 400
 
 
+class TestStageGuard:
+    """A step halves where one of its RK stages leaves the open passive set
+    p0 >= p1 > p2 > 0, before alpha is evaluated there."""
+
+    def test_large_step_entropy_flow(self):
+        # the first step's stages leave the simplex at step 2.0, where the
+        # entropy strategy's log(p1 / p2) raised 'math domain error'
+        p = np.array([0.8074135808586164, 0.16076284068071361, 0.03182357846066999])
+        e = np.array([0.0, 2.5609799064120575, 3.5609799064120575])
+        traj = quasistatic.integrate_trajectory(p, e, "entropy", step=2.0)
+        assert _kernels._r3_gap(*traj.final_state, e[1], e[2] - e[1]) <= quasistatic.TERMINATION_TOL
+        assert traj.accumulated_work == pytest.approx(quasistatic.optimal_work(p, e), rel=1e-3)
+
+    @given(
+        st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(1.2, 4.0),
+        st.sampled_from(["entropy", "energy", "float", "tracking"]),
+        st.floats(0.0, 1.0), st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_large_steps_raise_only_the_documented_error(self, l1, l2, factor, kind, u, step):
+        # ln(p0/p1) = l1, ln(p1/p2) = l2 and dE10/dE21 = factor * l1/l2, so
+        # the window is (l1/l2, factor * l1/l2) and u is a share of it
+        w = np.array([math.exp(l1 + l2), math.exp(l2), 1.0])
+        p = w / w.sum()
+        e = np.array([0.0, factor * l1 / l2, factor * l1 / l2 + 1.0])
+        rng = quasistatic.alpha_range(p, e)
+        if kind == "float":
+            strategy = rng.lower + u * (rng.upper - rng.lower)
+        elif kind == "tracking":
+            def strategy(y):
+                lower = math.log(y[0] / y[1]) / math.log(y[1] / y[2])
+                return lower + u * (rng.upper - lower)
+        else:
+            strategy = kind
+        try:
+            traj = quasistatic.integrate_trajectory(p, e, strategy, step=step, max_steps=2000)
+        except RuntimeError as exc:
+            assert str(exc).startswith(("no convergence", "trajectory stalled")), exc
+            return
+        assert all(y[0] >= y[1] > y[2] > 0.0 for _, y, _ in traj.samples)
+
+
 class TestOptimalWorkAndCarnot:
     def test_thermal_gives_zero(self):
         e = np.array([0.0, 1.0, 3.0])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,53 @@ class TestBestWindow:
             assert k == works.index(max(works))
             assert out.work == lifted[k].work
             assert np.array_equal(out.final_system, lifted[k].final_system)
+
+    def test_qutrit_is_its_own_window(self):
+        # a sum of 1 - 1e-13 passes validation; renormalizing it would change the bits
+        p = np.array([0.5, 0.35, 0.15 - 1e-13])
+        e = np.array([0.0, 3.0, 4.0])
+        direct = engine.run_cycle(p, e, 2, 3)
+        k, best = reduction.best_window(p, e, 2, 3)
+        assert k == 0
+        for out in (best, reduction.lifted_cycle(p, e, 0, 2, 3)):
+            for field in dataclasses.fields(direct):
+                assert np.array_equal(getattr(out, field.name), getattr(direct, field.name))
+
+
+def _brute_force_best(p, e, max_dim):
+    """(k, m, n, outcome) maximizing lifted work, one lifted_cycle per
+    (m, n, k); the first of equal maxima wins."""
+    best = None
+    for m in range(1, max_dim):
+        for n in range(1, max_dim - m + 1):
+            for k in range(p.size - 2):
+                out = reduction.lifted_cycle(p, e, k, m, n)
+                if best is None or out.work > best[3].work:
+                    best = (k, m, n, out)
+    return best
+
+
+class TestBestCycle:
+    def test_matches_brute_force_over_lifted_cycle(self):
+        rng = np.random.default_rng(43)
+        for d in (3, 4, 5, 6, 4, 5, 6):
+            p = random_passive_qudit(rng, d)
+            e = np.cumsum(rng.uniform(0.2, 2.0, size=d))
+            k, out = reduction.best_cycle(p, e, 8)
+            ref_k, m, n, ref = _brute_force_best(p, e, 8)
+            assert (k, out.m, out.n) == (ref_k, m, n)
+            assert out.work == ref.work
+            assert np.array_equal(out.final_system, ref.final_system)
+
+    def test_ties_keep_the_first_pair_and_window(self):
+        # resonant and thermal: work is 0 for every (m, m) and negative otherwise
+        e = np.arange(5.0)
+        tau = states.thermal_state(0.7, e)
+        k, out = reduction.best_cycle(tau, e, 8)
+        assert (k, out.m, out.n) == (0, 1, 1) == _brute_force_best(tau, e, 8)[:3]
+        assert out.work == 0.0
+
+    @pytest.mark.parametrize("max_dim", [1, 0, -3])
+    def test_needs_max_dim_two(self, max_dim):
+        with pytest.raises(ValueError, match="need max_dim >= 2"):
+            reduction.best_cycle([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], max_dim)

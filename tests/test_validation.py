@@ -115,8 +115,8 @@ class TestValidatesOnce:
             counts.append(dict(calls))
         capsys.readouterr()
         assert counts[0] == counts[1] == counts[2]
-        if state[0] == "--state":  # the ladder as parsed and as sized to the state
-            assert counts[0] == {"validate_state": 1, "validate_hamiltonian": 2}
+        if state[0] == "--state":  # the CLI passes both as parsed; best_cycle checks each once
+            assert counts[0] == {"validate_state": 1, "validate_hamiltonian": 1}
 
     def test_best_window(self, calls):
         p = np.array([0.4, 0.25, 0.15, 0.12, 0.08])
@@ -243,7 +243,7 @@ def _finite(x) -> bool:
     if dataclasses.is_dataclass(x):
         names = [f.name for f in dataclasses.fields(x)]
         if isinstance(x, engine.CycleOutcome) and not x.efficiency_meaningful:
-            names.remove("efficiency")  # NaN by design when m dE10 == 0
+            names.remove("efficiency")  # NaN by design when no heat is drawn in
         return all(_finite(getattr(x, name)) for name in names)
     if isinstance(x, (list, tuple)):
         return all(_finite(v) for v in x)
