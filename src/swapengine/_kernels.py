@@ -36,8 +36,8 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps):
     p0 >= p1 > p2 > 0, on which alpha is defined, or its end would overshoot
     the manifold; the flow ends once the R3 log-gap is at most TERMINATION_TOL.
     The first stage depends only on the step's start, so it is evaluated
-    once per step, not once per halving. Returns (t, states, work, heat)
-    with t a list and states a (n, 3) array. RuntimeError if the flow
+    once per step, not once per halving. Returns the path (t, states),
+    with t a list and states an (n, 3) array. RuntimeError if the flow
     needs more than max_steps steps or no step size is accepted.
     """
     def rate(y0, y1):  # (dp0/dt, dp1/dt) at (y0, y1); None off the open passive set
@@ -47,13 +47,10 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps):
         f = _flow_rate(y0, y1, y2)
         return f, -(1.0 + alpha(y0, y1, y2)) * f
 
-    p2 = 1.0 - p0 - p1
     ts = [0.0]
-    ps = [(p0, p1, p2)]
+    ps = [(p0, p1, 1.0 - p0 - p1)]
     t = 0.0
-    work = 0.0
-    heat = 0.0
-    gap = _r3_gap(p0, p1, p2, de10, de21)
+    gap = _r3_gap(*ps[0], de10, de21)
     h = math.inf  # the last accepted step size; none yet
     while gap > TERMINATION_TOL:
         if len(ts) > max_steps:
@@ -79,16 +76,11 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps):
                 f"trajectory stalled at t={t}: no step keeps the state "
                 "passive and on the work-extracting side of the thermal manifold"
             )
-        dp0 = n0 - p0
-        dp2 = n2 - p2
-        # work == minus the mean-energy change, exactly, for every strategy
-        work += de10 * dp0 - de21 * dp2
-        heat += de10 * dp0
-        p0, p1, p2 = n0, n1, n2
+        p0, p1 = n0, n1
         t += h
         ts.append(t)
         ps.append((n0, n1, n2))
-    return ts, np.array(ps), work, heat
+    return ts, np.array(ps)
 
 
 def coverage_counts(l1, l2, big_m, big_n, m, n, eps_band):

@@ -32,8 +32,7 @@ def assess_activation(p, energies, outcome: engine.CycleOutcome) -> ActivationRe
     """Compare cycle work against ergotropy and check the two activation
     constraints: final energy strictly below the passified state's, final
     entropy not below the initial one."""
-    p = states.validate_state(p)
-    e = states.validate_hamiltonian(energies, p.size)
+    p, e = states.state_and_ladder(p, energies)
     final = states.validate_state(outcome.final_system, p.size)
     passive = np.sort(p)[::-1].copy()  # states.passify
     erg = float((p - passive) @ e)
@@ -90,8 +89,7 @@ def bath_ledger(p, energies, final_joint, beta: float, initial_machine=None) -> 
     match it within 1e-10 (reusability), else ValueError. So is a beta
     outside 0 < beta < inf, or one at which a term leaves the float range.
     """
-    p = states.validate_state(p)
-    e = states.validate_hamiltonian(energies, p.size)
+    p, e = states.state_and_ladder(p, energies)
     if not 0.0 < beta < math.inf:  # negated, so that NaN fails it
         raise ValueError("bath ledger needs 0 < beta < inf")
     info = oracle.mutual_information(final_joint)  # checks the joint

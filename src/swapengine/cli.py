@@ -21,9 +21,9 @@ FMT = "%.17g"
 _LN_FLOAT_MAX = math.log(sys.float_info.max)  # the largest argument math.exp takes
 
 
-def _parse_floats(text: str) -> np.ndarray:
+def _parse_floats(text: str) -> list[float]:
     try:
-        return np.array([float(tok) for tok in text.split(",")])
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
@@ -45,7 +45,7 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
     return sweep
 
 
-def _resolve_state(args, energies) -> np.ndarray:
+def _resolve_state(args, energies):
     if args.state is not None:
         return args.state
     if args.beta is not None:
@@ -77,34 +77,23 @@ def _emit(rows, header, args, config):
 
 
 def _config_dict(args, **extra):
-    cfg = {"command": args.command, "format": args.format}
-    for key in ("state", "energies"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = [float(x) for x in val]
-    for key in ("beta", "m", "n", "grid", "strategy", "sweep_gap", "cycles", "max_dim"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    cfg.update(extra)
-    return cfg
+    """Every option the parser set, except the handler and --out, then extra."""
+    cfg = {k: v for k, v in vars(args).items() if v is not None and k not in ("func", "out")}
+    return cfg | extra
 
 
 def cmd_cycle(args) -> int:
     p = _resolve_state(args, args.energies)
     out = engine.run_cycle(p, args.energies, args.m, args.n)
-    header = [
-        "m", "n", "delta_p", "work", "q_hot", "q_cold", "heat_hot", "heat_cold",
-        "efficiency", "efficiency_meaningful", "final_p0", "final_p1", "final_p2",
-        "final_active",
-    ]
-    row = [
-        out.m, out.n, out.delta_p, out.work, out.q_hot, out.q_cold,
-        out.heat_hot, out.heat_cold, out.efficiency, out.efficiency_meaningful,
-        float(out.final_system[0]), float(out.final_system[1]), float(out.final_system[2]),
-        out.final_active,
-    ]
-    _emit([row], header, args, _config_dict(args))
+    final = out.final_system.tolist()
+    cols = {
+        "m": out.m, "n": out.n, "delta_p": out.delta_p, "work": out.work,
+        "q_hot": out.q_hot, "q_cold": out.q_cold, "heat_hot": out.heat_hot,
+        "heat_cold": out.heat_cold, "efficiency": out.efficiency,
+        "efficiency_meaningful": out.efficiency_meaningful, "final_p0": final[0],
+        "final_p1": final[1], "final_p2": final[2], "final_active": out.final_active,
+    }
+    _emit([list(cols.values())], list(cols), args, _config_dict(args))
     return 0
 
 

@@ -12,6 +12,7 @@ dp1/dt = -(1+alpha) dp0/dt toward the thermal manifold.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -144,15 +145,16 @@ def integrate_trajectory(
 
     strategy: "energy" / "energy_conserving" (alpha pinned to dE10/dE21, no
     work, pure cooling), "entropy" / "entropy_conserving" (alpha tracks the
-    lower bound, isentropic, maximal work), a float (constant alpha), or a
-    callable p -> alpha evaluated along the way. A float off the thermal
+    lower bound, isentropic, maximal work), a real number (constant alpha),
+    or a callable p -> alpha evaluated along the way. A number off the thermal
     manifold must lie in the closed alpha_range window (ValueError). A state
     off the manifold where the flow rate is zero is a fixed point of the
     flow (ValueError). The ladder needs E2 > E1.
     RuntimeError if the flow stalls or needs more than max_steps steps.
 
-    Work increments are the exact mean-energy drops of each accepted step,
-    so the energy-conserving strategy reports exactly zero work.
+    The machine ends every cycle unchanged, so the work is the mean-energy
+    drop between the first and last samples, and the hot heat its dE10 part;
+    for the energy-conserving strategy the work is rounding error.
     """
     e = _ladder(energies)  # before p: a thermal state built on a bad ladder fails as the ladder
     p = states.passive_qutrit(p)
@@ -182,22 +184,24 @@ def integrate_trajectory(
     else:
         if strategy in ("energy", "energy_conserving"):
             const = de10 / de21
-        elif isinstance(strategy, float):
+        elif isinstance(strategy, numbers.Real) and not isinstance(strategy, bool):
+            const = float(strategy)
             if gap > TERMINATION_TOL:
                 rng = _alpha_window(p, e)
-                if not rng.lower <= strategy <= rng.upper:
+                if not rng.lower <= const <= rng.upper:
                     raise ValueError(
-                        f"alpha={strategy} outside admissible range "
+                        f"alpha={const} outside admissible range "
                         f"[{rng.lower}, {rng.upper}]"
                     )
-            const = strategy
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
 
         def alpha(p0, p1, p2):
             return const
 
-    ts, ps, work, heat = trajectory_core(p0, p1, de10, de21, alpha, step, max_steps)
+    ts, ps = trajectory_core(p0, p1, de10, de21, alpha, step, max_steps)
+    # the first row carries p2 as 1 - p0 - p1, so a thermal start gives exactly 0.0
+    dp0, _, dp2 = (ps[-1] - ps[0]).tolist()
 
     # the observables of states.diagram_point, over all samples at once;
     # every accepted state is strictly positive, so no 0 ln 0 mask
@@ -211,8 +215,8 @@ def integrate_trajectory(
     beta = math.log(final[0] / final[2]) / (e[2] - e[0])
     return Trajectory(
         samples=samples,
-        accumulated_work=work,
-        accumulated_heat_hot=heat,
+        accumulated_work=de10 * dp0 - de21 * dp2,
+        accumulated_heat_hot=de10 * dp0,
         endpoint_beta=beta,
     )
 
@@ -220,8 +224,7 @@ def integrate_trajectory(
 def optimal_work(p, energies) -> float:
     """Maximum extractable work: energy above the thermal state of equal
     entropy (the isentropic endpoint)."""
-    p = states.validate_state(p, 3)
-    e = states.validate_hamiltonian(energies, 3)
+    p, e = states.state_and_ladder(p, energies, 3)
     tau = states._gibbs(states._beta_from_entropy(states._entropy(p), e), e)
     return float(p @ e) - float(tau @ e)
 

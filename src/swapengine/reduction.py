@@ -29,8 +29,7 @@ class SubspaceWindow:
 def decompose(p, energies, k: int) -> SubspaceWindow:
     """Renormalized 3-level window starting at level k; a qutrit is its own
     window, of weight 1.0."""
-    p = states.validate_state(p)
-    return _window(p, states.validate_hamiltonian(energies, p.size), k)
+    return _window(*states.state_and_ladder(p, energies), k)
 
 
 def _window(p: np.ndarray, e: np.ndarray, k: int) -> SubspaceWindow:
@@ -82,8 +81,7 @@ def _lift(p, win: SubspaceWindow, out: engine.CycleOutcome) -> engine.CycleOutco
 
 def best_window(p, energies, m: int, n: int):
     """(k, outcome) maximizing lifted work; ties break toward smaller k."""
-    p = states.validate_state(p)
-    e = states.validate_hamiltonian(energies, p.size)
+    p, e = states.state_and_ladder(p, energies)
     states.check_cycle(m, n)
     return _best(p, e, [(m, n)])
 
@@ -91,8 +89,7 @@ def best_window(p, energies, m: int, n: int):
 def best_cycle(p, energies, max_dim: int):
     """(k, outcome) maximizing lifted work over every window k and every
     (m, n) with m + n <= max_dim; ties break toward smaller m, then n, then k."""
-    p = states.validate_state(p)
-    e = states.validate_hamiltonian(energies, p.size)
+    p, e = states.state_and_ladder(p, energies)
     if max_dim < 2:
         raise ValueError(f"need max_dim >= 2, got {max_dim}")
     return _best(p, e, [(m, n) for m in range(1, max_dim) for n in range(1, max_dim - m + 1)])
@@ -100,8 +97,12 @@ def best_cycle(p, energies, max_dim: int):
 
 def _best(p: np.ndarray, e: np.ndarray, pairs) -> tuple[int, engine.CycleOutcome]:
     """best_cycle over the checked (m, n) pairs, on a checked state and ladder."""
-    # k = 0 even for d < 3, so that _window raises
-    wins = [_window(p, e, k) for k in range(max(p.size - 2, 1))]
+    # k = 0 even for d < 3, so that _window raises; a qudit window with an
+    # empty top level cannot run a cycle, and a zero-mass window has one
+    ks = [k for k in range(max(p.size - 2, 1)) if p.size <= 3 or p[k + 2] > 0.0]
+    if not ks:
+        raise ValueError("no 3-level window can run a cycle: every top population p[k+2] is 0")
+    wins = [_window(p, e, k) for k in ks]
     # windows of a checked state are normalized: the batch form checks only their order
     states.passive_qutrit(np.array([win.reduced_state for win in wins]))
     runs = ((win, engine._run_cycle(win.reduced_state, win.reduced_h, m, n))

@@ -169,8 +169,7 @@ def covering_cycle(p, ratio: RationalGapRatio, n_max: int, tol: float = R3_TOL):
 def k_activability_witness(p, energies, m: int, n: int) -> bool:
     """Certify that the (m+n)-fold tensor power of p is active via the
     level pair |1...1> vs |0..0 2..2> (m zeros, n twos)."""
-    p = states.validate_state(p, 3)
-    e = states.validate_hamiltonian(energies, 3)
+    p, e = states.state_and_ladder(p, energies, 3)
     states.check_cycle(m, n)
     if np.any(p <= 0.0):
         return False

@@ -58,6 +58,12 @@ def validate_hamiltonian(energies, d: int | None = None) -> np.ndarray:
     return e
 
 
+def state_and_ladder(probs, energies, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """validate_state(probs, d), then validate_hamiltonian on a ladder of the state's length."""
+    p = validate_state(probs, d)
+    return p, validate_hamiltonian(energies, p.size)
+
+
 def passive_qutrit(probs) -> np.ndarray:
     """Coerce to a passive qutrit, p0 >= p1 >= p2 > 0, or an (N, 3) batch of them."""
     p = np.asarray(probs, dtype=float)
@@ -94,8 +100,7 @@ def gaps(energies) -> tuple[float, float]:
 
 
 def mean_energy(probs, energies) -> float:
-    p = validate_state(probs)
-    e = validate_hamiltonian(energies, p.size)
+    p, e = state_and_ladder(probs, energies)
     return float(p @ e)
 
 
@@ -115,9 +120,9 @@ def is_passive(probs, energies, tol: float = 0.0) -> bool:
     Degenerate levels (equal energies) must carry equal probabilities; this is
     the stability requirement that makes passivity well defined on them.
     """
-    p = validate_state(probs)
+    p, e = state_and_ladder(probs, energies)
     check_tol(tol)
-    return _is_passive(p, validate_hamiltonian(energies, p.size), tol)
+    return _is_passive(p, e, tol)
 
 
 def _is_passive(p: np.ndarray, e: np.ndarray, tol: float = 0.0) -> bool:
@@ -132,15 +137,14 @@ def _is_passive(p: np.ndarray, e: np.ndarray, tol: float = 0.0) -> bool:
 
 def passify(probs, energies) -> np.ndarray:
     """Sort occupations non-increasing along the energy order."""
-    p = validate_state(probs)
-    validate_hamiltonian(energies, p.size)
+    p, _ = state_and_ladder(probs, energies)
     return np.sort(p)[::-1].copy()
 
 
 def ergotropy(probs, energies) -> float:
     """Maximal unitary work: <H>(state) - <H>(passified state). Non-negative."""
-    p = validate_state(probs)
-    return float((p - np.sort(p)[::-1]) @ validate_hamiltonian(energies, p.size))
+    p, e = state_and_ladder(probs, energies)
+    return float((p - np.sort(p)[::-1]) @ e)
 
 
 @dataclass(frozen=True)
@@ -187,8 +191,7 @@ def virtual_temperatures(probs, energies) -> VirtualTemperatureTable:
     Requires p_j > 0 for each queried pair; a zero upper-level probability
     gives the BETA_INF sentinel, a zero lower-level probability is an error.
     """
-    p = validate_state(probs)
-    e = validate_hamiltonian(energies, p.size)
+    p, e = state_and_ladder(probs, energies)
     p, e = p.tolist(), e.tolist()  # Python floats: a ratio past the float range is inf, silently
     betas: dict[tuple[int, int], float] = {}
     degen = set()
@@ -232,8 +235,8 @@ class DiagramPoint:
 
 def diagram_point(probs, energies) -> DiagramPoint:
     """(mean energy, entropy) coordinates in the energy-entropy diagram."""
-    p = validate_state(probs)
-    return DiagramPoint(float(p @ validate_hamiltonian(energies, p.size)), _entropy(p))
+    p, e = state_and_ladder(probs, energies)
+    return DiagramPoint(float(p @ e), _entropy(p))
 
 
 def _beta_upper(energies: np.ndarray) -> float:
@@ -306,8 +309,7 @@ def _beta_from_entropy(target_entropy: float, e: np.ndarray, tol: float = 1e-10)
 def is_completely_passive(probs, energies, tol: float) -> bool:
     """True iff the state is thermal for some beta >= 0: all non-degenerate
     pairwise virtual temperatures agree within tol."""
-    p = validate_state(probs)
-    e = validate_hamiltonian(energies, p.size)
+    p, e = state_and_ladder(probs, energies)
     check_tol(tol)
     if not _is_passive(p, e, _NORM_TOL):
         return False

@@ -150,6 +150,13 @@ class TestOptimize:
         assert float(vals["work"]) > 0
         assert int(vals["window"]) in (0, 1, 2)
 
+    def test_qudit_with_empty_top_levels_runs_window_zero(self, capsys):
+        assert run([
+            "optimize", "--state", "0.5,0.3,0.2,0,0", "--energies", "0,1,2,3,4", "--max-dim", "6",
+        ]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["window"] == "0"
+
     def test_max_dim_below_two_is_usage_error(self, capsys):
         assert run([
             "optimize", "--state", "0.5,0.35,0.15", "--energies", "0,3,4", "--max-dim", "1",

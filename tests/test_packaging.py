@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +30,20 @@ def test_declared_dependencies_match_imports():
     }
     assert _third_party_imports() == declared
 
+
+def test_bench_binds_every_name_it_needs():
+    """The bench's tracer wraps every public name of each layer, `_kernels`
+    among them, and rebinds the kernel names that `quasistatic` and
+    `regions` import; its worker reports `swapengine.backend()`. A change
+    that removes one of these names breaks the bench, so it fails here."""
+    path = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    code = "import swapengine, tracer; tracer.Tracer().install(); print(swapengine.backend())"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "numpy\n"
 
 
 def test_cli_reads_no_private_name_of_the_package():

@@ -191,6 +191,18 @@ class TestTrajectories:
             assert s1 == s2
             assert np.array_equal(y1, y2)
 
+    @pytest.mark.parametrize("whole", [1, np.int64(1)])
+    def test_whole_number_strategy_is_its_float(self, worked_example, whole):
+        p, e = worked_example
+        t1 = quasistatic.integrate_trajectory(p, e, whole)
+        t2 = quasistatic.integrate_trajectory(p, e, 1.0)
+        assert (t1.accumulated_work, t1.accumulated_heat_hot, t1.endpoint_beta) == (
+            t2.accumulated_work, t2.accumulated_heat_hot, t2.endpoint_beta)
+        assert len(t1.samples) == len(t2.samples)
+        for (s1, y1, pt1), (s2, y2, pt2) in zip(t1.samples, t2.samples):
+            assert (s1, pt1) == (s2, pt2)
+            assert np.array_equal(y1, y2)
+
     def test_upper_edge_alpha_is_energy_strategy(self, worked_example):
         p, e = worked_example
         upper = quasistatic.alpha_range(p, e).upper
@@ -330,7 +342,7 @@ class TestSampleObservables:
 def _restarting_run(p0, p1, de10, de21, alpha, step):
     """The stepper without step-size memory: trajectory_core with the
     module's min(step, 2 h_last) pinned to step, so every step starts at
-    the full step. Returns (ts, states, work, heat) as trajectory_core does."""
+    the full step. Returns the path (ts, states) as trajectory_core does."""
     with mock.patch.object(_kernels, "min", lambda step, _: step, create=True):
         return _kernels.trajectory_core(p0, p1, de10, de21, alpha, step, 200_000)
 
@@ -367,14 +379,12 @@ class TestStepSizeMemory:
 
             def alpha(p0, p1, p2):
                 return const
-        ts, ps, work, heat = _kernels.trajectory_core(p[0], p[1], de10, de21, alpha, step, 200_000)
+        ts, ps = _kernels.trajectory_core(p[0], p[1], de10, de21, alpha, step, 200_000)
         assert _kernels._r3_gap(*ps[-1], de10, de21) <= quasistatic.TERMINATION_TOL
-        ref_ts, ref_ps, ref_work, ref_heat = _restarting_run(p[0], p[1], de10, de21, alpha, step)
+        ref_ts, ref_ps = _restarting_run(p[0], p[1], de10, de21, alpha, step)
         assert len(ts) == len(ref_ts)
         assert ts == ref_ts
         assert np.array_equal(ps, ref_ps)
-        assert work == ref_work
-        assert heat == ref_heat
 
     def test_worked_example_flow_rate_evaluations(self, worked_example, monkeypatch):
         # 920 evaluations for 62 steps when every step restarts at step

@@ -145,13 +145,13 @@ class TestBestWindow:
                 assert np.array_equal(getattr(out, field.name), getattr(direct, field.name))
 
 
-def _brute_force_best(p, e, max_dim):
+def _brute_force_best(p, e, max_dim, windows=None):
     """(k, m, n, outcome) maximizing lifted work, one lifted_cycle per
-    (m, n, k); the first of equal maxima wins."""
+    (m, n, k) with k in windows (default: all); the first of equal maxima wins."""
     best = None
     for m in range(1, max_dim):
         for n in range(1, max_dim - m + 1):
-            for k in range(p.size - 2):
+            for k in range(p.size - 2) if windows is None else windows:
                 out = reduction.lifted_cycle(p, e, k, m, n)
                 if best is None or out.work > best[3].work:
                     best = (k, m, n, out)
@@ -177,6 +177,23 @@ class TestBestCycle:
         k, out = reduction.best_cycle(tau, e, 8)
         assert (k, out.m, out.n) == (0, 1, 1) == _brute_force_best(tau, e, 8)[:3]
         assert out.work == 0.0
+
+    @pytest.mark.parametrize("e", [np.arange(5.0), np.array([0.0, 3.0, 4.0, 6.0, 9.0])])
+    def test_skips_windows_with_an_empty_top_level(self, e):
+        # windows 1 and 2 end on a zero population: only window 0 can run a cycle
+        p = np.array([0.5, 0.3, 0.2, 0.0, 0.0])
+        k, out = reduction.best_cycle(p, e, 6)
+        ref_k, m, n, ref = _brute_force_best(p, e, 6, windows=[0])
+        assert (k, out.m, out.n) == (ref_k, m, n)
+        assert out.work == ref.work
+        assert np.array_equal(out.final_system, ref.final_system)
+
+    def test_no_window_that_can_run_a_cycle(self):
+        with pytest.raises(ValueError, match="no 3-level window can run a cycle"):
+            reduction.best_cycle([0.5, 0.5, 0.0, 0.0, 0.0], np.arange(5.0), 6)
+        # a qutrit is its own window and keeps the passive-qutrit error
+        with pytest.raises(ValueError, match="passive qutrit"):
+            reduction.best_cycle([0.5, 0.5, 0.0], np.arange(3.0), 6)
 
     @pytest.mark.parametrize("max_dim", [1, 0, -3])
     def test_needs_max_dim_two(self, max_dim):

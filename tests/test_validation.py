@@ -174,6 +174,47 @@ def test_domain_holes_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: oracle.SwapStep(0, 0, 1, 2), "^swap pairs must be distinct$"),
+    (lambda: quasistatic.asymptotic_machine([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], 2, 1.0),
+     "^need m >= 3$"),
+    (lambda: quasistatic.integrate_trajectory([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], "bogus"),
+     "^unknown strategy 'bogus'$"),
+    # a bool is an int, but not a swap ratio
+    (lambda: quasistatic.integrate_trajectory([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], True),
+     "^unknown strategy True$"),
+    (lambda: reduction.decompose([0.5, 0.5, 0.0, 0.0, 0.0], np.arange(5.0), 2),
+     "^window has zero mass$"),
+    (lambda: regions.RationalGapRatio(0, 1), r"^need M >= 1 and N >= 0$"),
+    (lambda: states.mean_energy([0.5, 0.5], [[0.0, 1.0]]), "^energy ladder must be 1-d"),
+    (lambda: states.state_and_ladder([0.5, 0.5], [0.0, 1.0, 2.0]),
+     "^ladder has length 3, expected 2$"),
+    (lambda: states.virtual_temperatures([0.0, 0.5, 0.5], E),
+     r"^zero probability at lower level 0 of pair \(1,0\)$"),
+], ids=["swap_step_pair", "asymptotic_machine_m", "unknown_strategy", "bool_strategy",
+        "zero_mass_window", "gap_ratio_m", "ladder_2d", "ladder_length", "zero_lower_population"])
+def test_rarely_reached_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["cycle", "--state", "0.5,x,0.15", "--energies", "0,3,4", "--m", "1", "--n", "1"], 2,
+     "argument --state: bad float list '0.5,x,0.15'\n"),
+    (["cycle", "--energies", "0,3,4", "--m", "1", "--n", "1"], 1,
+     "error: need --state or --beta\n"),
+], ids=["bad_float_list", "no_state_or_beta"])
+def test_rarely_reached_cli_errors(capsys, argv, code, message):
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # argparse exits on a bad argument
+        got = exc.code
+    assert got == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(message)
+
+
 _TAU = states.thermal_state(1.0, E)  # R3 for the gap ratio 1:1
 
 
