@@ -150,7 +150,8 @@ def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int) -> CycleOutc
     if not math.isfinite(lever):
         raise ValueError("m dE10 - n dE21 overflows the float range")
     q, delta_p, alpha = _machine_solution(p, m, n)
-    work = lever * delta_p
+    # + 0.0 turns the -0.0 of a resonant cycle (lever 0) with delta_p < 0 into 0.0
+    work = lever * delta_p + 0.0
     q_hot = de10 * delta_p
     q_cold = de21 * delta_p
     final = np.array(

@@ -52,10 +52,12 @@ def _ladder(energies) -> np.ndarray:
 
 
 def _alpha_window(p, e) -> AlphaRange:
-    l2 = math.log(p[1] / p[2])
+    # Python floats: a ratio past the float range is inf, silently
+    (p0, p1, p2), (e0, e1, e2) = p.tolist(), e.tolist()
+    l2 = math.log(p1 / p2)
     # p1 == p2 puts the lower bound at +inf: the window is empty
-    lower = math.log(p[0] / p[1]) / l2 if l2 else math.inf
-    upper = (e[1] - e[0]) / (e[2] - e[1])
+    lower = math.log(p0 / p1) / l2 if l2 else math.inf
+    upper = (e1 - e0) / (e2 - e1)
     if lower >= upper:
         raise ValueError(
             f"empty alpha range [{lower}, {upper}]: no ratio extracts work here"

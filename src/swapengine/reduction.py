@@ -56,7 +56,7 @@ def lifted_cycle(p, energies, k: int, m: int, n: int) -> engine.CycleOutcome:
     machine distribution is the window one (stationary, so unchanged).
     """
     win = decompose(p, energies, k)
-    # a window of a checked state is normalized: the batch form checks only its order
+    # the batch form checks the window's order, normalization and p0 <= 1
     states.passive_qutrit(win.reduced_state[None])
     states.check_cycle(m, n)
     return _lift(p, win, engine._run_cycle(win.reduced_state, win.reduced_h, m, n))
@@ -103,7 +103,7 @@ def _best(p: np.ndarray, e: np.ndarray, pairs) -> tuple[int, engine.CycleOutcome
     if not ks:
         raise ValueError("no 3-level window can run a cycle: every top population p[k+2] is 0")
     wins = [_window(p, e, k) for k in ks]
-    # windows of a checked state are normalized: the batch form checks only their order
+    # the batch form checks each window's order, normalization and p0 <= 1
     states.passive_qutrit(np.array([win.reduced_state for win in wins]))
     runs = ((win, engine._run_cycle(win.reduced_state, win.reduced_h, m, n))
             for m, n in pairs for win in wins)

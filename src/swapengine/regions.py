@@ -5,7 +5,8 @@ split into R1 / R2 / R3 by comparing N ln(p1/p2) against M ln(p0/p1); the
 cycle (m, n) activates exactly the states where the analogous comparison
 with exponents (n, m) has the same sign as m dE10 - n dE21. All
 comparisons are done in log space. `classify` and `in_activation_region`
-take one state or an (N, 3) array of states, decided in one numpy pass.
+take one state or an (N, 3) array of states, decided in one numpy pass; one
+state runs as a batch of one, so both forms take the same lines.
 """
 
 from __future__ import annotations
@@ -69,23 +70,10 @@ def approximate_gap_ratio(energies, tol: float = 1e-9) -> RationalGapRatio:
 
 
 def _log_ratios(p):
-    """(ln(p0/p1), ln(p1/p2)) of a checked state (floats) or batch (arrays)."""
-    if p.ndim == 2:
+    """(ln(p0/p1), ln(p1/p2)) of a checked (N, 3) batch; a ratio past the
+    float range gives inf."""
+    with np.errstate(over="ignore"):
         return np.log(p[:, 0] / p[:, 1]), np.log(p[:, 1] / p[:, 2])
-    return math.log(p[0] / p[1]), math.log(p[1] / p[2])
-
-
-def _agree_with_scalar(out, near, p, scalar):
-    """Take the one-state answer on the batch rows flagged `near` an edge.
-
-    np.log may differ from math.log by an ulp, which can move a decision
-    only within ~1e-15 (relative) of its edge; the rows flagged within
-    1e-12 are decided again by the one-state path, so a batch gives
-    exactly what per-row calls give.
-    """
-    for i in np.flatnonzero(near):
-        out[i] = scalar(p[i])
-    return out
 
 
 def classify(p, ratio: RationalGapRatio, tol: float = R3_TOL):
@@ -97,18 +85,14 @@ def classify(p, ratio: RationalGapRatio, tol: float = R3_TOL):
     """
     p = states.passive_qutrit(p)
     states.check_tol(tol)
-    l1, l2 = _log_ratios(p)
-    lhs = ratio.n_int * l2
-    rhs = ratio.m_int * l1
-    if p.ndim == 1:
-        if abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs)):
-            return R3
-        return R1 if lhs > rhs else R2
+    l1, l2 = _log_ratios(np.atleast_2d(p))
+    with np.errstate(invalid="ignore"):  # 0 * inf, where N = 0 or tol = 0, is NaN
+        lhs, rhs = ratio.n_int * l2, ratio.m_int * l1
+        band = tol * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
     dist = abs(lhs - rhs)
-    band = tol * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
-    labels = np.where(dist <= band, R3, np.where(lhs > rhs, R1, R2))
-    near = abs(dist - band) <= 1e-12 * (abs(lhs) + abs(rhs))
-    return _agree_with_scalar(labels, near, p, lambda q: classify(q, ratio, tol))
+    # a row with an infinite log ratio is never R3, although inf <= tol * inf
+    labels = np.where(np.isfinite(dist) & (dist <= band), R3, np.where(lhs > rhs, R1, R2))
+    return labels if p.ndim == 2 else str(labels[0])
 
 
 def in_activation_region(p, energies, m: int, n: int):
@@ -119,21 +103,15 @@ def in_activation_region(p, energies, m: int, n: int):
     """
     states.check_cycle(m, n)
     p = states.passive_qutrit(p)
-    l1, l2 = _log_ratios(p)
+    l1, l2 = _log_ratios(np.atleast_2d(p))
     de10, de21 = states.gaps(energies)
     lever = m * de10 - n * de21  # Python floats: inf or nan past the float range, silently
     if not math.isfinite(lever):
         raise ValueError("m dE10 - n dE21 overflows the float range")
-    if lever == 0.0:
-        return False if p.ndim == 1 else np.zeros(len(p), dtype=bool)
     gap = n * l2 - m * l1
-    active = gap > 0 if lever > 0 else gap < 0
-    if p.ndim == 1:
-        return active
-    near = abs(gap) <= 1e-12 * (n * abs(l2) + m * abs(l1))
-    return _agree_with_scalar(
-        active, near, p, lambda q: in_activation_region(q, energies, m, n)
-    )
+    # gap and lever of one nonzero sign; a degenerate cycle (lever 0) activates nothing
+    active = (np.sign(gap) == np.sign(lever)) & (gap != 0.0)
+    return active if p.ndim == 2 else bool(active[0])
 
 
 def covering_cycle(p, ratio: RationalGapRatio, n_max: int, tol: float = R3_TOL):
@@ -147,7 +125,8 @@ def covering_cycle(p, ratio: RationalGapRatio, n_max: int, tol: float = R3_TOL):
     label = classify(p, ratio, tol)
     if label == R3:
         raise ValueError("state is completely passive (R3): never activable")
-    l1, l2 = _log_ratios(np.asarray(p, dtype=float))  # checked by classify
+    # checked by classify; row 0 of a batch of one
+    l1, l2 = (float(l[0]) for l in _log_ratios(np.asarray(p, dtype=float)[None]))
     m_int, n_int = ratio.m_int, ratio.n_int
     if label == R1:
         for n in range(1, n_max + 1):

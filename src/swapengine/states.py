@@ -39,7 +39,7 @@ def validate_state(probs, d: int | None = None) -> np.ndarray:
     if not ((p >= 0) & (p <= 1)).all():
         raise ValueError("state has entries that are negative, above 1 or NaN")
     if not abs(p.sum() - 1.0) <= 1e-12:
-        raise ValueError(f"state not normalized: sum = {p.sum()!r}")
+        raise ValueError(f"state not normalized: sum = {float(p.sum())!r}")
     return p
 
 
@@ -191,7 +191,10 @@ def virtual_temperatures(probs, energies) -> VirtualTemperatureTable:
     Requires p_j > 0 for each queried pair; a zero upper-level probability
     gives the BETA_INF sentinel, a zero lower-level probability is an error.
     """
-    p, e = state_and_ladder(probs, energies)
+    return _virtual_temperatures(*state_and_ladder(probs, energies))
+
+
+def _virtual_temperatures(p: np.ndarray, e: np.ndarray) -> VirtualTemperatureTable:
     p, e = p.tolist(), e.tolist()  # Python floats: a ratio past the float range is inf, silently
     betas: dict[tuple[int, int], float] = {}
     degen = set()
@@ -317,5 +320,4 @@ def is_completely_passive(probs, energies, tol: float) -> bool:
         # passive with zero tail: thermal iff exactly the ground state(s)
         ground = np.abs(e - e[0]) <= _DEGEN_TOL
         return bool(np.all((p > 0) == ground))
-    table = virtual_temperatures(p, e)
-    return table.spread() <= tol
+    return _virtual_temperatures(p, e).spread() <= tol

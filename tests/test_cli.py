@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import shlex
 import warnings
 from pathlib import Path
@@ -164,6 +165,23 @@ class TestOptimize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: need --max-dim >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "cycle --state 0.5,0.3,0.2 --energies 0,1,2 --m 1 --n 1",
+    "optimize --state 0.5,0.3,0.2,0,0 --energies 0,1,2,3,4 --max-dim 6",
+    "optimize --state 0.5,0.3,0.2,0,0 --energies 0,1,2,3,4 --max-dim 6 --format json",
+])
+def test_resonant_cycle_reports_positive_zero_work(capsys, argv):
+    # m dE10 == n dE21 with delta_p < 0: the product lever * delta_p is -0.0
+    assert run(argv.split()) == 0
+    out = capsys.readouterr().out
+    if out.startswith("{"):
+        work = json.loads(out)["results"][0]["work"]
+    else:
+        header, row = out.strip().splitlines()
+        work = float(dict(zip(header.split(","), row.split(",")))["work"])
+    assert work == 0.0 and math.copysign(1.0, work) == 1.0
 
 
 class TestVerifyAndErrors:

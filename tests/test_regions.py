@@ -44,6 +44,14 @@ class TestClassification:
         tau = states.thermal_state(0.8, e)
         assert regions.classify(tau, regions.approximate_gap_ratio(e)) == regions.R3
 
+    def test_ratio_past_the_float_range_in_r1(self):
+        # p1/p2 overflows to inf, and inf <= tol * inf must not make it R3
+        p, ratio = [0.6, 0.4, 5e-324], regions.RationalGapRatio(1, 1)
+        for tol in (regions.R3_TOL, 0.0):
+            assert regions.classify(p, ratio, tol) == regions.R1
+            labels = regions.classify(np.array([p, [0.5, 0.35, 0.15]]), ratio, tol)
+            assert labels.tolist() == [regions.R1, regions.R1]
+
     def test_steep_lower_ratio_in_r2(self):
         e = np.array([0.0, 3.0, 4.0])
         p = np.array([0.9, 0.052, 0.048])  # ln(p0/p1) dominates
@@ -119,9 +127,8 @@ class TestBatchPredicates:
         _assert_batch_matches_scalar(grid, ratio, [cycle, ratio])
 
     def test_exact_ties_match_scalar(self):
-        # np.log differs from math.log by an ulp on some ratios, which flips
-        # a few of these 12,000 decisions (6 with this seed) unless rows at an
-        # edge take the scalar answer
+        # states on an edge up to rounding: one state runs as a batch of one,
+        # so each row of a batch gives its one-state answer exactly
         rng = np.random.default_rng(0)
         for m, n in [(7, 2), (3, 1), (2, 3)]:
             ties = _edge_states(rng, 2000, m, n)

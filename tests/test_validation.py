@@ -101,6 +101,10 @@ class TestValidatesOnce:
         quasistatic.carnot_check(*worked_example)
         assert calls == {"validate_state": 1, "validate_hamiltonian": 1}
 
+    def test_is_completely_passive(self, calls, worked_example):
+        assert not states.is_completely_passive(*worked_example, 1e-9)
+        assert calls == {"validate_state": 1, "validate_hamiltonian": 1}
+
     @pytest.mark.parametrize("state", [
         ["--state", "0.5,0.35,0.15", "--energies", "0,3,4"],
         ["--beta", "0.4", "--energies", "0,3,4"],
@@ -203,7 +207,9 @@ def test_rarely_reached_raises(call, match):
      "argument --state: bad float list '0.5,x,0.15'\n"),
     (["cycle", "--energies", "0,3,4", "--m", "1", "--n", "1"], 1,
      "error: need --state or --beta\n"),
-], ids=["bad_float_list", "no_state_or_beta"])
+    (["cycle", "--state", "0.25,0.15,0.12", "--energies", "0,3,4", "--m", "1", "--n", "1"], 1,
+     "error: state not normalized: sum = 0.52\n"),
+], ids=["bad_float_list", "no_state_or_beta", "unnormalized_state"])
 def test_rarely_reached_cli_errors(capsys, argv, code, message):
     try:
         got = cli.main(argv)
@@ -246,6 +252,7 @@ STATES = st.one_of(_passive, st.one_of(
     st.sampled_from([
         [0.4, 0.4, 0.2], [0.5, 0.25, 0.25], [1 / 3] * 3, [1.0, 0.0, 0.0], [0.7, 0.3, 0.0],
         [0.6, 0.5, -0.1], [NAN, 0.5, 0.5], [0.5, 0.5, NAN], [INF, 0.0, 0.0],
+        [0.6, 0.4, 5e-324],  # passive, with p1/p2 past the float range
     ]),
     st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3),
 ))
@@ -307,6 +314,10 @@ def _finite(x) -> bool:
     p=np.array([0.34815658, 0.3481531, 0.30369033]) / 1.00000001, e=[0.0, 1.0, 8.0],
     m=1, n=1, strategy="entropy", alpha=0.0, ratio=(1, 0), beta=0.0, target=0.0,
     tol=1e-9, eps_band=1e-3,
+)
+@example(  # p1/p2 overflows to inf
+    p=[0.6, 0.4, 5e-324], e=[0.0, 2.0, 3.0], m=2, n=2, strategy="entropy", alpha=0.3,
+    ratio=(1, 1), beta=1.0, target=0.5, tol=1e-9, eps_band=1e-3,
 )
 @settings(max_examples=300, deadline=None)
 def test_fuzz_public_entry_points(p, e, m, n, strategy, alpha, ratio, beta, target, tol, eps_band):
