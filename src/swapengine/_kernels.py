@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-# R3 log-gap below which a trajectory counts as thermal
+# dimensionless R3 log-gap below which a trajectory counts as thermal
 TERMINATION_TOL = 1e-10
 
 
@@ -23,13 +23,14 @@ def _flow_rate(p0, p1, p2):
     return (p1 - p2) ** 2 * (p0 - p1) ** 2 / (p1 * (p0 - p2) ** 2)
 
 
-def _r3_gap(p0, p1, p2, de10, de21):
-    return de10 * math.log(p1 / p2) - de21 * math.log(p0 / p1)
+def _r3_gap(p0, p1, p2, ratio):
+    """The R3 log-gap over dE21, with ratio = dE10/dE21: free of the unit of energy."""
+    return ratio * math.log(p1 / p2) - math.log(p0 / p1)
 
 
-def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps):
-    """Adaptive RK4 flow of (p0, p1) toward the thermal manifold, with the
-    swap ratio given by alpha(p0, p1, p2).
+def trajectory_core(p0, p1, ratio, alpha, step, max_steps):
+    """Adaptive RK4 flow of (p0, p1) toward the thermal manifold of the
+    gap ratio dE10/dE21, with the swap ratio given by alpha(p0, p1, p2).
 
     Each step starts at twice the last accepted size, capped at step, and
     halves while a stage or its end would leave the open passive set
@@ -50,7 +51,7 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps):
     ts = [0.0]
     ps = [(p0, p1, 1.0 - p0 - p1)]
     t = 0.0
-    gap = _r3_gap(*ps[0], de10, de21)
+    gap = _r3_gap(*ps[0], ratio)
     h = math.inf  # the last accepted step size; none yet
     while gap > TERMINATION_TOL:
         if len(ts) > max_steps:
@@ -67,7 +68,7 @@ def trajectory_core(p0, p1, de10, de21, alpha, step, max_steps):
                 n1 = p1 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
                 n2 = 1.0 - n0 - n1
                 if n0 >= n1 > n2 > 0.0:
-                    gap = _r3_gap(n0, n1, n2, de10, de21)
+                    gap = _r3_gap(n0, n1, n2, ratio)
                     if gap >= 0.0:
                         break
             h *= 0.5

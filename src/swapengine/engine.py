@@ -146,9 +146,7 @@ def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int) -> CycleOutc
     if not states._is_passive(p, energies):  # equal populations on a degenerate pair
         raise ValueError("run_cycle needs a passive state")
     de10, de21 = float(energies[1] - energies[0]), float(energies[2] - energies[1])
-    lever = m * de10 - n * de21  # Python floats: inf or nan past the float range, silently
-    if not math.isfinite(lever):
-        raise ValueError("m dE10 - n dE21 overflows the float range")
+    lever = states._lever(m, n, de10, de21)
     q, delta_p, alpha = _machine_solution(p, m, n)
     # + 0.0 turns the -0.0 of a resonant cycle (lever 0) with delta_p < 0 into 0.0
     work = lever * delta_p + 0.0

@@ -38,30 +38,17 @@ class AlphaRange:
 def alpha_range(p, energies) -> AlphaRange:
     """Open interval of admissible swap ratios n/m (needs E2 > E1); empty
     (error) unless the state lies strictly on the work-extracting side of thermal."""
-    return _alpha_window(states.passive_qutrit(p), _ladder(energies))
+    return _alpha_window(states.passive_qutrit(p), states.qutrit_ladder(energies)[1])
 
 
-def _ladder(energies) -> np.ndarray:
-    """A qutrit ladder on which the upper bound dE10/dE21 is defined and finite."""
-    e = states.validate_hamiltonian(energies, 3)
-    if not e[2] > e[1]:
-        raise ValueError("need E2 > E1: admissible ratios are bounded by dE10/dE21")
-    if not math.isfinite(float(e[1] - e[0]) / float(e[2] - e[1])):  # Python floats: inf, silently
-        raise ValueError("dE10/dE21 overflows the float range")
-    return e
-
-
-def _alpha_window(p, e) -> AlphaRange:
-    # Python floats: a ratio past the float range is inf, silently
-    (p0, p1, p2), (e0, e1, e2) = p.tolist(), e.tolist()
-    l2 = math.log(p1 / p2)
+def _alpha_window(p, upper: float) -> AlphaRange:
+    """The window of a checked state below the gap ratio upper = dE10/dE21."""
+    p0, p1, p2 = p.tolist()
+    l2 = states._log_ratio(p1, p2)
     # p1 == p2 puts the lower bound at +inf: the window is empty
-    lower = math.log(p0 / p1) / l2 if l2 else math.inf
-    upper = (e1 - e0) / (e2 - e1)
+    lower = states._log_ratio(p0, p1) / l2 if l2 else math.inf
     if lower >= upper:
-        raise ValueError(
-            f"empty alpha range [{lower}, {upper}]: no ratio extracts work here"
-        )
+        raise ValueError(f"empty alpha range [{lower}, {upper}]: no ratio extracts work here")
     return AlphaRange(lower=lower, upper=upper)
 
 
@@ -94,7 +81,7 @@ def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
     """Limit shape of the stationary machine for a large (m, ceil(alpha*m))
     cycle. alpha must lie inside alpha_range(p, energies)."""
     p = states.passive_qutrit(p)
-    rng = _alpha_window(p, _ladder(energies))
+    rng = _alpha_window(p, states.qutrit_ladder(energies)[1])
     if alpha not in rng:
         raise ValueError(f"alpha={alpha} outside admissible range {rng}")
     if m < 3:
@@ -158,7 +145,7 @@ def integrate_trajectory(
     drop between the first and last samples, and the hot heat its dE10 part;
     for the energy-conserving strategy the work is rounding error.
     """
-    e = _ladder(energies)  # before p: a thermal state built on a bad ladder fails as the ladder
+    e, ratio = states.qutrit_ladder(energies)  # before p: a thermal state on a bad ladder fails as the ladder
     p = states.passive_qutrit(p)
     de10, de21 = float(e[1] - e[0]), float(e[2] - e[1])
     if not (math.isfinite(step) and step > 0.0):
@@ -168,7 +155,7 @@ def integrate_trajectory(
     p0, p1, p2 = p.tolist()  # Python floats: a ratio past the float range is inf, silently
     if not abs(1.0 - p0 - p1 - p2) < p2:  # the stepper carries p2 as 1 - p0 - p1
         raise ValueError(f"p2 = {p2:.3g} is below the float resolution of 1 - p0 - p1")
-    gap = _r3_gap(p0, p1, p2, de10, de21)
+    gap = _r3_gap(p0, p1, p2, ratio)
     if gap < -TERMINATION_TOL:
         raise ValueError("state is on the wrong side of the thermal manifold")
     if gap > TERMINATION_TOL and _flow_rate(p0, p1, p2) == 0.0:
@@ -185,23 +172,20 @@ def integrate_trajectory(
             return math.log(p0 / p1) / math.log(p1 / p2)
     else:
         if strategy in ("energy", "energy_conserving"):
-            const = de10 / de21
+            const = ratio
         elif isinstance(strategy, numbers.Real) and not isinstance(strategy, bool):
             const = float(strategy)
             if gap > TERMINATION_TOL:
-                rng = _alpha_window(p, e)
+                rng = _alpha_window(p, ratio)
                 if not rng.lower <= const <= rng.upper:
-                    raise ValueError(
-                        f"alpha={const} outside admissible range "
-                        f"[{rng.lower}, {rng.upper}]"
-                    )
+                    raise ValueError(f"alpha={const} outside admissible range [{rng.lower}, {rng.upper}]")
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
 
         def alpha(p0, p1, p2):
             return const
 
-    ts, ps = trajectory_core(p0, p1, de10, de21, alpha, step, max_steps)
+    ts, ps = trajectory_core(p0, p1, ratio, alpha, step, max_steps)
     # the first row carries p2 as 1 - p0 - p1, so a thermal start gives exactly 0.0
     dp0, _, dp2 = (ps[-1] - ps[0]).tolist()
 

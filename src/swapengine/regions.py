@@ -48,11 +48,8 @@ def approximate_gap_ratio(energies, tol: float = 1e-9) -> RationalGapRatio:
     the best approximations in exactly the |M x - N| sense, so the first one
     inside tolerance has the smallest admissible M.
     """
-    de10, de21 = states.gaps(energies)
+    _, x = states.qutrit_ladder(energies)
     states.check_tol(tol)
-    x = de10 / de21 if de21 > 0 else math.inf  # Python floats: inf past the float range, silently
-    if math.isinf(x):
-        raise ValueError("dE10/dE21 is infinite: dE21 is 0 or the ratio overflows the float range")
     # convergents N_k / M_k of x
     n_prev, m_prev = 1, 0
     n_cur, m_cur = int(math.floor(x)), 1
@@ -70,10 +67,15 @@ def approximate_gap_ratio(energies, tol: float = 1e-9) -> RationalGapRatio:
 
 
 def _log_ratios(p):
-    """(ln(p0/p1), ln(p1/p2)) of a checked (N, 3) batch; a ratio past the
-    float range gives inf."""
+    """(ln(p0/p1), ln(p1/p2)) of a checked (N, 3) batch, each finite: where
+    a quotient overflows, the entry is the difference of the logs."""
     with np.errstate(over="ignore"):
-        return np.log(p[:, 0] / p[:, 1]), np.log(p[:, 1] / p[:, 2])
+        l1, l2 = np.log(p[:, 0] / p[:, 1]), np.log(p[:, 1] / p[:, 2])
+    for out, hi, lo in ((l1, p[:, 0], p[:, 1]), (l2, p[:, 1], p[:, 2])):
+        big = np.isinf(out)
+        if big.any():
+            out[big] = np.log(hi[big]) - np.log(lo[big])
+    return l1, l2
 
 
 def classify(p, ratio: RationalGapRatio, tol: float = R3_TOL):
@@ -86,11 +88,11 @@ def classify(p, ratio: RationalGapRatio, tol: float = R3_TOL):
     p = states.passive_qutrit(p)
     states.check_tol(tol)
     l1, l2 = _log_ratios(np.atleast_2d(p))
-    with np.errstate(invalid="ignore"):  # 0 * inf, where N = 0 or tol = 0, is NaN
+    with np.errstate(invalid="ignore"):  # tol = 0 times an infinite side is NaN
         lhs, rhs = ratio.n_int * l2, ratio.m_int * l1
         band = tol * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
     dist = abs(lhs - rhs)
-    # a row with an infinite log ratio is never R3, although inf <= tol * inf
+    # a huge M or N can make a side infinite: such a row is never R3, though inf <= tol * inf
     labels = np.where(np.isfinite(dist) & (dist <= band), R3, np.where(lhs > rhs, R1, R2))
     return labels if p.ndim == 2 else str(labels[0])
 
@@ -104,10 +106,7 @@ def in_activation_region(p, energies, m: int, n: int):
     states.check_cycle(m, n)
     p = states.passive_qutrit(p)
     l1, l2 = _log_ratios(np.atleast_2d(p))
-    de10, de21 = states.gaps(energies)
-    lever = m * de10 - n * de21  # Python floats: inf or nan past the float range, silently
-    if not math.isfinite(lever):
-        raise ValueError("m dE10 - n dE21 overflows the float range")
+    lever = states._lever(m, n, *states.gaps(energies))
     gap = n * l2 - m * l1
     # gap and lever of one nonzero sign; a degenerate cycle (lever 0) activates nothing
     active = (np.sign(gap) == np.sign(lever)) & (gap != 0.0)
@@ -128,20 +127,14 @@ def covering_cycle(p, ratio: RationalGapRatio, n_max: int, tol: float = R3_TOL):
     # checked by classify; row 0 of a batch of one
     l1, l2 = (float(l[0]) for l in _log_ratios(np.asarray(p, dtype=float)[None]))
     m_int, n_int = ratio.m_int, ratio.n_int
-    if label == R1:
-        for n in range(1, n_max + 1):
-            if (m_int * n) % n_int:
-                continue
-            m = m_int * n // n_int + 1
-            if n * l2 > m * l1:
-                return m, n
-    else:
-        for m in range(1, n_max + 1):
-            if (n_int * m) % m_int:
-                continue
-            n = n_int * m // m_int + 1
-            if n * l2 < m * l1:
-                return m, n
+    if label == R2:  # the R1 family with (M, m, ln p0/p1) and (N, n, ln p1/p2) swapped
+        m_int, n_int, l1, l2 = n_int, m_int, l2, l1
+    for n in range(1, n_max + 1):
+        if (m_int * n) % n_int:
+            continue
+        m = m_int * n // n_int + 1
+        if n * l2 > m * l1:
+            return (m, n) if label == R1 else (n, m)
     return None
 
 

@@ -20,7 +20,6 @@ import numpy as np
 BETA_INF = math.inf
 
 _NORM_TOL = 1e-12
-_DEGEN_TOL = 1e-12
 
 
 def is_beta_inf(beta: float) -> bool:
@@ -99,6 +98,31 @@ def gaps(energies) -> tuple[float, float]:
     return float(e[1] - e[0]), float(e[2] - e[1])
 
 
+def qutrit_ladder(energies) -> tuple[np.ndarray, float]:
+    """A qutrit ladder with E2 > E1, and its gap ratio dE10/dE21 as a Python float."""
+    e = validate_hamiltonian(energies, 3)
+    if not e[2] > e[1]:
+        raise ValueError("need E2 > E1: the gap ratio dE10/dE21 is undefined")
+    ratio = float(e[1] - e[0]) / float(e[2] - e[1])  # Python floats: inf past the float range, silently
+    if math.isinf(ratio):
+        raise ValueError("dE10/dE21 overflows the float range")
+    return e, ratio
+
+
+def _lever(m: int, n: int, de10: float, de21: float) -> float:
+    """m dE10 - n dE21, the sign of a cycle's work; ValueError past the float range."""
+    lever = m * de10 - n * de21  # Python floats: inf or nan past the float range, silently
+    if not math.isfinite(lever):
+        raise ValueError("m dE10 - n dE21 overflows the float range")
+    return lever
+
+
+def _log_ratio(a: float, b: float) -> float:
+    """ln(a/b) of positive Python floats with b <= 1, finite where a/b overflows."""
+    r = a / b  # Python floats: inf past the float range, silently; b <= 1, so never 0
+    return math.log(r) if r < math.inf else math.log(a) - math.log(b)
+
+
 def mean_energy(probs, energies) -> float:
     p, e = state_and_ladder(probs, energies)
     return float(p @ e)
@@ -127,8 +151,8 @@ def is_passive(probs, energies, tol: float = 0.0) -> bool:
 
 def _is_passive(p: np.ndarray, e: np.ndarray, tol: float = 0.0) -> bool:
     for i in range(p.size - 1):
-        if e[i + 1] - e[i] <= _DEGEN_TOL:
-            if abs(p[i] - p[i + 1]) > max(tol, _DEGEN_TOL):
+        if e[i + 1] == e[i]:
+            if abs(p[i] - p[i + 1]) > max(tol, _NORM_TOL):
                 return False
         elif p[i + 1] - p[i] > tol:
             return False
@@ -200,7 +224,7 @@ def _virtual_temperatures(p: np.ndarray, e: np.ndarray) -> VirtualTemperatureTab
     degen = set()
     for i in range(len(p)):
         for j in range(i):
-            if e[i] - e[j] <= _DEGEN_TOL:
+            if e[i] == e[j]:
                 degen.add((i, j))
                 continue
             if p[j] <= 0.0:
@@ -208,7 +232,7 @@ def _virtual_temperatures(p: np.ndarray, e: np.ndarray) -> VirtualTemperatureTab
             if p[i] <= 0.0:
                 betas[(i, j)] = BETA_INF
             else:
-                betas[(i, j)] = math.log(p[j] / p[i]) / (e[i] - e[j])
+                betas[(i, j)] = _log_ratio(p[j], p[i]) / (e[i] - e[j])
     return VirtualTemperatureTable(betas=betas, degenerate=frozenset(degen))
 
 
@@ -223,7 +247,7 @@ def thermal_state(beta: float, energies) -> np.ndarray:
 
 def _gibbs(beta: float, e: np.ndarray) -> np.ndarray:
     if is_beta_inf(beta):
-        ground = np.abs(e - e[0]) <= _DEGEN_TOL
+        ground = e == e[0]
         return ground / ground.sum()
     # shifted for stability; Python floats: an exponent past the range is -inf, silently
     w = np.exp([-float(beta) * x for x in (e - e[0]).tolist()])
@@ -242,17 +266,13 @@ def diagram_point(probs, energies) -> DiagramPoint:
     return DiagramPoint(float(p @ e), _entropy(p))
 
 
-def _beta_upper(energies: np.ndarray) -> float:
-    # exp underflow bound for the bisection bracket
-    de = float(energies[-1] - energies[0])
-    if de == 0.0:
-        raise ValueError("flat energy ladder: every beta gives the same thermal state")
-    return 700.0 / de
-
-
 def _bisect_beta(f, energies: np.ndarray, max_iter: int = 200) -> float:
-    """Root of the monotone-decreasing f(beta) on [0, underflow bound]."""
-    lo, hi = 0.0, _beta_upper(energies)
+    """Root of the monotone-decreasing f(beta) on [0, exp underflow bound],
+    to a relative width of 1e-14."""
+    span = float(energies[-1] - energies[0])
+    if span == 0.0:
+        raise ValueError("flat energy ladder: every beta gives the same thermal state")
+    lo, hi = 0.0, 700.0 / span
     flo, fhi = f(lo), f(hi)
     if flo <= 0.0:
         return 0.0
@@ -265,7 +285,7 @@ def _bisect_beta(f, energies: np.ndarray, max_iter: int = 200) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
+        if hi - lo <= 1e-14 * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -274,9 +294,10 @@ def beta_from_energy(target_energy: float, energies, tol: float = 1e-10) -> floa
     """Inverse temperature whose thermal state has the given mean energy.
 
     Valid targets lie in [E0, <H>(uniform)]; the lower endpoint returns the
-    BETA_INF sentinel.
+    BETA_INF sentinel. tol is relative to the ladder span E[-1] - E[0].
     """
     e = validate_hamiltonian(energies)
+    tol *= float(e[-1] - e[0])
     with np.errstate(over="ignore"):  # a sum past the float range is inf, rejected next
         e_uniform = float(e.mean())
     if math.isinf(e_uniform):
@@ -318,6 +339,5 @@ def is_completely_passive(probs, energies, tol: float) -> bool:
         return False
     if np.any(p == 0.0):
         # passive with zero tail: thermal iff exactly the ground state(s)
-        ground = np.abs(e - e[0]) <= _DEGEN_TOL
-        return bool(np.all((p > 0) == ground))
+        return bool(np.all((p > 0) == (e == e[0])))
     return _virtual_temperatures(p, e).spread() <= tol

@@ -59,3 +59,23 @@ def test_cli_reads_no_private_name_of_the_package():
               and isinstance(node.value, ast.Name) and node.value.id in modules):
             private.append(ast.unparse(node))
     assert private == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module of the package imports is read somewhere in that
+    module; a name listed in its `__all__` counts as read."""
+    unused = []
+    for path in sorted((ROOT / "src" / "swapengine").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

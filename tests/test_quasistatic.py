@@ -40,6 +40,13 @@ class TestAlphaRange:
             quasistatic.asymptotic_machine(p, [0.0, 1.0, 2.0], 10, 1.0)
 
 
+    def test_log_ratio_past_the_float_range(self):
+        # p1/p2 overflows: the lower edge is ln 1.5 / (ln 0.4 - ln 5e-324), not ln 1.5 / inf
+        rng = quasistatic.alpha_range([0.6, 0.4, 5e-324], [0.0, 1.0, 2.0])
+        l2 = math.log(0.4) - math.log(5e-324)
+        assert rng.lower == pytest.approx(math.log(1.5) / l2, rel=1e-15)
+        assert rng.lower == pytest.approx(5.45e-4, rel=1e-3)
+
     @pytest.mark.parametrize("call", [
         lambda p, e: quasistatic.alpha_range(p, e),
         lambda p, e: quasistatic.integrate_trajectory(p, e, "entropy"),
@@ -247,9 +254,9 @@ class TestTrajectories:
     def test_core_raises_its_own_errors(self, worked_example):
         p, e = worked_example
         with pytest.raises(RuntimeError, match="^no convergence within 1 steps$"):
-            _kernels.trajectory_core(p[0], p[1], 3.0, 1.0, lambda *y: 1.0, 0.05, 1)
+            _kernels.trajectory_core(p[0], p[1], 3.0, lambda *y: 1.0, 0.05, 1)
         with pytest.raises(RuntimeError, match="^trajectory stalled at t="):
-            _kernels.trajectory_core(p[0], p[1], 3.0, 1.0, lambda *y: -0.5, 0.05, 200_000)
+            _kernels.trajectory_core(p[0], p[1], 3.0, lambda *y: -0.5, 0.05, 200_000)
 
     def test_p2_the_stepper_cannot_represent_rejected(self, worked_example):
         # 1 - p0 - p1, the stepper's p2, is ~9e-18 here, not the state's 5e-324
@@ -339,12 +346,12 @@ class TestSampleObservables:
         assert all(seen.count(y) == 1 for y in starts)
 
 
-def _restarting_run(p0, p1, de10, de21, alpha, step):
+def _restarting_run(p0, p1, ratio, alpha, step):
     """The stepper without step-size memory: trajectory_core with the
     module's min(step, 2 h_last) pinned to step, so every step starts at
     the full step. Returns the path (ts, states) as trajectory_core does."""
     with mock.patch.object(_kernels, "min", lambda step, _: step, create=True):
-        return _kernels.trajectory_core(p0, p1, de10, de21, alpha, step, 200_000)
+        return _kernels.trajectory_core(p0, p1, ratio, alpha, step, 200_000)
 
 
 class TestStepSizeMemory:
@@ -379,9 +386,9 @@ class TestStepSizeMemory:
 
             def alpha(p0, p1, p2):
                 return const
-        ts, ps = _kernels.trajectory_core(p[0], p[1], de10, de21, alpha, step, 200_000)
-        assert _kernels._r3_gap(*ps[-1], de10, de21) <= quasistatic.TERMINATION_TOL
-        ref_ts, ref_ps = _restarting_run(p[0], p[1], de10, de21, alpha, step)
+        ts, ps = _kernels.trajectory_core(p[0], p[1], upper, alpha, step, 200_000)
+        assert _kernels._r3_gap(*ps[-1], upper) <= quasistatic.TERMINATION_TOL
+        ref_ts, ref_ps = _restarting_run(p[0], p[1], upper, alpha, step)
         assert len(ts) == len(ref_ts)
         assert ts == ref_ts
         assert np.array_equal(ps, ref_ps)
@@ -412,7 +419,7 @@ class TestStageGuard:
         p = np.array([0.8074135808586164, 0.16076284068071361, 0.03182357846066999])
         e = np.array([0.0, 2.5609799064120575, 3.5609799064120575])
         traj = quasistatic.integrate_trajectory(p, e, "entropy", step=2.0)
-        assert _kernels._r3_gap(*traj.final_state, e[1], e[2] - e[1]) <= quasistatic.TERMINATION_TOL
+        assert _kernels._r3_gap(*traj.final_state, e[1] / (e[2] - e[1])) <= quasistatic.TERMINATION_TOL
         assert traj.accumulated_work == pytest.approx(quasistatic.optimal_work(p, e), rel=1e-3)
 
     @given(

@@ -45,12 +45,30 @@ class TestClassification:
         assert regions.classify(tau, regions.approximate_gap_ratio(e)) == regions.R3
 
     def test_ratio_past_the_float_range_in_r1(self):
-        # p1/p2 overflows to inf, and inf <= tol * inf must not make it R3
+        # p1/p2 overflows; ln p1 - ln p2 = 743.5 is far above ln(p0/p1) = 0.41
         p, ratio = [0.6, 0.4, 5e-324], regions.RationalGapRatio(1, 1)
         for tol in (regions.R3_TOL, 0.0):
             assert regions.classify(p, ratio, tol) == regions.R1
             labels = regions.classify(np.array([p, [0.5, 0.35, 0.15]]), ratio, tol)
             assert labels.tolist() == [regions.R1, regions.R1]
+
+    def test_log_ratio_past_the_float_range_is_finite(self):
+        # p1/p2 overflows, yet ln p1 - ln p2 = 709.9 < 21 ln(p0/p1) = 725.3
+        p, ratio = [1 - 1e-15, 1e-15, 5e-324], regions.RationalGapRatio(21, 1)
+        assert regions.classify(p, ratio) == regions.R2
+        labels = regions.classify(np.array([p, [0.5, 0.49, 0.01]]), ratio)
+        assert labels.tolist() == [regions.R2, regions.R1]
+        # E0 = E1 (N = 0): p0 == p1 is thermal, whatever p1/p2 is
+        assert regions.classify([0.5, 0.5, 5e-324], regions.RationalGapRatio(1, 0)) == regions.R3
+
+    def test_activation_with_log_ratio_past_the_float_range(self):
+        # n (ln p1 - ln p2) - m ln(p0/p1) = 743.5 - 1216 < 0 against a positive
+        # lever: the cycle extracts nothing, as run_cycle says
+        p, e = [0.6, 0.4, 5e-324], [0.0, 1.0, 2.0]
+        assert not regions.in_activation_region(p, e, 3000, 1)
+        assert regions.in_activation_region(np.array([p, p]), e, 3000, 1).tolist() == [False, False]
+        assert engine.run_cycle(p, e, 3000, 1).work == 0.0
+        assert regions.in_activation_region(p, e, 1000, 1)
 
     def test_steep_lower_ratio_in_r2(self):
         e = np.array([0.0, 3.0, 4.0])

@@ -117,6 +117,14 @@ class TestThermal:
         tau = states.thermal_state(states.BETA_INF, [0.0, 0.0, 2.0])
         assert np.allclose(tau, [0.5, 0.5, 0.0])
 
+    def test_close_levels_are_not_degenerate(self):
+        # levels are degenerate only when their energies are equal
+        tau = states.thermal_state(states.BETA_INF, [0.0, 1e-13, 1.0])
+        assert tau.tolist() == [1.0, 0.0, 0.0]
+        assert not states.is_passive([0.3, 0.4, 0.3], [0.0, 1e-13, 1.0])
+        assert states.virtual_temperatures([0.6, 0.4, 5e-324], [0.0, 1.0, 2.0]).cold == (
+            math.log(0.4) - math.log(5e-324))  # p1/p2 overflows; its log does not
+
     @pytest.mark.parametrize("energies, ground", [
         ([0.0, 1.0, 2.0], [1.0, 0.0, 0.0]), ([0.0, 0.0, 2.0], [0.5, 0.5, 0.0]),
     ])

@@ -377,3 +377,60 @@ def test_fuzz_public_entry_points(p, e, m, n, strategy, alpha, ratio, beta, targ
         if isinstance(out, float) and states.is_beta_inf(out):
             continue  # the ground-state sentinel of beta_from_*
         assert _finite(out), (i, out)
+
+
+def _answer(call):
+    """call()'s result, or the message of the ValueError or RuntimeError it raises."""
+    try:
+        return call()
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# Ladders with E0 < E1 < E2 and gaps of a natural size, then scaled by 2**k:
+# a power of two scales every product and quotient of energies exactly, so
+# every output must be equal, or exactly c or 1/c times as large.
+_GAPPED = st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 8.0), st.floats(0.05, 8.0)).map(
+    lambda t: [t[0], t[0] + t[1], t[0] + t[1] + t[2]]
+)
+
+
+@given(p=_passive, e=_GAPPED, k=st.sampled_from([-64, -20, 20, 40]),
+       m=st.integers(1, 6), n=st.integers(1, 6), u=st.floats(0.0, 1.0))
+@example(p=np.array([0.5, 0.35, 0.15]), e=[0.0, 3.0, 4.0], k=-64, m=1, n=1, u=0.5)
+@settings(max_examples=100, deadline=None)
+def test_outputs_covariant_under_a_common_energy_scale(p, e, k, m, n, u):
+    """The ladder enters only through dE10/dE21 and energy differences, so
+    nothing depends on the unit of energy."""
+    c = 2.0 ** k
+    ec = [c * x for x in e]
+    assert states.is_passive(p, ec) == states.is_passive(p, e)
+    assert regions.in_activation_region(p, ec, m, n) == regions.in_activation_region(p, e, m, n)
+    ratio = regions.approximate_gap_ratio(ec)
+    assert ratio == regions.approximate_gap_ratio(e)
+    assert regions.classify(p, ratio) == regions.classify(p, regions.approximate_gap_ratio(e))
+
+    out, ref = engine.run_cycle(p, ec, m, n), engine.run_cycle(p, e, m, n)
+    assert out.delta_p == ref.delta_p
+    assert np.array_equal(out.machine, ref.machine)
+    assert np.array_equal(out.final_system, ref.final_system)
+    for name in ("work", "q_hot", "q_cold", "heat_hot", "heat_cold"):
+        assert getattr(out, name) == c * getattr(ref, name), name
+
+    strategies = ["entropy", "energy"]
+    window = _answer(lambda: quasistatic.alpha_range(p, e))
+    if not isinstance(window, str):  # a constant inside the admissible window
+        strategies.append(window.lower + u * (window.upper - window.lower))
+    for strategy in strategies:
+        traj, ref = (_answer(lambda: quasistatic.integrate_trajectory(p, x, strategy, max_steps=2000))
+                     for x in (ec, e))
+        if isinstance(ref, str):
+            assert traj == ref
+            continue
+        assert [t for t, _, _ in traj.samples] == [t for t, _, _ in ref.samples]
+        assert all(np.array_equal(y, y_ref) for (_, y, _), (_, y_ref, _) in zip(traj.samples, ref.samples))
+        assert traj.accumulated_work == c * ref.accumulated_work
+
+    assert quasistatic.optimal_work(p, ec) == c * quasistatic.optimal_work(p, e)
+    s = states.entropy(p)
+    assert states.beta_from_entropy(s, ec) == states.beta_from_entropy(s, e) / c
