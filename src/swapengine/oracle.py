@@ -119,8 +119,11 @@ def _stationary_vector(b: np.ndarray) -> np.ndarray:
     for j, k, r in zip(rows.tolist(), cols.tolist(), b[rows, cols].tolist()):
         if j != k:
             out[k][j] = into[j][k] = r
+    # running sums, not the builtin sum, which is compensated from Python 3.12 on
     for top in range(d - 1, 0, -1):
-        s = sum(out[top].values())
+        s = 0.0
+        for r in out[top].values():
+            s += r
         if s == 0.0 or not into[top]:
             raise SingularFixedPointError("fixed point is not unique or not strictly positive")
         for j in out[top]:
@@ -131,9 +134,10 @@ def _stationary_vector(b: np.ndarray) -> np.ndarray:
             for j, r in out[top].items():
                 if j != i:
                     out[i][j] = into[j][i] = out[i].get(j, 0.0) + w * r
-    q = [1.0] * d
+    q = [1.0] + [0.0] * (d - 1)
     for top in range(1, d):
-        q[top] = sum(q[i] * w for i, w in into[top].items())
+        for i, w in into[top].items():
+            q[top] += q[i] * w
     q = np.array(q)
     return q / q.sum()
 

@@ -143,11 +143,13 @@ def k_activability_witness(p, energies, m: int, n: int) -> bool:
     level pair |1...1> vs |0..0 2..2> (m zeros, n twos)."""
     p, e = states.state_and_ladder(p, energies, 3)
     states.check_cycle(m, n)
-    if np.any(p <= 0.0):
+    (p0, p1, p2), (e0, e1, e2) = p.tolist(), e.tolist()
+    # the energy gap (m + n) E1 - (m E0 + n E2) is the cycle's lever
+    lever = states._lever(m, n, e1 - e0, e2 - e1)
+    if min(p0, p1, p2) <= 0.0:
         return False
-    energy_gap = (m + n) * e[1] - (m * e[0] + n * e[2])
-    log_gap = (m + n) * math.log(p[1]) - (m * math.log(p[0]) + n * math.log(p[2]))
-    return (energy_gap > 0 and log_gap > 0) or (energy_gap < 0 and log_gap < 0)
+    log_gap = (m + n) * math.log(p1) - (m * math.log(p0) + n * math.log(p2))
+    return (lever > 0 and log_gap > 0) or (lever < 0 and log_gap < 0)
 
 
 def passive_simplex_grid(resolution: int) -> np.ndarray:

@@ -33,12 +33,17 @@ def validate_state(probs, d: int | None = None) -> np.ndarray:
         raise ValueError("state must be a 1-d probability vector of length >= 2")
     if d is not None and p.size != d:
         raise ValueError(f"state has length {p.size}, expected {d}")
-    # negated tests, so that a NaN entry fails them; entries at most 1 cannot
-    # overflow the sum
-    if not ((p >= 0) & (p <= 1)).all():
-        raise ValueError("state has entries that are negative, above 1 or NaN")
-    if not abs(p.sum() - 1.0) <= 1e-12:
-        raise ValueError(f"state not normalized: sum = {float(p.sum())!r}")
+    # Python floats, faster than numpy on short vectors; negated tests, so that
+    # a NaN entry fails them; entries at most 1 cannot overflow the sum
+    total = 0.0
+    for v in p.tolist():
+        if not 0.0 <= v <= 1.0:
+            raise ValueError("state has entries that are negative, above 1 or NaN")
+        total += v  # numpy's order below 8 entries; the builtin sum is compensated from 3.12 on
+    if p.size >= 8:  # numpy sums pairwise from 8 entries on
+        total = float(p.sum())
+    if not abs(total - 1.0) <= 1e-12:
+        raise ValueError(f"state not normalized: sum = {total!r}")
     return p
 
 
@@ -49,10 +54,15 @@ def validate_hamiltonian(energies, d: int | None = None) -> np.ndarray:
         raise ValueError("energy ladder must be 1-d with length >= 2")
     if d is not None and e.size != d:
         raise ValueError(f"ladder has length {e.size}, expected {d}")
-    # comparisons, not differences, so that nothing overflows before the span check
-    if not (np.all(np.isfinite(e)) and np.all(e[1:] >= e[:-1])):
-        raise ValueError("energies must be finite and non-decreasing")
-    if not math.isfinite(float(e[-1]) - float(e[0])):  # Python floats: inf, silently
+    # comparisons in Python floats, not differences, so that nothing overflows
+    # before the span check; each entry is tested finite, -inf first included
+    x = e.tolist()
+    prev = x[0]
+    for v in x:
+        if not (math.isfinite(v) and v >= prev):
+            raise ValueError("energies must be finite and non-decreasing")
+        prev = v
+    if not math.isfinite(x[-1] - x[0]):  # Python floats: inf, silently
         raise ValueError("energy span E[-1] - E[0] overflows the float range")
     return e
 
@@ -74,7 +84,8 @@ def passive_qutrit(probs) -> np.ndarray:
         ok = ok and (abs(p.sum(axis=1) - 1.0) <= 1e-12).all()
     else:
         p = validate_state(p, 3)
-        ok = p[0] >= p[1] >= p[2] > 0.0
+        p0, p1, p2 = p.tolist()
+        ok = p0 >= p1 >= p2 > 0.0
     if not ok:  # negated, so that NaN fails it
         raise ValueError("need a normalized passive qutrit with p0 >= p1 >= p2 > 0")
     return p
@@ -150,7 +161,8 @@ def is_passive(probs, energies, tol: float = 0.0) -> bool:
 
 
 def _is_passive(p: np.ndarray, e: np.ndarray, tol: float = 0.0) -> bool:
-    for i in range(p.size - 1):
+    p, e = p.tolist(), e.tolist()
+    for i in range(len(p) - 1):
         if e[i + 1] == e[i]:
             if abs(p[i] - p[i + 1]) > max(tol, _NORM_TOL):
                 return False

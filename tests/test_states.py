@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapengine import quasistatic, states
@@ -73,6 +73,103 @@ class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             states.validate_state([0.5, 0.5], d=3)
+
+
+# The checks run on Python floats; these are their numpy forms, kept as the reference.
+def _numpy_validate_state(probs, d=None):
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1 or p.size < 2:
+        raise ValueError("state must be a 1-d probability vector of length >= 2")
+    if d is not None and p.size != d:
+        raise ValueError(f"state has length {p.size}, expected {d}")
+    if not ((p >= 0) & (p <= 1)).all():
+        raise ValueError("state has entries that are negative, above 1 or NaN")
+    if not abs(p.sum() - 1.0) <= 1e-12:
+        raise ValueError(f"state not normalized: sum = {float(p.sum())!r}")
+    return p
+
+
+def _numpy_validate_hamiltonian(energies, d=None):
+    e = np.asarray(energies, dtype=float)
+    if e.ndim != 1 or e.size < 2:
+        raise ValueError("energy ladder must be 1-d with length >= 2")
+    if d is not None and e.size != d:
+        raise ValueError(f"ladder has length {e.size}, expected {d}")
+    if not (np.all(np.isfinite(e)) and np.all(e[1:] >= e[:-1])):
+        raise ValueError("energies must be finite and non-decreasing")
+    if not math.isfinite(float(e[-1]) - float(e[0])):
+        raise ValueError("energy span E[-1] - E[0] overflows the float range")
+    return e
+
+
+def _numpy_passive_qutrit(probs):
+    p = _numpy_validate_state(probs, 3)
+    if not p[0] >= p[1] >= p[2] > 0.0:
+        raise ValueError("need a normalized passive qutrit with p0 >= p1 >= p2 > 0")
+    return p
+
+
+def _numpy_is_passive(p, e, tol):
+    with np.errstate(all="ignore"):
+        for i in range(p.size - 1):
+            if e[i + 1] == e[i]:
+                if abs(p[i] - p[i + 1]) > max(tol, states._NORM_TOL):
+                    return False
+            elif p[i + 1] - p[i] > tol:
+                return False
+    return True
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.0,
+            math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 1e308, -1e308]
+
+
+@st.composite
+def _vectors(draw, size):
+    """Any entries, specials among them, or a normalized vector with one entry
+    moved to within 1e-15 of the 1e-12 normalization edge."""
+    if draw(st.booleans()):
+        entry = st.one_of(st.sampled_from(_SPECIAL), st.floats(0.0, 1.0), st.floats())
+        x = draw(st.lists(entry, min_size=size, max_size=size))
+    else:
+        w = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size).filter(any))
+        total = math.fsum(w)
+        x = [v / total for v in w]
+        x[draw(st.integers(0, size - 1))] += (
+            draw(st.sampled_from([-1e-12, 1e-12])) + draw(st.floats(-1e-15, 1e-15)))
+    return sorted(x) if draw(st.booleans()) else x
+
+
+@given(st.integers(2, 12).flatmap(lambda k: st.tuples(_vectors(k), _vectors(k))),
+       st.sampled_from([0.0, 1e-12, 1e-9, 0.1]))
+@example(pair=([0.4, 0.4, 0.2], [0.0, 1.0, 1.0]), tol=0.0)  # ties on both sides
+@example(pair=([0.5, 0.5, 0.0], [-math.inf, 0.0, 1.0]), tol=0.0)
+@settings(max_examples=300, deadline=None)
+def test_checks_match_their_numpy_form(pair, tol):
+    x, y = pair
+    for reference, check in [(_numpy_validate_state, states.validate_state),
+                             (_numpy_validate_hamiltonian, states.validate_hamiltonian)]:
+        for v in (x, y, x[::-1]):
+            assert _outcome(check, v) == _outcome(reference, v)
+    qutrit = x[:3]
+    assert _outcome(states.passive_qutrit, qutrit) == _outcome(_numpy_passive_qutrit, qutrit)
+    p, e = np.array(x), np.array(y)
+    assert states._is_passive(p, e, tol) == _numpy_is_passive(p, e, tol)
+
+
+def test_three_entry_sum_runs_left_to_right():
+    # validate_state sums fewer than 8 entries left to right, as numpy does
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    assert float(np.array([0.1, 0.2, 0.3]).sum()) == (0.1 + 0.2) + 0.3
+    with pytest.raises(ValueError, match=r"sum = 0\.6000000000000001$"):
+        states.validate_state([0.1, 0.2, 0.3])
 
 
 class TestPassivity:

@@ -145,8 +145,10 @@ class TestValidatesOnce:
     lambda: regions.in_activation_region(
         np.array([[0.5, 0.3, 0.2], [0.6, 0.3, 0.1]]), [0.0, 1e308, 1.7e308], 5, 7),
     lambda: regions.approximate_gap_ratio([-1e300, 0.0, 5e-324]),  # a finite span
+    lambda: regions.k_activability_witness([0.5, 0.3, 0.2], [0.0, 1e308, 1.7e308], 5, 7),
 ], ids=["span", "gap_ratio", "trajectory_gap_ratio", "uniform_energy", "cycle_lever",
-        "lifted_cycle_lever", "region_lever", "region_lever_batch", "rational_gap_ratio"])
+        "lifted_cycle_lever", "region_lever", "region_lever_batch", "rational_gap_ratio",
+        "witness_lever"])
 def test_overflowing_ladder_rejected_without_warning(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
