@@ -1,18 +1,18 @@
 """Closed-form evaluation of the swap cycle on a passive qutrit.
 
 The reusable machine distribution and the per-cycle work, heats and
-efficiency are evaluated from geometric partial sums of the population
-ratios r1 = p0/p1 and r2 = p1/p2.
+efficiency are evaluated from geometric partial sums of the Boltzmann
+factors s1 = p1/p0 of the hot pair (0,1) and s2 = p2/p1 of the cold pair
+(1,2).
 
 Numerics: the textbook expression for the machine occupations subtracts
 nearly equal geometric sums and loses all precision for skewed states, so
 every coefficient is assembled from an equivalent all-positive-term form.
-Each partial sum of powers of a ratio is one expm1 quotient of its log,
-accurate for every ratio including those within rounding of 1; a ratio of
-exactly 1 sums to the term count. When r1**m or r2**n exceeds 1e12 the
-same terms are assembled divided by r1**m * r2**n, in the Boltzmann factors
-p1/p0 and p2/p1: both are at most 1 for a passive state, so no power
-overflows. The same formulas hold for every cycle with m, n >= 1.
+Each partial sum of powers of a factor is one expm1 quotient of its log,
+accurate for every factor including those within rounding of 1; a factor
+of exactly 1 sums to the term count. Both factors are at most 1 for a
+passive state, so no power overflows, and one assembly serves every cycle
+with m, n >= 1.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import numpy as np
 
 from . import states
 
-_LOG_SWITCH = math.log(1e12)
-
 
 def _geometric_sums(count: int, log_lam: float) -> list[float]:
     """Sums of lam**i for 0 <= i < k, for k = 0 ... count - 1, each as
@@ -35,34 +33,11 @@ def _geometric_sums(count: int, log_lam: float) -> list[float]:
     return [math.expm1(k * log_lam) / d if log_lam else float(k) for k in range(count)]
 
 
-def _unnormalized_direct(r1: float, r2: float, g1, g2, m: int, n: int) -> np.ndarray:
-    """Machine occupations up to a common factor, all-positive assembly;
-    g1, g2 are the _geometric_sums of r1 (m + 2 entries) and r2 (n + 1)."""
-    u = np.empty(m + n)
-    r2n = r2**n
-    for j in range(m):
-        jp = m - j
-        r1jp = r1**jp
-        u[j] = r1jp * g1[j] + r2n * g1[jp] + r2 * g2[n - 1] * r1jp + r1jp * r2n
-    r1m = r1**m
-    for j in range(m, m + n - 2):
-        jp = m + n - (j + 2)
-        u[j] = (
-            r2 * r1m * g2[jp]
-            + r2 ** (jp + 1) * g1[m]
-            + r2 ** (jp + 1) * r1m
-            + r2 ** (jp + 2) * g2[n - 1 - jp]
-        )
-    if n > 1:  # for n = 1 this index is the last hot level, set above
-        u[m + n - 2] = r2 * g1[m + 1] + r2**2 * g2[n - 1]
-    u[m + n - 1] = g1[m] + r2 * g2[n]
-    return u
-
-
 def _unnormalized_scaled(s1: float, s2: float, g1, g2, m: int, n: int) -> np.ndarray:
-    """The same occupations divided by r1**m * r2**n, in s1 = 1/r1 and
-    s2 = 1/r2 with their _geometric_sums g1, g2: every power is at most 1,
-    so nothing overflows where r1**m or r2**n would."""
+    """Machine occupations up to a common factor, all-positive assembly in
+    s1 = p1/p0 and s2 = p2/p1, with g1, g2 their _geometric_sums (m + 2 and
+    n + 1 entries): every power is at most 1, so nothing overflows at any
+    (m, n)."""
     u = np.empty(m + n)
     s1m = s1**m
     s2n = s2**n
@@ -80,25 +55,14 @@ def _unnormalized_scaled(s1: float, s2: float, g1, g2, m: int, n: int) -> np.nda
 
 def _machine_solution(p: np.ndarray, m: int, n: int):
     """(q, delta_p, alpha) from the closed form."""
-    p0, p1, p2 = p.tolist()  # Python floats: p1/p2 may overflow to inf, silently
-    r1 = p0 / p1
-    r2 = p1 / p2
-    l1 = math.log(r1)
-    l2 = math.log(r2)
-    if m * l1 <= _LOG_SWITCH and n * l2 <= _LOG_SWITCH:
-        g1, g2 = _geometric_sums(m + 2, l1), _geometric_sums(n + 1, l2)
-        u = _unnormalized_direct(r1, r2, g1, g2, m, n)
-        total = u.sum()
-        alpha = p1 / total
-        delta_p = alpha * (r2**n - r1**m)
-    else:
-        s1 = p1 / p0
-        s2 = p2 / p1
-        g1, g2 = _geometric_sums(m + 2, math.log(s1)), _geometric_sums(n + 1, math.log(s2))
-        u = _unnormalized_scaled(s1, s2, g1, g2, m, n)
-        total = u.sum()
-        alpha = p1 * s1**m * s2**n / total
-        delta_p = p1 * (s1**m - s2**n) / total
+    p0, p1, p2 = p.tolist()  # Python floats, faster than numpy scalars here
+    s1 = p1 / p0
+    s2 = p2 / p1
+    g1, g2 = _geometric_sums(m + 2, math.log(s1)), _geometric_sums(n + 1, math.log(s2))
+    u = _unnormalized_scaled(s1, s2, g1, g2, m, n)
+    total = u.sum()
+    alpha = p1 * s1**m * s2**n / total
+    delta_p = p1 * (s1**m - s2**n) / total
     return u / total, delta_p, alpha
 
 

@@ -99,7 +99,11 @@ def _landing(m: int, n: int) -> np.ndarray:
 def update_matrix(p, m: int, n: int) -> np.ndarray:
     """Column-stochastic matrix of the machine-marginal update for state p:
     p_i added at system level i's landing entries, level by level."""
-    p = states.validate_state(p, 3)
+    return _update_matrix(states.validate_state(p, 3), m, n)
+
+
+def _update_matrix(p: np.ndarray, m: int, n: int) -> np.ndarray:
+    """update_matrix of a checked qutrit."""
     d = m + n
     b = np.zeros(d * d)
     for p_i, t_i in zip(p, _landing(m, n)):
@@ -147,7 +151,7 @@ def stationary_machine(p, m: int, n: int) -> np.ndarray:
     qutrit p > 0: one GTH solve for every d (O(d): the machine chain is a
     ring). Raises SingularFixedPointError when the fixed point is not unique
     or not strictly positive, or its residual exceeds 1e-12."""
-    b = update_matrix(states.passive_qutrit(p), m, n)
+    b = _update_matrix(states.passive_qutrit(p), m, n)
     q = _stationary_vector(b)
     residual = np.max(np.abs(b @ q - q))
     if not residual <= 1e-12:  # a NaN from overflow fails too

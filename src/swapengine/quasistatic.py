@@ -209,8 +209,8 @@ def integrate_trajectory(
 
 def optimal_work(p, energies) -> float:
     """Maximum extractable work: energy above the thermal state of equal
-    entropy (the isentropic endpoint)."""
-    p, e = states.state_and_ladder(p, energies, 3)
+    entropy (the isentropic endpoint), for a state of any dimension."""
+    p, e = states.state_and_ladder(p, energies)
     tau = states._gibbs(states._beta_from_entropy(states._entropy(p), e), e)
     return float(p @ e) - float(tau @ e)
 

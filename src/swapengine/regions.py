@@ -105,12 +105,17 @@ def in_activation_region(p, energies, m: int, n: int):
     """
     states.check_cycle(m, n)
     p = states.passive_qutrit(p)
-    l1, l2 = _log_ratios(np.atleast_2d(p))
-    lever = states._lever(m, n, *states.gaps(energies))
-    gap = n * l2 - m * l1
-    # gap and lever of one nonzero sign; a degenerate cycle (lever 0) activates nothing
-    active = (np.sign(gap) == np.sign(lever)) & (gap != 0.0)
+    active = _active(np.atleast_2d(p), m, n, states._lever(m, n, *states.gaps(energies)))
     return active if p.ndim == 2 else bool(active[0])
+
+
+def _active(p, m: int, n: int, lever: float):
+    """Activation flags of a checked (N, 3) batch with positive entries: the
+    log gap n ln(p1/p2) - m ln(p0/p1) and the lever m dE10 - n dE21 have one
+    nonzero sign, so a degenerate cycle (lever 0) activates nothing."""
+    l1, l2 = _log_ratios(p)
+    gap = n * l2 - m * l1
+    return (np.sign(gap) == np.sign(lever)) & (gap != 0.0)
 
 
 def covering_cycle(p, ratio: RationalGapRatio, n_max: int, tol: float = R3_TOL):
@@ -148,8 +153,8 @@ def k_activability_witness(p, energies, m: int, n: int) -> bool:
     lever = states._lever(m, n, e1 - e0, e2 - e1)
     if min(p0, p1, p2) <= 0.0:
         return False
-    log_gap = (m + n) * math.log(p1) - (m * math.log(p0) + n * math.log(p2))
-    return (lever > 0 and log_gap > 0) or (lever < 0 and log_gap < 0)
+    # the log gap (m + n) ln p1 - m ln p0 - n ln p2 is in_activation_region's
+    return bool(_active(p[None], m, n, lever)[0])
 
 
 def passive_simplex_grid(resolution: int) -> np.ndarray:

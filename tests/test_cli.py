@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import platform
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -384,6 +386,48 @@ def test_readme_example_runs(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
+_PINNED = Path(__file__).with_name("cli_stdout.txt")
+
+
+def _pinned_argvs():
+    """The README's cycle, fig4 and optimize examples, without --out, then verify --format csv."""
+    argvs = []
+    for argv in _readme_examples():
+        if argv[0] in ("cycle", "fig4", "optimize"):
+            if "--out" in argv:
+                i = argv.index("--out")
+                argv = argv[:i] + argv[i + 2:]
+            argvs.append(argv)
+    return argvs + [["verify", "--format", "csv"]]
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def _write_pinned():
+    """Write each pinned argv's stdout to cli_stdout.txt, after a "$ argv" line."""
+    lines = [
+        "# stdout of `swapengine ARGV` after each \"$ ARGV\" line; tests/test_cli.py compares it ==.",
+        f"# Written by `PYTHONPATH=src python -m tests.test_cli` with Python {platform.python_version()}"
+        f" and numpy {np.__version__}.",
+    ]
+    blocks = "".join(f"$ {shlex.join(argv)}\n{_stdout(argv)}" for argv in _pinned_argvs())
+    _PINNED.write_text("\n".join(lines) + "\n" + blocks)
+
+
+def test_readme_outputs_match_pinned_bytes():
+    # each block is a "$ argv" line and that argv's stdout, after a '#' header
+    blocks = re.split(r"^\$ ", _PINNED.read_text(), flags=re.MULTILINE)[1:]
+    argvs, outputs = zip(*(block.split("\n", 1) for block in blocks))
+    assert [shlex.split(argv) for argv in argvs] == _pinned_argvs()
+    for argv, out in zip(argvs, outputs):
+        assert _stdout(shlex.split(argv)) == out
+
+
 def _floats(xs) -> str:
     return ",".join(repr(float(x)) for x in xs)
 
@@ -454,3 +498,7 @@ def test_fuzz_cli_subcommands(argv):
     if code and argv[0] != "verify":
         assert out.getvalue() == "", argv
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+
+
+if __name__ == "__main__":
+    _write_pinned()

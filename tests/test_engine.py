@@ -44,16 +44,6 @@ def _exact_machine(p, m: int, n: int) -> np.ndarray:
     return np.array([float(x) for x in _exact_solution(p, m, n)[0]])
 
 
-def _both_assemblies(p, m: int, n: int):
-    """Normalized occupations from the direct and the scaled assembly."""
-    g = engine._geometric_sums
-    r1, r2 = p[0] / p[1], p[1] / p[2]
-    u = engine._unnormalized_direct(r1, r2, g(m + 2, math.log(r1)), g(n + 1, math.log(r2)), m, n)
-    s1, s2 = p[1] / p[0], p[2] / p[1]
-    v = engine._unnormalized_scaled(s1, s2, g(m + 2, math.log(s1)), g(n + 1, math.log(s2)), m, n)
-    return u / u.sum(), v / v.sum()
-
-
 @st.composite
 def near_one_states(draw):
     """Passive qutrits with r1 or r2 at 1 + delta, delta log-uniform in
@@ -94,30 +84,28 @@ class TestNearOneRatios:
     @pytest.mark.parametrize("p, m, n", [
         *[((1 - 2 * eps, eps, 0.999999 * eps), m, n)
           for eps in (1e-6, 1e-8) for m, n in ((2, 3), (3, 5))],
-        # 13 ln r1 is past the log switch; ln r2 ~ delta
+        # r1**13 near 1e16 next to ln r2 ~ delta
         *[((1 - 0.05 - 0.05 * (1 - delta), 0.05, 0.05 * (1 - delta)), 13, 40)
           for delta in (1e-9, 1e-10)],
     ])
     def test_assemblies_match_exact_rational(self, p, m, n):
-        exact = _exact_machine(p, m, n)
-        for q in _both_assemblies(np.array(p), m, n):
-            assert np.max(np.abs(q - exact)) <= 1e-14
+        q = engine.machine_distribution(p, m, n)
+        assert np.max(np.abs(q - _exact_machine(p, m, n))) <= 1e-14
 
     @given(near_one_states(), st.integers(1, 12), st.integers(1, 12))
     @example(np.array([0.8749820173757363, 0.06250899145320014, 0.06250899117106351]), 7, 5)
     @settings(max_examples=150, deadline=None)
     def test_near_one_matches_oracle(self, p, m, n):
         q_ref = oracle.stationary_machine(p, m, n)
-        for q in (*_both_assemblies(p, m, n), engine.machine_distribution(p, m, n)):
-            assert np.max(np.abs(q - q_ref)) <= 1e-13
+        assert np.max(np.abs(engine.machine_distribution(p, m, n) - q_ref)) <= 1e-13
 
 
 class TestClosedFormVsOracle:
     def test_random_states_small_cycles(self):
         rng = np.random.default_rng(23)
         for p in random_passive_qutrits(rng, 10, min_p=1e-3):
-            for m in (1, 2, 3, 5):
-                for n in (1, 2, 3, 4, 6):
+            for m in range(1, 9):
+                for n in range(1, 9):
                     q = engine.machine_distribution(p, m, n)
                     q_ref = oracle.stationary_machine(p, m, n)
                     assert np.max(np.abs(q - q_ref)) < 1e-12
@@ -130,7 +118,7 @@ class TestClosedFormVsOracle:
         assert np.max(np.abs(q - q_ref)) < 1e-13
 
     def test_log_path_matches_oracle(self):
-        # n*ln(r2) or m*ln(r1) > switch threshold forces the log-space assembly
+        # r1**m or r2**n past 1e12: large powers of the population ratios
         cases = [
             (np.array([0.495, 0.49, 0.015]), 2, 8),
             (np.array([0.9, 0.09, 0.01]), 13, 1),
@@ -141,16 +129,6 @@ class TestClosedFormVsOracle:
             q_ref = oracle.stationary_machine(p, m, n)
             assert np.max(np.abs(q - q_ref)) < 1e-12
 
-    def test_scaled_assembly_small_cycles(self):
-        # the scaled assembly on its own, where the direct path would run
-        rng = np.random.default_rng(23)
-        for p in random_passive_qutrits(rng, 10, min_p=1e-3):
-            for m in range(1, 9):
-                for n in range(1, 9):
-                    _, q = _both_assemblies(p, m, n)
-                    q_ref = oracle.stationary_machine(p, m, n)
-                    assert np.max(np.abs(q - q_ref)) < 1e-12
-
     @pytest.mark.parametrize("p, m, n", [
         ((0.9, 0.09, 0.01), 13, 1),
         ((0.495, 0.49, 0.015), 2, 8),
@@ -158,15 +136,43 @@ class TestClosedFormVsOracle:
         ((0.5, 0.35, 0.15), 40, 33),
         ((0.6, 0.3999, 1e-4), 1, 4),
         ((0.4, 0.4, 0.2), 3, 40),
+        # r1**m and r2**n at most 1e12, the worked example first
+        ((0.5, 0.35, 0.15), 1, 1),
+        ((0.5, 0.35, 0.15), 2, 3),
+        ((0.5, 0.35, 0.15), 10, 9),
+        ((0.59, 0.40, 0.01), 4, 5),
+        ((0.4, 0.35, 0.25), 7, 12),
+        ((0.34, 0.33, 0.33), 40, 40),
     ])
     def test_past_switch_matches_exact_rational(self, p, m, n):
         p = np.array(p)
-        assert max(m * math.log(p[0] / p[1]), n * math.log(p[1] / p[2])) > engine._LOG_SWITCH
         q_exact, dp_exact = _exact_solution(p, m, n)
         q_exact = np.array([float(x) for x in q_exact])
         q, delta_p, _ = engine._machine_solution(p, m, n)
         assert np.max(np.abs(q - q_exact) / q_exact) <= 1e-14
         assert abs(delta_p - float(dp_exact)) <= 1e-14 * abs(float(dp_exact))
+
+    def test_random_cycles_match_exact_rational(self):
+        # uniform passive qutrits and 1 <= m, n <= 40 with r1**m, r2**n <= 1e12,
+        # the cases the large-power tests above leave out; bounds about twice
+        # the measured worst (1.9e-15 on q, 1.6e-15 on delta_p)
+        rng = np.random.default_rng(5)
+        count = 0
+        while count < 100:
+            p = random_passive_qutrits(rng, 1, min_p=0.0)[0]
+            m, n = (int(x) for x in rng.integers(1, 41, 2))
+            if max(m * math.log(p[0] / p[1]), n * math.log(p[1] / p[2])) > math.log(1e12):
+                continue
+            count += 1
+            q_exact, dp_exact = _exact_solution(p, m, n)
+            q_exact, dp_exact = np.array([float(x) for x in q_exact]), float(dp_exact)
+            q, delta_p, _ = engine._machine_solution(p, m, n)
+            assert np.max(np.abs(q - q_exact) / q_exact) <= 4e-15
+            # delta_p is proportional to s1**m - s2**n: its error is relative to
+            # |delta_p| times the condition number of that difference
+            s1m, s2n = (p[1] / p[0]) ** m, (p[2] / p[1]) ** n
+            scale = abs(dp_exact) * (s1m + s2n) / abs(s1m - s2n)
+            assert abs(delta_p - dp_exact) <= 4e-15 * scale
 
     def test_log_path_large_m_normalized(self):
         p = np.array([0.5, 0.35, 0.15])
@@ -216,7 +222,7 @@ class TestRunCycle:
             engine.run_cycle(p, e, 2, 3)
 
     def test_subnormal_p2_is_finite_without_warning(self):
-        # p1/p2 overflows to inf here; past the switch only p1/p0 and p2/p1 are used
+        # p1/p2 overflows to inf here; the assembly uses only p1/p0 and p2/p1
         p = np.array([0.999, 0.001, 5e-324])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,9 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swapengine import engine, reduction, states
+from swapengine import activation, engine, quasistatic, reduction, states
 
 
 def random_passive_qudit(rng, d, min_p=1e-3):
@@ -199,3 +202,33 @@ class TestBestCycle:
     def test_needs_max_dim_two(self, max_dim):
         with pytest.raises(ValueError, match="need max_dim >= 2"):
             reduction.best_cycle([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], max_dim)
+
+
+@st.composite
+def passive_qudits(draw):
+    """A passive qudit with d = 4 ... 7 and entries >= 1e-3 / d, on a ladder with gaps in [0.1, 3]."""
+    d = draw(st.integers(4, 7))
+    w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=d, max_size=d)))
+    gaps = draw(st.lists(st.floats(0.1, 3.0), min_size=d - 1, max_size=d - 1))
+    return np.sort(w / w.sum())[::-1], np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+class TestQuditOptimum:
+    @given(passive_qudits())
+    @settings(max_examples=40, deadline=None)
+    def test_no_cycle_beats_the_optimum(self, case):
+        # the optimum is the energy above the thermal state of equal entropy, for any d
+        p, e = case
+        bound = quasistatic.optimal_work(p, e) + 1e-12
+        for k in range(p.size - 2):
+            pk, ek = p[k : k + 3].tolist(), e[k : k + 3].tolist()
+            betas = sorted([math.log(pk[0] / pk[1]) / (ek[1] - ek[0]),
+                            math.log(pk[1] / pk[2]) / (ek[2] - ek[1])])
+            for m in range(1, 7):
+                for n in range(1, 7):
+                    out = reduction.lifted_cycle(p, e, k, m, n)
+                    assert out.work <= bound
+                    if out.work > 0:  # criterion 06 on the window's virtual temperatures
+                        assert out.efficiency <= 1.0 - betas[0] / betas[1] + 1e-12
+        _, best = reduction.best_cycle(p, e, 12)
+        assert activation.optimal_bound_check(p, e, best)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapengine import engine, regions, states
@@ -209,6 +209,37 @@ class TestKActivability:
         for m in range(1, 5):
             for n in range(1, 5):
                 assert not regions.k_activability_witness(tau, e, m, n)
+
+
+@st.composite
+def witness_cases(draw):
+    """A passive qutrit, a ladder with gaps in [0.1, 3] and a cycle (m, n); half
+    the states lie within 1e-14 relative of the edge m ln(p0/p1) = n ln(p1/p2)."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    l2 = draw(st.floats(0.01, 3.0))
+    if draw(st.booleans()):
+        l1 = n * l2 / m * (1.0 + draw(st.sampled_from([-1e-14, 0.0, 1e-14])))
+    else:
+        l1 = draw(st.floats(0.0, 3.0))
+    p = np.array([math.exp(l1 + l2), math.exp(l2), 1.0])
+    g1, g2 = draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0))
+    return p / p.sum(), [0.0, g1, g1 + g2], m, n
+
+
+class TestKActivabilityAgreesWithRegion:
+    @given(witness_cases())
+    @example((np.array([0.3414426701506819, 0.3339654191285568, 0.3245919107207612]),
+              [0.0, 2.191380779738842, 4.253533723148123], 9, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_witness_equals_region_test(self, case):
+        p, e, m, n = case
+        assert regions.k_activability_witness(p, e, m, n) == regions.in_activation_region(p, e, m, n)
+
+    @pytest.mark.parametrize("p", [[0.6, 0.4, 0.0], [0.0, 0.6, 0.4], [1.0, 0.0, 0.0]])
+    def test_zero_entry_is_never_witnessed(self, p):
+        # a zero population has no log; the witness pair needs p0, p1, p2 > 0
+        for m, n in ((1, 1), (2, 1), (1, 3)):
+            assert regions.k_activability_witness(p, [0.0, 3.0, 4.0], m, n) is False
 
 
 class TestGridAndCoverage:

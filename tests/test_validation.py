@@ -97,6 +97,16 @@ class TestValidatesOnce:
         # p, and the final marginal and the Gibbs state in relative_entropy; the ladder once
         assert calls == {"validate_state": 3, "validate_hamiltonian": 1, "_gibbs": 1}
 
+    def test_stationary_machine(self, calls, worked_example):
+        oracle.stationary_machine(worked_example[0], 2, 3)
+        assert calls == {"validate_state": 1}
+
+    def test_block_joint_cycle(self, calls):
+        p = [0.4, 0.28, 0.12, 0.12, 0.08]
+        reduction.block_joint_cycle(p, [0.0, 3.0, 4.0, 9.0, 11.0], 1, 2, 3)
+        # p, then the window's reduced state; the ladder once
+        assert calls == {"validate_state": 2, "validate_hamiltonian": 1}
+
     def test_carnot_check(self, calls, worked_example):
         quasistatic.carnot_check(*worked_example)
         assert calls == {"validate_state": 1, "validate_hamiltonian": 1}
