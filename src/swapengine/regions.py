@@ -88,7 +88,8 @@ def classify(p, ratio: RationalGapRatio, tol: float = R3_TOL):
     p = states.passive_qutrit(p)
     states.check_tol(tol)
     l1, l2 = _log_ratios(np.atleast_2d(p))
-    with np.errstate(invalid="ignore"):  # tol = 0 times an infinite side is NaN
+    # tol = 0 times an infinite side is NaN; a huge tol makes the band inf, so R3
+    with np.errstate(invalid="ignore", over="ignore"):
         lhs, rhs = ratio.n_int * l2, ratio.m_int * l1
         band = tol * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
     dist = abs(lhs - rhs)

@@ -104,9 +104,19 @@ class TestClosedFormVsOracle:
     def test_random_states_small_cycles(self):
         rng = np.random.default_rng(23)
         for p in random_passive_qutrits(rng, 10, min_p=1e-3):
+            for m in (1, 2, 3, 5):
+                for n in (1, 2, 3, 4, 6):
+                    q = engine.machine_distribution(p, m, n)
+                    q_ref = oracle.stationary_machine(p, m, n)
+                    assert np.max(np.abs(q - q_ref)) < 1e-12
+
+    def test_scaled_assembly_small_cycles(self):
+        # the assembly itself, below the switch the two-path engine once had at 1e12
+        rng = np.random.default_rng(23)
+        for p in random_passive_qutrits(rng, 10, min_p=1e-3):
             for m in range(1, 9):
                 for n in range(1, 9):
-                    q = engine.machine_distribution(p, m, n)
+                    q, _, _ = engine._machine_solution(p, m, n)
                     q_ref = oracle.stationary_machine(p, m, n)
                     assert np.max(np.abs(q - q_ref)) < 1e-12
 

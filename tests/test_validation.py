@@ -331,6 +331,11 @@ def _finite(x) -> bool:
     p=[0.6, 0.4, 5e-324], e=[0.0, 2.0, 3.0], m=2, n=2, strategy="entropy", alpha=0.3,
     ratio=(1, 1), beta=1.0, target=0.5, tol=1e-9, eps_band=1e-3,
 )
+@example(  # tol times a side of the R3 test overflows to inf
+    p=np.array([0.49975012, 0.49975012, 0.00049975]), e=[0.0, 1.0, 1.0], m=1, n=1,
+    strategy="entropy", alpha=0.0, ratio=(1, 2), beta=0.0, target=0.0,
+    tol=1.301213681043437e307, eps_band=0.0,
+)
 @settings(max_examples=300, deadline=None)
 def test_fuzz_public_entry_points(p, e, m, n, strategy, alpha, ratio, beta, target, tol, eps_band):
     """Non-finite, negative, unnormalized, non-passive and degenerate-ladder
