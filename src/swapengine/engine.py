@@ -1,18 +1,19 @@
 """Closed-form evaluation of the swap cycle on a passive qutrit.
 
 The reusable machine distribution and the per-cycle work, heats and
-efficiency are evaluated from geometric partial sums of the Boltzmann
-factors s1 = p1/p0 of the hot pair (0,1) and s2 = p2/p1 of the cold pair
-(1,2).
+efficiency come from geometric partial sums of the Boltzmann factors
+s1 = p1/p0 of the hot pair (0,1) and s2 = p2/p1 of the cold pair (1,2),
+one formula per stroke: the hot stroke's for machine levels 0 ... m - 1
+and the top level, the cold stroke's for the rest. Each reads one table
+of sums, of k = 0 ... m powers of s1 and of k = 0 ... n - 1 powers of s2.
 
 Numerics: the textbook expression for the machine occupations subtracts
 nearly equal geometric sums and loses all precision for skewed states, so
-every coefficient is assembled from an equivalent all-positive-term form.
-Each partial sum of powers of a factor is one expm1 quotient of its log,
-accurate for every factor including those within rounding of 1; a factor
-of exactly 1 sums to the term count. Both factors are at most 1 for a
-passive state, so no power overflows, and one assembly serves every cycle
-with m, n >= 1.
+both formulas add only positive terms. Each partial sum of powers of a
+factor is one expm1 quotient of its log, accurate for every factor,
+including those within rounding of 1, and a factor of exactly 1 sums to
+the term count. Both factors are at most 1 for a passive state, so no
+power overflows at any m, n >= 1.
 """
 
 from __future__ import annotations
@@ -33,36 +34,27 @@ def _geometric_sums(count: int, log_lam: float) -> list[float]:
     return [math.expm1(k * log_lam) / d if log_lam else float(k) for k in range(count)]
 
 
-def _unnormalized_scaled(s1: float, s2: float, g1, g2, m: int, n: int) -> np.ndarray:
-    """Machine occupations up to a common factor, all-positive assembly in
-    s1 = p1/p0 and s2 = p2/p1, with g1, g2 their _geometric_sums (m + 2 and
-    n + 1 entries): every power is at most 1, so nothing overflows at any
-    (m, n)."""
-    u = np.empty(m + n)
-    s1m = s1**m
-    s2n = s2**n
-    for j in range(m):
-        s1j = s1**j
-        u[j] = s1 * s2n * g1[j] + s1j * s1 * g1[m - j] + s1j * s2 * g2[n - 1] + s1j
-    for i in range(1, n - 1):
-        s2i = s2**i
-        u[m + i - 1] = s2i * s2 * g2[n - 1 - i] + s2i * s1 * g1[m] + s2i + s1m * g2[i]
-    if n > 1:  # for n = 1 this index is the last hot level, set above
-        u[m + n - 2] = s2 ** (n - 1) * g1[m + 1] + s1m * g2[n - 1]
-    u[m + n - 1] = s1 * s2n * g1[m] + s1m * g2[n]
-    return u
-
-
 def _machine_solution(p: np.ndarray, m: int, n: int):
-    """(q, delta_p, alpha) from the closed form."""
+    """(q, delta_p, alpha) from the closed form. Up to a common factor, the
+    occupation is the hot stroke's sum at j = 0 ... m (level j, and at j = m
+    the top level m + n - 1) or the cold stroke's at i = 1 ... n - 1 (level
+    m + i - 1)."""
     p0, p1, p2 = p.tolist()  # Python floats, faster than numpy scalars here
     s1 = p1 / p0
     s2 = p2 / p1
-    g1, g2 = _geometric_sums(m + 2, math.log(s1)), _geometric_sums(n + 1, math.log(s2))
-    u = _unnormalized_scaled(s1, s2, g1, g2, m, n)
+    g1, g2 = _geometric_sums(m + 1, math.log(s1)), _geometric_sums(n, math.log(s2))
+    s1m, s2n = s1**m, s2**n
+    hot, cold = [], []
+    for j in range(m + 1):
+        s1j = s1**j
+        hot.append(s1 * s2n * g1[j] + s1j * s1 * g1[m - j] + s1j * s2 * g2[n - 1] + s1j)
+    for i in range(1, n):
+        s2i = s2**i
+        cold.append(s2i * s2 * g2[n - 1 - i] + s2i * s1 * g1[m] + s2i + s1m * g2[i])
+    u = np.array(hot[:m] + cold + hot[m:])
     total = u.sum()
-    alpha = p1 * s1**m * s2**n / total
-    delta_p = p1 * (s1**m - s2**n) / total
+    alpha = p1 * s1m * s2n / total
+    delta_p = p1 * (s1m - s2n) / total
     return u / total, delta_p, alpha
 
 
@@ -107,9 +99,8 @@ def run_cycle(p, energies, m: int, n: int) -> CycleOutcome:
 
 def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int) -> CycleOutcome:
     """run_cycle on a checked passive qutrit, cycle and ladder."""
-    if not states._is_passive(p, energies):  # equal populations on a degenerate pair
-        raise ValueError("run_cycle needs a passive state")
     de10, de21 = float(energies[1] - energies[0]), float(energies[2] - energies[1])
+    states._check_passive_on(p, de10, de21)
     lever = states._lever(m, n, de10, de21)
     q, delta_p, alpha = _machine_solution(p, m, n)
     # + 0.0 turns the -0.0 of a resonant cycle (lever 0) with delta_p < 0 into 0.0

@@ -136,7 +136,8 @@ def integrate_trajectory(
     work, pure cooling), "entropy" / "entropy_conserving" (alpha tracks the
     lower bound, isentropic, maximal work), a real number (constant alpha),
     or a callable p -> alpha evaluated along the way. A number off the thermal
-    manifold must lie in the closed alpha_range window (ValueError). A state
+    manifold must lie in the closed alpha_range window (ValueError); one a
+    few ulps past an edge is pinned to that edge. A state
     off the manifold where the flow rate is zero is a fixed point of the
     flow (ValueError). The ladder needs E2 > E1.
     RuntimeError if the flow stalls or needs more than max_steps steps.
@@ -177,8 +178,12 @@ def integrate_trajectory(
             const = float(strategy)
             if gap > TERMINATION_TOL:
                 rng = _alpha_window(p, ratio)
-                if not rng.lower <= const <= rng.upper:
+                # an edge computed as lower + 1.0 * (upper - lower) can round
+                # an ulp or two past it: within that slack it is the edge
+                slack = 4.0 * math.ulp(max(abs(rng.lower), abs(rng.upper)))
+                if not rng.lower - slack <= const <= rng.upper + slack:
                     raise ValueError(f"alpha={const} outside admissible range [{rng.lower}, {rng.upper}]")
+                const = min(max(const, rng.lower), rng.upper)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
 

@@ -120,7 +120,9 @@ def block_joint_cycle(p, energies, k: int, m: int, n: int):
     (final_system_marginal, final_machine_marginal).
     """
     win = decompose(p, energies, k)
-    q = oracle.stationary_machine(win.reduced_state, m, n)
+    # the batch form checks the window's order, normalization and p0 <= 1
+    states.passive_qutrit(win.reduced_state[None])
+    q = oracle._stationary_machine(win.reduced_state, m, n)
     joint = oracle.product_joint(p, q)
     steps = oracle.build_cycle(m, n)
     # act only on the window rows; identity on the rest of the ladder

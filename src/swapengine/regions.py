@@ -102,11 +102,14 @@ def in_activation_region(p, energies, m: int, n: int):
     """True iff the (m, n) cycle extracts strictly positive work from p.
 
     p is one state, or an (N, 3) array of states, which gives a bool array
-    of N flags.
+    of N flags. A state that is not passive on the ladder (unequal
+    populations on equal energies) raises, as in run_cycle.
     """
     states.check_cycle(m, n)
     p = states.passive_qutrit(p)
-    active = _active(np.atleast_2d(p), m, n, states._lever(m, n, *states.gaps(energies)))
+    de10, de21 = states.gaps(energies)
+    states._check_passive_on(p, de10, de21)
+    active = _active(np.atleast_2d(p), m, n, states._lever(m, n, de10, de21))
     return active if p.ndim == 2 else bool(active[0])
 
 
@@ -146,7 +149,8 @@ def covering_cycle(p, ratio: RationalGapRatio, n_max: int, tol: float = R3_TOL):
 
 def k_activability_witness(p, energies, m: int, n: int) -> bool:
     """Certify that the (m+n)-fold tensor power of p is active via the
-    level pair |1...1> vs |0..0 2..2> (m zeros, n twos)."""
+    level pair |1...1> vs |0..0 2..2> (m zeros, n twos); the certificate
+    holds for any state, even one that in_activation_region refuses."""
     p, e = states.state_and_ladder(p, energies, 3)
     states.check_cycle(m, n)
     (p0, p1, p2), (e0, e1, e2) = p.tolist(), e.tolist()

@@ -171,6 +171,15 @@ def _is_passive(p: np.ndarray, e: np.ndarray, tol: float = 0.0) -> bool:
     return True
 
 
+def _check_passive_on(p: np.ndarray, de10: float, de21: float) -> None:
+    """Raise unless the checked passive qutrit p, or each row of an (N, 3)
+    batch, is passive on a ladder with gaps de10, de21: a zero gap needs
+    equal populations, as in _is_passive."""
+    for gap, hi, lo in ((de10, 0, 1), (de21, 1, 2)):
+        if gap == 0.0 and not (p[..., hi] - p[..., lo] <= _NORM_TOL).all():
+            raise ValueError("state is not passive: equal energies need equal populations")
+
+
 def passify(probs, energies) -> np.ndarray:
     """Sort occupations non-increasing along the energy order."""
     p, _ = state_and_ladder(probs, energies)

@@ -44,6 +44,47 @@ def _exact_machine(p, m: int, n: int) -> np.ndarray:
     return np.array([float(x) for x in _exact_solution(p, m, n)[0]])
 
 
+def _errors(p, m: int, n: int) -> tuple[float, float]:
+    """The closed form's errors against _exact_solution: q's largest relative
+    error, and delta_p's error over |delta_p| kappa, where kappa =
+    (s1**m + s2**n) / |s1**m - s2**n| is the condition number of the
+    difference delta_p is proportional to; where the exact delta_p is 0,
+    delta_p's error over p1."""
+    q_exact, dp_exact = _exact_solution(p, m, n)
+    q_exact, dp_exact = np.array([float(x) for x in q_exact]), float(dp_exact)
+    q, delta_p, _ = engine._machine_solution(p, m, n)
+    s1m, s2n = (p[1] / p[0]) ** m, (p[2] / p[1]) ** n
+    if dp_exact:  # multiplied through by |s1**m - s2**n|, so that kappa = inf divides nothing
+        dp_err = abs(delta_p - dp_exact) * abs(s1m - s2n) / (abs(dp_exact) * (s1m + s2n))
+    else:
+        dp_err = abs(delta_p) / p[1]
+    return float(np.max(np.abs(q - q_exact) / q_exact)), float(dp_err)
+
+
+_TIE_CYCLES = [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (5, 7), (20, 3), (3, 20), (40, 1), (1, 40)]
+
+
+def _near_tie_cases():
+    """(p, m, n) with p0/p1 or p1/p2 at 1, or within 1e-12, 1e-7 or 1e-3 of
+    it, and the other ratio 1, 1.5, 4 or 30: the factors near 1 that uniform
+    random states rarely give (both at 1 is the uniform state, with exact
+    delta_p 0), for every cycle of _TIE_CYCLES."""
+    cases = []
+    for other in (1.0, 1.5, 4.0, 30.0):
+        for delta in (0.0, 1e-12, 1e-7, 1e-3):
+            for r1, r2 in ((1.0 + delta, other), (other, 1.0 + delta)):
+                p = np.array([r1 * r2, r2, 1.0])
+                cases += [(p / p.sum(), m, n) for m, n in _TIE_CYCLES]
+    return cases
+
+
+def _seed5_cases(count: int = 300):
+    """(p, m, n): uniform passive qutrits with p2 >= 1e-3 and 1 <= m, n <= 29, seed 5."""
+    rng = np.random.default_rng(5)
+    return [(p, *(int(x) for x in rng.integers(1, 30, 2)))
+            for p in (random_passive_qutrits(rng, 1, min_p=1e-3)[0] for _ in range(count))]
+
+
 @st.composite
 def near_one_states(draw):
     """Passive qutrits with r1 or r2 at 1 + delta, delta log-uniform in
@@ -174,15 +215,16 @@ class TestClosedFormVsOracle:
             if max(m * math.log(p[0] / p[1]), n * math.log(p[1] / p[2])) > math.log(1e12):
                 continue
             count += 1
-            q_exact, dp_exact = _exact_solution(p, m, n)
-            q_exact, dp_exact = np.array([float(x) for x in q_exact]), float(dp_exact)
-            q, delta_p, _ = engine._machine_solution(p, m, n)
-            assert np.max(np.abs(q - q_exact) / q_exact) <= 4e-15
             # delta_p is proportional to s1**m - s2**n: its error is relative to
             # |delta_p| times the condition number of that difference
-            s1m, s2n = (p[1] / p[0]) ** m, (p[2] / p[1]) ** n
-            scale = abs(dp_exact) * (s1m + s2n) / abs(s1m - s2n)
-            assert abs(delta_p - dp_exact) <= 4e-15 * scale
+            q_err, dp_err = _errors(p, m, n)
+            assert q_err <= 4e-15 and dp_err <= 4e-15
+
+    def test_near_ties_match_exact_rational(self):
+        # a factor at or near 1 in every stroke's formula, at the bounds above
+        for p, m, n in _near_tie_cases():
+            q_err, dp_err = _errors(p, m, n)
+            assert q_err <= 4e-15 and dp_err <= 4e-15, (p, m, n)
 
     def test_log_path_large_m_normalized(self):
         p = np.array([0.5, 0.35, 0.15])
@@ -316,3 +358,13 @@ class TestRunCycle:
         betas = sorted([math.log(p[0] / p[1]) / de10, math.log(p[1] / p[2]) / de21])
         assert out.efficiency_meaningful
         assert 0.0 <= out.efficiency <= 1.0 - betas[0] / betas[1] + 1e-12
+
+
+if __name__ == "__main__":
+    # the closed form's accuracy against exact rationals, to compare two trees:
+    # PYTHONPATH=src python -m tests.test_engine
+    for name, cases in (("seed 5", _seed5_cases()), ("near ties", _near_tie_cases())):
+        q_err, dp_err = np.array([_errors(p, m, n) for p, m, n in cases]).T
+        print(f"{name}, {len(cases)} cases: q rel err median {np.median(q_err):.3g} max "
+              f"{q_err.max():.3g}; delta_p err / (|delta_p| kappa) median "
+              f"{np.median(dp_err):.3g} max {dp_err.max():.3g}")

@@ -450,6 +450,20 @@ class TestStageGuard:
             return
         assert all(y[0] >= y[1] > y[2] > 0.0 for _, y, _ in traj.samples)
 
+    def test_alpha_rounded_past_the_upper_edge_is_the_edge(self):
+        # lower + 1.0 * (upper - lower) lands one ulp above upper here
+        w = np.array([math.exp(1.0 + 0.6595131812415256), math.exp(0.6595131812415256), 1.0])
+        p = w / w.sum()
+        e = np.array([0.0, 2.5625 / 0.6595131812415256, 2.5625 / 0.6595131812415256 + 1.0])
+        rng = quasistatic.alpha_range(p, e)
+        alpha = rng.lower + 1.0 * (rng.upper - rng.lower)
+        assert alpha > rng.upper
+        traj = quasistatic.integrate_trajectory(p, e, alpha, step=0.5, max_steps=2000)
+        edge = quasistatic.integrate_trajectory(p, e, rng.upper, step=0.5, max_steps=2000)
+        assert traj.accumulated_work == edge.accumulated_work
+        with pytest.raises(ValueError, match="outside admissible range"):
+            quasistatic.integrate_trajectory(p, e, rng.upper * (1 + 1e-12), step=0.5)
+
 
 class TestOptimalWorkAndCarnot:
     def test_thermal_gives_zero(self):

@@ -85,6 +85,24 @@ class TestClassification:
                     continue
                 assert regions.in_activation_region(p, e, m, n) == (out.work > 0)
 
+    @pytest.mark.parametrize("e, tied", [
+        ([0.0, 0.0, 1.0], [0.4, 0.4, 0.2]), ([0.0, 1.0, 1.0], [0.4, 0.3, 0.3]),
+    ], ids=["E0=E1", "E1=E2"])
+    def test_rejects_unequal_populations_on_equal_energies(self, e, tied):
+        # ordered, but not passive on this ladder: run_cycle refuses the state,
+        # and the region test refuses it alone and as any row of a batch
+        p = [0.5, 0.3, 0.2]
+        with pytest.raises(ValueError) as refused:
+            engine.run_cycle(p, e, 1, 1)
+        for batch in (p, np.array([p]), np.array([tied, p]), np.array([p, tied])):
+            with pytest.raises(ValueError) as exc:
+                regions.in_activation_region(batch, e, 1, 1)
+            assert str(exc.value) == str(refused.value)
+        # equal populations on the equal energies are passive, and answered
+        assert regions.in_activation_region(np.array([tied]), e, 1, 1).tolist() == [
+            regions.in_activation_region(tied, e, 1, 1)]
+        assert regions.in_activation_region(tied, e, 1, 1) == (engine.run_cycle(tied, e, 1, 1).work > 0)
+
     @pytest.mark.parametrize("m, n", [(-2, 1), (0, 1), (1, 0)])
     def test_rejects_cycle_below_one(self, m, n):
         with pytest.raises(ValueError, match="need m, n >= 1"):

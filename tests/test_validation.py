@@ -104,8 +104,8 @@ class TestValidatesOnce:
     def test_block_joint_cycle(self, calls):
         p = [0.4, 0.28, 0.12, 0.12, 0.08]
         reduction.block_joint_cycle(p, [0.0, 3.0, 4.0, 9.0, 11.0], 1, 2, 3)
-        # p, then the window's reduced state; the ladder once
-        assert calls == {"validate_state": 2, "validate_hamiltonian": 1}
+        # p once, the window's reduced state by the batch form; the ladder once
+        assert calls == {"validate_state": 1, "validate_hamiltonian": 1}
 
     def test_carnot_check(self, calls, worked_example):
         quasistatic.carnot_check(*worked_example)
