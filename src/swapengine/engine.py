@@ -98,7 +98,7 @@ def run_cycle(p, energies, m: int, n: int) -> CycleOutcome:
 
 
 def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int) -> CycleOutcome:
-    """run_cycle on a checked passive qutrit, cycle and ladder."""
+    """run_cycle on a checked cycle, ladder and passive qutrit, or a passive window's raw populations."""
     de10, de21 = float(energies[1] - energies[0]), float(energies[2] - energies[1])
     states._check_passive_on(p, de10, de21)
     lever = states._lever(m, n, de10, de21)

@@ -38,7 +38,14 @@ class AlphaRange:
 def alpha_range(p, energies) -> AlphaRange:
     """Open interval of admissible swap ratios n/m (needs E2 > E1); empty
     (error) unless the state lies strictly on the work-extracting side of thermal."""
-    return _alpha_window(states.passive_qutrit(p), states.qutrit_ladder(energies)[1])
+    return _alpha_window(*_passive_on(p, energies))
+
+
+def _passive_on(p, energies) -> tuple[np.ndarray, float]:
+    """A passive qutrit p, passive on a ladder with E2 > E1 as in run_cycle, and its dE10/dE21."""
+    p, (e, ratio) = states.passive_qutrit(p), states.qutrit_ladder(energies)
+    states._check_passive_on(p, float(e[1] - e[0]), float(e[2] - e[1]))
+    return p, ratio
 
 
 def _alpha_window(p, upper: float) -> AlphaRange:
@@ -80,8 +87,8 @@ class AsymptoticMachine:
 def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
     """Limit shape of the stationary machine for a large (m, ceil(alpha*m))
     cycle. alpha must lie inside alpha_range(p, energies)."""
-    p = states.passive_qutrit(p)
-    rng = _alpha_window(p, states.qutrit_ladder(energies)[1])
+    p, ratio = _passive_on(p, energies)
+    rng = _alpha_window(p, ratio)
     if alpha not in rng:
         raise ValueError(f"alpha={alpha} outside admissible range {rng}")
     if m < 3:
@@ -149,6 +156,7 @@ def integrate_trajectory(
     e, ratio = states.qutrit_ladder(energies)  # before p: a thermal state on a bad ladder fails as the ladder
     p = states.passive_qutrit(p)
     de10, de21 = float(e[1] - e[0]), float(e[2] - e[1])
+    states._check_passive_on(p, de10, de21)
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     if not max_steps >= 1:

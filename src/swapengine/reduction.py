@@ -1,11 +1,11 @@
 """Running the qutrit cycle inside a 3-level window of a d-level state.
 
 A contiguous window A_k = {k, k+1, k+2} of a passive qudit carries mass
-lam = p_k + p_{k+1} + p_{k+2}; the renormalized window is itself a passive
-qutrit, and the cycle acts on the full state as a block unitary that is
-the qutrit cycle on the window block and the identity elsewhere. Every
-extensive quantity (work, heat, population transfer) picks up exactly the
-factor lam.
+lam = p_k + p_{k+1} + p_{k+2}; the renormalized window is a passive qutrit,
+and the cycle acts on the full state as the qutrit cycle on the window
+block and the identity elsewhere. The closed form is homogeneous in the
+populations (the machine of degree zero, extensive quantities of degree
+one): run on the window's raw populations, it gives the full-state outcome.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ class SubspaceWindow:
 
 
 def decompose(p, energies, k: int) -> SubspaceWindow:
-    """Renormalized 3-level window starting at level k; a qutrit is its own
-    window, of weight 1.0."""
+    """Renormalized 3-level window starting at level k, of weight its mass."""
     return _window(*states.state_and_ladder(p, energies), k)
 
 
@@ -36,8 +35,7 @@ def _window(p: np.ndarray, e: np.ndarray, k: int) -> SubspaceWindow:
     """decompose on a checked state and ladder."""
     if not 0 <= k <= p.size - 3:
         raise ValueError(f"window start {k} out of range for d={p.size}")
-    # a checked qutrit sums to 1 within 1e-12; dividing by its sum would only add rounding
-    lam = 1.0 if p.size == 3 else float(p[k : k + 3].sum())
+    lam = float(p[k : k + 3].sum())
     if lam <= 0.0:
         raise ValueError("window has zero mass")
     return SubspaceWindow(
@@ -51,32 +49,24 @@ def _window(p: np.ndarray, e: np.ndarray, k: int) -> SubspaceWindow:
 def lifted_cycle(p, energies, k: int, m: int, n: int) -> engine.CycleOutcome:
     """Cycle outcome on the full d-level state when acting inside window k.
 
-    Extensive fields (work, heats, delta_p) are the window outcome scaled
-    by the window mass; levels outside the window are untouched and the
-    machine distribution is the window one (stationary, so unchanged).
+    The cycle runs on the window's raw populations, so extensive fields
+    (work, heats, delta_p, alpha_coeff) are full-state values by
+    homogeneity; levels outside the window are untouched and the machine
+    is the window's stationary one.
     """
-    win = decompose(p, energies, k)
+    p, e = states.state_and_ladder(p, energies)
     # the batch form checks the window's order, normalization and p0 <= 1
-    states.passive_qutrit(win.reduced_state[None])
+    states.passive_qutrit(_window(p, e, k).reduced_state[None])
     states.check_cycle(m, n)
-    return _lift(p, win, engine._run_cycle(win.reduced_state, win.reduced_h, m, n))
+    return _lift(p, k, engine._run_cycle(p[k : k + 3], e[k : k + 3], m, n))
 
 
-def _lift(p, win: SubspaceWindow, out: engine.CycleOutcome) -> engine.CycleOutcome:
-    """out, the cycle run on window win of p, as an outcome on all of p."""
-    lam = win.weight
-    final = np.array(p, dtype=float)  # a copy
-    final[win.k : win.k + 3] = lam * out.final_system
-    return dataclasses.replace(
-        out,
-        delta_p=lam * out.delta_p,
-        work=lam * out.work,
-        q_hot=lam * out.q_hot,
-        q_cold=lam * out.q_cold,
-        heat_hot=lam * out.heat_hot,
-        heat_cold=lam * out.heat_cold,
-        final_system=final,
-    )
+def _lift(p: np.ndarray, k: int, out: engine.CycleOutcome) -> engine.CycleOutcome:
+    """out, the cycle run on window k of the checked state p, with its final
+    window written into a copy of p."""
+    final = p.copy()
+    final[k : k + 3] = out.final_system
+    return dataclasses.replace(out, final_system=final)
 
 
 def best_window(p, energies, m: int, n: int):
@@ -102,14 +92,13 @@ def _best(p: np.ndarray, e: np.ndarray, pairs) -> tuple[int, engine.CycleOutcome
     ks = [k for k in range(max(p.size - 2, 1)) if p.size <= 3 or p[k + 2] > 0.0]
     if not ks:
         raise ValueError("no 3-level window can run a cycle: every top population p[k+2] is 0")
-    wins = [_window(p, e, k) for k in ks]
     # the batch form checks each window's order, normalization and p0 <= 1
-    states.passive_qutrit(np.array([win.reduced_state for win in wins]))
-    runs = ((win, engine._run_cycle(win.reduced_state, win.reduced_h, m, n))
-            for m, n in pairs for win in wins)
+    states.passive_qutrit(np.array([_window(p, e, k).reduced_state for k in ks]))
+    slices = [(k, p[k : k + 3], e[k : k + 3]) for k in ks]
+    runs = ((k, engine._run_cycle(pk, ek, m, n)) for m, n in pairs for k, pk, ek in slices)
     # max keeps the first of equal maxima
-    win, out = max(runs, key=lambda run: run[0].weight * run[1].work)
-    return win.k, _lift(p, win, out)
+    k, out = max(runs, key=lambda run: run[1].work)
+    return k, _lift(p, k, out)
 
 
 def block_joint_cycle(p, energies, k: int, m: int, n: int):

@@ -44,15 +44,15 @@ def _exact_machine(p, m: int, n: int) -> np.ndarray:
     return np.array([float(x) for x in _exact_solution(p, m, n)[0]])
 
 
-def _errors(p, m: int, n: int) -> tuple[float, float]:
-    """The closed form's errors against _exact_solution: q's largest relative
-    error, and delta_p's error over |delta_p| kappa, where kappa =
-    (s1**m + s2**n) / |s1**m - s2**n| is the condition number of the
-    difference delta_p is proportional to; where the exact delta_p is 0,
-    delta_p's error over p1."""
+def _errors(p, m: int, n: int, solved=None) -> tuple[float, float]:
+    """The errors against _exact_solution of the closed form, or of solved =
+    (q, delta_p) for p: q's largest relative error, and delta_p's error over
+    |delta_p| kappa, where kappa = (s1**m + s2**n) / |s1**m - s2**n| is the
+    condition number of the difference delta_p is proportional to; where the
+    exact delta_p is 0, delta_p's error over p1."""
     q_exact, dp_exact = _exact_solution(p, m, n)
     q_exact, dp_exact = np.array([float(x) for x in q_exact]), float(dp_exact)
-    q, delta_p, _ = engine._machine_solution(p, m, n)
+    q, delta_p = engine._machine_solution(p, m, n)[:2] if solved is None else solved
     s1m, s2n = (p[1] / p[0]) ** m, (p[2] / p[1]) ** n
     if dp_exact:  # multiplied through by |s1**m - s2**n|, so that kappa = inf divides nothing
         dp_err = abs(delta_p - dp_exact) * abs(s1m - s2n) / (abs(dp_exact) * (s1m + s2n))

@@ -60,6 +60,25 @@ class TestAlphaRange:
             with pytest.raises(ValueError, match="E2 > E1"):
                 call([0.5, 0.3, 0.2], [0.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("call", [
+        lambda p, e: quasistatic.alpha_range(p, e),
+        lambda p, e: quasistatic.asymptotic_machine(p, e, 10, 0.5),
+        lambda p, e: quasistatic.integrate_trajectory(p, e, "entropy"),
+        lambda p, e: quasistatic.carnot_check(p, e),
+    ], ids=["alpha_range", "asymptotic_machine", "integrate_trajectory", "carnot_check"])
+    def test_unequal_populations_on_equal_energies_rejected(self, call):
+        # E0 == E1: (0.5, 0.3, 0.2) is not passive on that ladder, as run_cycle says
+        with pytest.raises(ValueError, match="^state is not passive: equal energies need equal populations$"):
+            call([0.5, 0.3, 0.2], [0.0, 0.0, 1.0])
+
+    def test_tied_populations_on_equal_energies_accepted(self):
+        # passive on E0 == E1 and thermal on it: no admissible ratio, and a flow of one sample
+        tied, e = [0.4, 0.4, 0.2], [0.0, 0.0, 1.0]
+        for call in (quasistatic.alpha_range, lambda p, e: quasistatic.asymptotic_machine(p, e, 10, 0.5)):
+            with pytest.raises(ValueError, match="^empty alpha range"):
+                call(tied, e)
+        assert len(quasistatic.integrate_trajectory(tied, e, "entropy").samples) == 1
+
 
 class TestAsymptoticMachine:
     def test_mixture_weight_formula(self):
@@ -498,3 +517,7 @@ class TestOptimalWorkAndCarnot:
     def test_carnot_identity(self, worked_example):
         p, e = worked_example
         assert quasistatic.carnot_check(p, e) <= 1e-12
+
+    def test_carnot_check_skips_the_uniform_state(self):
+        # the flow is one sample with ln(p1/p2) = 0, where the efficiency is undefined
+        assert quasistatic.carnot_check(np.full(3, 1 / 3), [0.0, 1.0, 3.0]) == 0.0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapengine import activation, engine, quasistatic, reduction, states
+from tests.test_engine import _errors
 
 
 def random_passive_qudit(rng, d, min_p=1e-3):
@@ -14,6 +15,26 @@ def random_passive_qudit(rng, d, min_p=1e-3):
         p = np.sort(rng.dirichlet(np.ones(d)))[::-1]
         if p[-1] >= min_p:
             return p
+
+
+def _window_cases(seed: int, count: int = 250):
+    """(p, e, k, m, n): passive qudits with d = 4 ... 7 and entries >= 1e-3,
+    ladder gaps in [0.5, 2], one window k each and 1 <= m, n <= 12."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        d = int(rng.integers(4, 8))
+        p = random_passive_qudit(rng, d)
+        e = np.cumsum(rng.uniform(0.5, 2.0, size=d))
+        cases.append((p, e, int(rng.integers(0, d - 2)), *(int(x) for x in rng.integers(1, 13, 2))))
+    return cases
+
+
+def _lifted_errors(p, e, k: int, m: int, n: int) -> tuple[float, float]:
+    """lifted_cycle's q and delta_p errors, as test_engine._errors measures
+    them, against the exact solution on the raw window p[k : k + 3]."""
+    out = reduction.lifted_cycle(p, e, k, m, n)
+    return _errors(p[k : k + 3], m, n, (out.machine, out.delta_p))
 
 
 class TestDecompose:
@@ -77,6 +98,35 @@ class TestLiftedCycle:
         tau = states.thermal_state(0.9, e)
         out = reduction.lifted_cycle(tau, e, 0, 1, 1)  # resonant: lever = 0
         assert out.work == pytest.approx(0.0, abs=1e-15)
+
+    def test_matches_exact_rational_on_the_raw_window(self):
+        # the bounds of test_engine's test_random_cycles_match_exact_rational
+        for p, e, k, m, n in _window_cases(seed=7):
+            q_err, dp_err = _lifted_errors(p, e, k, m, n)
+            assert q_err <= 4e-15 and dp_err <= 4e-15, (p, k, m, n)
+
+    def test_alpha_coeff_scaled_by_window_mass(self):
+        p = np.array([0.4, 0.25, 0.15, 0.12, 0.08])
+        e = np.array([0.0, 1.0, 1.5, 4.0, 4.5])
+        for k in range(3):
+            win = reduction.decompose(p, e, k)
+            lifted = reduction.lifted_cycle(p, e, k, 2, 3)
+            window = engine.run_cycle(win.reduced_state, win.reduced_h, 2, 3)
+            assert lifted.alpha_coeff == pytest.approx(win.weight * window.alpha_coeff, rel=1e-14)
+            assert lifted.delta_p == pytest.approx(win.weight * window.delta_p, rel=1e-14)
+
+    def test_degenerate_window_judged_on_raw_populations(self):
+        # levels 2 and 3 share an energy and differ by 0.9e-12 < 1e-12, so the
+        # state is passive; renormalized by the window mass 0.3 they would
+        # differ by 3e-12, past the tolerance
+        d = 0.9e-12
+        p = np.array([0.7, 0.1 + d, 0.1 + d / 2, 0.1 - d / 2])
+        p /= p.sum()
+        e = np.array([0.0, 1.0, 2.0, 2.0])
+        assert states.is_passive(p, e)
+        out = reduction.lifted_cycle(p, e, 1, 2, 3)
+        assert math.isfinite(out.work) and out.final_system[0] == p[0]
+        assert reduction.best_window(p, e, 2, 3)[1].work >= out.work
 
 
 class TestBlockUnitaryOracle:
@@ -232,3 +282,13 @@ class TestQuditOptimum:
                         assert out.efficiency <= 1.0 - betas[0] / betas[1] + 1e-12
         _, best = reduction.best_cycle(p, e, 12)
         assert activation.optimal_bound_check(p, e, best)
+
+
+if __name__ == "__main__":
+    # lifted_cycle's accuracy against exact rationals, to compare two trees:
+    # PYTHONPATH=src python -m tests.test_reduction
+    for seed in (7, 11):
+        q_err, dp_err = np.array([_lifted_errors(*case) for case in _window_cases(seed)]).T
+        print(f"seed {seed}, {q_err.size} windows: q rel err median {np.median(q_err):.3g} max "
+              f"{q_err.max():.3g}; delta_p err / (|delta_p| kappa) median "
+              f"{np.median(dp_err):.3g} max {dp_err.max():.3g}")

@@ -269,6 +269,10 @@ class TestThermal:
     def test_beta_from_entropy_uniform(self):
         assert states.beta_from_entropy(math.log(3), [0.0, 1.0, 2.0]) == 0.0
 
+    def test_beta_from_energy_just_above_uniform(self):
+        # within tol of the uniform-state energy 4/3: the bisection stops at beta = 0
+        assert states.beta_from_energy(4 / 3 + 1e-11, [0.0, 1.0, 3.0]) == 0.0
+
 
 class TestVirtualTemperatures:
     def test_worked_example_table(self, worked_example):
@@ -287,6 +291,10 @@ class TestVirtualTemperatures:
     def test_zero_upper_level_gives_sentinel(self):
         vt = states.virtual_temperatures([0.6, 0.4, 0.0], [0.0, 1.0, 2.0])
         assert states.is_beta_inf(vt.beta(2, 1))
+
+    def test_spread_with_a_sentinel_is_infinite(self):
+        vt = states.virtual_temperatures([0.6, 0.4, 0.0], [0.0, 1.0, 2.0])
+        assert vt.spread() == math.inf
 
     def test_thermal_spread_zero(self):
         e = np.array([0.0, 1.0, 3.0])
