@@ -3,10 +3,10 @@
 Builds the literal sequence of system-machine swaps as a permutation on the
 joint outcome space, computes marginals, and solves the machine fixed point
 (reusability condition) by GTH elimination, one path for every d. One pass
-of the cycle over the joint's entry labels gives its landing map, which
-sets the machine update matrix's at most 3d nonzero entries in O(d), after
-an O(d**2) zero fill of the d x d matrix. Everything here is exact
-distribution arithmetic; no sampling.
+of the cycle over the joint's entry labels gives its landing map, and so
+the at most 3d nonzero entries of the machine update matrix; a solve works
+on those entries alone, in O(d) time and memory, and never forms the d x d
+matrix. Everything here is exact distribution arithmetic; no sampling.
 """
 
 from __future__ import annotations
@@ -40,6 +40,16 @@ class SwapStep:
             raise ValueError("swap pairs must be distinct")
 
 
+def _swaps(m: int, n: int) -> list[tuple[int, int, int, int]]:
+    """The (a, b, c, e) of build_cycle's steps, in application order."""
+    states.check_cycle(m, n)
+    swaps = [(0, 1, j, j + 1) for j in range(m - 1)]
+    swaps.append((0, 1, m - 1, m + n - 1))
+    swaps.extend((1, 2, j, j + 1) for j in range(m + n - 2, m - 1, -1))
+    swaps.append((1, 2, 0, m))
+    return swaps
+
+
 def build_cycle(m: int, n: int) -> list[SwapStep]:
     """The m + n swap steps of the cycle, in application order.
 
@@ -47,22 +57,15 @@ def build_cycle(m: int, n: int) -> list[SwapStep]:
     then (m-1, m+n-1). Cold stroke: (1,2) against (m+n-2, m+n-1) down to
     (m, m+1), then (0, m).
     """
-    states.check_cycle(m, n)
-    steps = [SwapStep(0, 1, j, j + 1) for j in range(m - 1)]
-    steps.append(SwapStep(0, 1, m - 1, m + n - 1))
-    steps.extend(SwapStep(1, 2, j, j + 1) for j in range(m + n - 2, m - 1, -1))
-    steps.append(SwapStep(1, 2, 0, m))
-    return steps
+    return [SwapStep(*s) for s in _swaps(m, n)]
 
 
 def apply_cycle(joint: np.ndarray, steps) -> np.ndarray:
     """Apply each swap (a transposition of probability mass) in order."""
-    out = np.array(joint, dtype=float)
+    out = np.array(joint, dtype=float).tolist()
     for s in steps:
-        tmp = out[s.a, s.e]
-        out[s.a, s.e] = out[s.b, s.c]
-        out[s.b, s.c] = tmp
-    return out
+        out[s.a][s.e], out[s.b][s.c] = out[s.b][s.c], out[s.a][s.e]
+    return np.array(out)
 
 
 def product_joint(p, q) -> np.ndarray:
@@ -78,50 +81,64 @@ def machine_marginal(joint: np.ndarray) -> np.ndarray:
     return joint.sum(axis=0)
 
 
-@lru_cache(maxsize=256)
 def _landing(m: int, n: int) -> np.ndarray:
     """Landing map of the cycle, read-only, shape (3, d): row t_i holds, for
     system level i, t_i[k] = the flat index in the d x d update matrix of the
     entry that column k reaches, so that B_i = 1 at t_i and 0 elsewhere.
 
-    One pass of the cycle over the joint's own entry labels gives it: entry
-    (j, l) of the result names the source (i, k) whose mass lands there.
-    Float labels are exact below 2**53.
+    One pass of the cycle's swaps over the joint's integer entry labels
+    gives it: entry (j, l) of the result names the source (i, k) whose mass
+    lands there.
     """
     d = m + n
-    src = apply_cycle(np.arange(3.0 * d).reshape(3, d), build_cycle(m, n))
+    src = np.arange(3 * d).reshape(3, d).tolist()
+    for a, b, c, e in _swaps(m, n):
+        src[a][e], src[b][c] = src[b][c], src[a][e]
     dest = np.empty(3 * d, dtype=np.intp)
-    dest[src.ravel().astype(np.intp)] = np.arange(3 * d) % d
+    dest[np.ravel(src)] = np.arange(3 * d) % d
     landing = dest.reshape(3, d) * d + np.arange(d)
     landing.setflags(write=False)
     return landing
 
 
+@lru_cache(maxsize=256)
+def _pattern(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The update matrix's nonzero pattern, read-only: the rows and columns
+    of its entries in row-major order, as np.nonzero lists them, and each
+    landing's position among them, level by level."""
+    flat, pos = np.unique(_landing(m, n), return_inverse=True)
+    pattern = (*np.divmod(flat, m + n), pos.ravel())
+    for a in pattern:
+        a.setflags(write=False)
+    return pattern
+
+
+def _entries(p: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The update matrix's entries for the checked qutrit p, row-major: rows,
+    columns and rates, p_i summed where landings meet, level by level."""
+    rows, cols, pos = _pattern(m, n)
+    return rows, cols, np.bincount(pos, np.repeat(p, m + n), len(rows))
+
+
 def update_matrix(p, m: int, n: int) -> np.ndarray:
     """Column-stochastic matrix of the machine-marginal update for state p:
     p_i added at system level i's landing entries, level by level."""
-    return _update_matrix(states.validate_state(p, 3), m, n)
+    rows, cols, rates = _entries(states.validate_state(p, 3), m, n)
+    b = np.zeros((m + n, m + n))
+    b[rows, cols] = rates
+    return b
 
 
-def _update_matrix(p: np.ndarray, m: int, n: int) -> np.ndarray:
-    """update_matrix of a checked qutrit."""
-    d = m + n
-    b = np.zeros(d * d)
-    for p_i, t_i in zip(p, _landing(m, n)):
-        b[t_i] += p_i
-    return b.reshape(d, d)
-
-
-def _stationary_vector(b: np.ndarray) -> np.ndarray:
-    """Fixed point of q -> b q, b column-stochastic, by GTH elimination
-    (Grassmann, Taksar & Heyman 1985): levels leave from the top down, their
-    rates folded into the levels feeding them; outflows are summed, never
-    taken as 1 - b[k, k], so no entry loses relative accuracy to cancellation."""
-    d = b.shape[0]
+def _stationary_vector(d: int, rows: list, cols: list, rates: list) -> np.ndarray:
+    """Fixed point of q -> b q, b column-stochastic d x d with the nonzero
+    entries b[rows[i], cols[i]] = rates[i] in row-major order, by GTH
+    elimination (Grassmann, Taksar & Heyman 1985): levels leave from the top
+    down, their rates folded into the levels feeding them; outflows are
+    summed, never taken as 1 - b[k, k], so no entry loses relative accuracy
+    to cancellation."""
     out = [{} for _ in range(d)]  # out[k][j]: rate of k -> j, j != k
     into = [{} for _ in range(d)]  # into[j][k]: the same; j's weights once it leaves
-    rows, cols = np.nonzero(b)
-    for j, k, r in zip(rows.tolist(), cols.tolist(), b[rows, cols].tolist()):
+    for j, k, r in zip(rows, cols, rates):
         if j != k:
             out[k][j] = into[j][k] = r
     # running sums, not the builtin sum, which is compensated from Python 3.12 on
@@ -149,9 +166,10 @@ def _stationary_vector(b: np.ndarray) -> np.ndarray:
 
 def stationary_machine(p, m: int, n: int) -> np.ndarray:
     """The machine distribution left invariant by one cycle on the passive
-    qutrit p > 0, from one GTH solve for every d. The elimination is O(d),
-    since the machine chain is a ring; the d x d update matrix's zero fill,
-    the scan for its nonzero entries and the residual b @ q are O(d**2).
+    qutrit p > 0, from one GTH solve for every d. The solve and its residual
+    b q - q run on the update matrix's at most 3d nonzero entries, and the
+    elimination is O(d) since the machine chain is a ring, so every step is
+    O(d) in time and memory.
     Raises SingularFixedPointError when the fixed point is not unique or not
     strictly positive, or its residual exceeds 1e-12."""
     return _stationary_machine(states.passive_qutrit(p), m, n)
@@ -159,9 +177,9 @@ def stationary_machine(p, m: int, n: int) -> np.ndarray:
 
 def _stationary_machine(p: np.ndarray, m: int, n: int) -> np.ndarray:
     """stationary_machine of a checked passive qutrit."""
-    b = _update_matrix(p, m, n)
-    q = _stationary_vector(b)
-    residual = np.max(np.abs(b @ q - q))
+    rows, cols, rates = _entries(p, m, n)
+    q = _stationary_vector(m + n, rows.tolist(), cols.tolist(), rates.tolist())
+    residual = np.max(np.abs(np.bincount(rows, rates * q[cols], m + n) - q))
     if not residual <= 1e-12:  # a NaN from overflow fails too
         raise SingularFixedPointError(f"fixed-point residual too large: {residual:g}")
     return q

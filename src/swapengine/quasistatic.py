@@ -236,12 +236,12 @@ def carnot_check(p, energies) -> float:
     algebraically identical.
     """
     traj = integrate_trajectory(p, energies, "entropy")  # checks both arguments
-    de10, de21 = np.diff(np.asarray(energies, dtype=float))
+    de10, de21 = np.diff(np.asarray(energies, dtype=float)).tolist()
     worst = 0.0
     for _, y, _pt in traj.samples:
         l1 = math.log(y[0] / y[1])
         l2 = math.log(y[1] / y[2])
-        if l2 <= 0.0:
+        if l2 <= 0.0 or de10 == 0.0:  # no Carnot value to compare with
             continue
         eta = 1.0 - (l1 / l2) * (de21 / de10)
         carnot = 1.0 - (l1 / de10) * (de21 / l2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,16 @@ class TestCycleStructure:
             oracle.SwapStep(0, 1, -1, 0)
         with pytest.raises(ValueError):
             oracle.SwapStep(-1, 1, 0, 1)
+
+    def test_apply_cycle_guards(self):
+        steps = oracle.build_cycle(2, 3)
+        joint = np.random.default_rng(3).dirichlet(np.ones(15)).reshape(3, 5)
+        before = joint.copy()
+        oracle.apply_cycle(joint, steps)
+        assert np.array_equal(joint, before)  # the input joint is not modified
+        assert oracle.apply_cycle(np.arange(15).reshape(3, 5), steps).dtype == float
+        with pytest.raises(IndexError):  # step (0, 1, 1, 4) is beyond a 4-column joint
+            oracle.apply_cycle(np.full((3, 4), 1 / 12), steps)
 
     def test_mass_conserved(self):
         rng = np.random.default_rng(7)
@@ -96,8 +108,20 @@ class TestStationaryMachine:
             [0.0, 0.0, 0.3, 0.6],
             [0.0, 0.0, 0.7, 0.4],
         ])
+        rows, cols = np.nonzero(b)
         with pytest.raises(oracle.SingularFixedPointError):
-            oracle._stationary_vector(b)
+            oracle._stationary_vector(4, rows.tolist(), cols.tolist(), b[rows, cols].tolist())
+
+    def test_solve_memory_is_linear_in_d(self):
+        # the dense 2000 x 2000 update matrix alone would take 32 MB
+        p = np.array([0.5, 0.3, 0.2])
+        tracemalloc.start()
+        try:
+            oracle.stationary_machine(p, 1000, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_rejects_zero_probabilities(self):
         with pytest.raises(ValueError):
@@ -120,15 +144,27 @@ def _reference_update_matrix(p, m, n):
     return p[0] * basis[0] + p[1] * basis[1] + p[2] * basis[2]
 
 
+_REFERENCE_PAIRS = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(20, 29), (40, 38)]
+
+
 class TestUpdateMatrix:
     def test_matches_basis_state_reference(self):
         rng = np.random.default_rng(5)
-        pairs = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(20, 29), (40, 38)]
         for p in random_passive_qutrits(rng, 3, min_p=1e-3):
-            for m, n in pairs:
+            for m, n in _REFERENCE_PAIRS:
                 assert np.array_equal(
                     oracle.update_matrix(p, m, n), _reference_update_matrix(p, m, n)
                 ), (m, n)
+
+    def test_solve_matches_gth_on_reference_entries(self):
+        # the solve's own entries give GTH what a scan of the dense reference gives
+        pairs = _REFERENCE_PAIRS + [(257, 257)]
+        qutrits = random_passive_qutrits(np.random.default_rng(6), len(pairs), min_p=1e-3)
+        for p, (m, n) in zip(qutrits, pairs):
+            b = _reference_update_matrix(p, m, n)
+            rows, cols = np.nonzero(b)
+            q = oracle._stationary_vector(m + n, rows.tolist(), cols.tolist(), b[rows, cols].tolist())
+            assert np.array_equal(oracle.stationary_machine(p, m, n), q), (m, n)
 
     def test_landing_vectors_read_only(self):
         for t in oracle._landing(3, 4):
@@ -157,3 +193,24 @@ class TestMutualInformation:
         joint[1, 1] = np.nan
         with pytest.raises(ValueError):
             oracle.mutual_information(joint)
+
+
+if __name__ == "__main__":
+    # the oracle's solve time, to compare two trees:
+    # PYTHONPATH=src python -m tests.test_oracle
+    import timeit
+
+    p = np.exp([0.8, 0.0, -0.8]) / np.exp([0.8, 0.0, -0.8]).sum()
+    caches = [f for f in vars(oracle).values() if hasattr(f, "cache_clear")]
+
+    def cold(m, n):
+        for f in caches:
+            f.cache_clear()
+        oracle.stationary_machine(p, m, n)
+
+    print("stationary_machine at p = exp(0.8, 0, -0.8) / Z, m = d // 2; best of 5")
+    for d in (10, 48, 158, 514):
+        m, number = d // 2, max(10, 5000 // d)
+        warm = min(timeit.repeat(lambda: oracle.stationary_machine(p, m, d - m), number=number, repeat=5))
+        first = min(timeit.repeat(lambda: cold(m, d - m), number=number, repeat=5))
+        print(f"d = {d}: warm {warm / number * 1e6:,.0f} us, cold {first / number * 1e6:,.0f} us")

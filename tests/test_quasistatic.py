@@ -78,6 +78,7 @@ class TestAlphaRange:
             with pytest.raises(ValueError, match="^empty alpha range"):
                 call(tied, e)
         assert len(quasistatic.integrate_trajectory(tied, e, "entropy").samples) == 1
+        assert quasistatic.carnot_check(tied, e) == 0.0
 
 
 class TestAsymptoticMachine:
