@@ -11,7 +11,6 @@ matrix. Everything here is exact distribution arithmetic; no sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,48 +22,31 @@ class SingularFixedPointError(RuntimeError):
     """The reusability fixed point is singular or not unique."""
 
 
-@dataclass(frozen=True)
-class SwapStep:
-    """Swap of system pair (a, b) against machine pair (c, e):
-    exchanges |a, e> with |b, c> on the joint space."""
-
-    a: int
-    b: int
-    c: int
-    e: int
-
-    def __post_init__(self):
-        if min(self.a, self.b, self.c, self.e) < 0:
-            raise ValueError("swap indices must be non-negative")
-        if self.a == self.b or self.c == self.e:
-            raise ValueError("swap pairs must be distinct")
-
-
-def _swaps(m: int, n: int) -> list[tuple[int, int, int, int]]:
-    """The (a, b, c, e) of build_cycle's steps, in application order."""
-    states.check_cycle(m, n)
-    swaps = [(0, 1, j, j + 1) for j in range(m - 1)]
-    swaps.append((0, 1, m - 1, m + n - 1))
-    swaps.extend((1, 2, j, j + 1) for j in range(m + n - 2, m - 1, -1))
-    swaps.append((1, 2, 0, m))
-    return swaps
-
-
-def build_cycle(m: int, n: int) -> list[SwapStep]:
-    """The m + n swap steps of the cycle, in application order.
+def build_cycle(m: int, n: int) -> list[tuple[int, int, int, int]]:
+    """The m + n swap steps of the cycle, in application order; step
+    (a, b, c, e) exchanges |a, e> with |b, c> on the joint space.
 
     Hot stroke: (0,1) against machine pairs (0,1), (1,2), ..., (m-2,m-1),
     then (m-1, m+n-1). Cold stroke: (1,2) against (m+n-2, m+n-1) down to
     (m, m+1), then (0, m).
     """
-    return [SwapStep(*s) for s in _swaps(m, n)]
+    states.check_cycle(m, n)
+    steps = [(0, 1, j, j + 1) for j in range(m - 1)]
+    steps.append((0, 1, m - 1, m + n - 1))
+    steps.extend((1, 2, j, j + 1) for j in range(m + n - 2, m - 1, -1))
+    steps.append((1, 2, 0, m))
+    return steps
 
 
 def apply_cycle(joint: np.ndarray, steps) -> np.ndarray:
     """Apply each swap (a transposition of probability mass) in order."""
     out = np.array(joint, dtype=float).tolist()
-    for s in steps:
-        out[s.a][s.e], out[s.b][s.c] = out[s.b][s.c], out[s.a][s.e]
+    for a, b, c, e in steps:
+        if min(a, b, c, e) < 0:  # a negative index would wrap to the last row or column
+            raise ValueError("swap indices must be non-negative")
+        if a == b or c == e:
+            raise ValueError("swap pairs must be distinct")
+        out[a][e], out[b][c] = out[b][c], out[a][e]
     return np.array(out)
 
 
@@ -92,7 +74,7 @@ def _landing(m: int, n: int) -> np.ndarray:
     """
     d = m + n
     src = np.arange(3 * d).reshape(3, d).tolist()
-    for a, b, c, e in _swaps(m, n):
+    for a, b, c, e in build_cycle(m, n):
         src[a][e], src[b][c] = src[b][c], src[a][e]
     dest = np.empty(3 * d, dtype=np.intp)
     dest[np.ravel(src)] = np.arange(3 * d) % d

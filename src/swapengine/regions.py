@@ -30,13 +30,15 @@ R3_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RationalGapRatio:
-    """Integers with M * dE10 = N * dE21 (within the tolerance used to
-    construct them)."""
+    """Integers M >= 1 and N >= 0 (ints or numpy integers) with
+    M * dE10 = N * dE21 (within the tolerance used to construct them)."""
 
     m_int: int
     n_int: int
 
     def __post_init__(self):
+        if not (states._is_integer(self.m_int) and states._is_integer(self.n_int)):
+            raise ValueError(f"need integers M and N, got M = {self.m_int!r}, N = {self.n_int!r}")
         if self.m_int < 1 or self.n_int < 0:
             raise ValueError("need M >= 1 and N >= 0")
 

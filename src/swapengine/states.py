@@ -91,8 +91,16 @@ def passive_qutrit(probs) -> np.ndarray:
     return p
 
 
+def _is_integer(k) -> bool:
+    """True for an int or a numpy integer; a bool, a float or NaN is none."""
+    # type() first: check_cycle runs once per cycle, and isinstance costs more
+    return type(k) is int or isinstance(k, np.integer)
+
+
 def check_cycle(m: int, n: int) -> None:
-    """Raise ValueError unless the (m, n) swap cycle has m, n >= 1."""
+    """Raise ValueError unless the (m, n) swap cycle has integers m, n >= 1."""
+    if not (_is_integer(m) and _is_integer(n)):
+        raise ValueError(f"need integers m and n, got m = {m!r}, n = {n!r}")
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m = {m}, n = {n}")
 
@@ -318,6 +326,7 @@ def beta_from_energy(target_energy: float, energies, tol: float = 1e-10) -> floa
     BETA_INF sentinel. tol is relative to the ladder span E[-1] - E[0].
     """
     e = validate_hamiltonian(energies)
+    check_tol(tol)
     tol *= float(e[-1] - e[0])
     with np.errstate(over="ignore"):  # a sum past the float range is inf, rejected next
         e_uniform = float(e.mean())
@@ -337,7 +346,9 @@ def beta_from_energy(target_energy: float, energies, tol: float = 1e-10) -> floa
 
 def beta_from_entropy(target_entropy: float, energies, tol: float = 1e-10) -> float:
     """Inverse temperature whose thermal state has the given entropy (nats)."""
-    return _beta_from_entropy(target_entropy, validate_hamiltonian(energies), tol)
+    e = validate_hamiltonian(energies)
+    check_tol(tol)
+    return _beta_from_entropy(target_entropy, e, tol)
 
 
 def _beta_from_entropy(target_entropy: float, e: np.ndarray, tol: float = 1e-10) -> float:

@@ -35,8 +35,8 @@ def _exact_solution(p, m: int, n: int):
     total = sum(q)
     q = [x / total for x in q]
     joint = [[p_i * q_k for q_k in q] for p_i in map(Fraction, p)]
-    for s in oracle.build_cycle(m, n):
-        joint[s.a][s.e], joint[s.b][s.c] = joint[s.b][s.c], joint[s.a][s.e]
+    for a, b, c, e in oracle.build_cycle(m, n):
+        joint[a][e], joint[b][c] = joint[b][c], joint[a][e]
     return q, (sum(joint[0]) - Fraction(p[0])) / m
 
 

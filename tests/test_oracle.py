@@ -10,7 +10,7 @@ from tests.conftest import random_passive_qutrits
 class TestCycleStructure:
     def test_smallest_cycle_steps(self):
         steps = oracle.build_cycle(1, 1)
-        assert steps == [oracle.SwapStep(0, 1, 0, 1), oracle.SwapStep(1, 2, 0, 1)]
+        assert steps == [(0, 1, 0, 1), (1, 2, 0, 1)]
 
     def test_step_counts(self):
         for m, n in [(1, 1), (2, 3), (4, 5)]:
@@ -35,11 +35,11 @@ class TestCycleStructure:
         assert len(images) == 3 * (m + n)
 
     def test_rejects_negative_indices(self):
-        # a negative index would wrap to the last machine column
-        with pytest.raises(ValueError):
-            oracle.SwapStep(0, 1, -1, 0)
-        with pytest.raises(ValueError):
-            oracle.SwapStep(-1, 1, 0, 1)
+        # a negative index would wrap to the last machine column or system row
+        joint = np.full((3, 2), 1 / 6)
+        for steps in ([(0, 1, -1, 0)], [(-1, 1, 0, 1)]):
+            with pytest.raises(ValueError, match="^swap indices must be non-negative$"):
+                oracle.apply_cycle(joint, steps)
 
     def test_apply_cycle_guards(self):
         steps = oracle.build_cycle(2, 3)
@@ -196,7 +196,7 @@ class TestMutualInformation:
 
 
 if __name__ == "__main__":
-    # the oracle's solve time, to compare two trees:
+    # the oracle's solve and swap times, to compare two trees:
     # PYTHONPATH=src python -m tests.test_oracle
     import timeit
 
@@ -214,3 +214,12 @@ if __name__ == "__main__":
         warm = min(timeit.repeat(lambda: oracle.stationary_machine(p, m, d - m), number=number, repeat=5))
         first = min(timeit.repeat(lambda: cold(m, d - m), number=number, repeat=5))
         print(f"d = {d}: warm {warm / number * 1e6:,.0f} us, cold {first / number * 1e6:,.0f} us")
+
+    print("apply_cycle(product_joint(p, q), build_cycle(m, n)) at q uniform, m = d // 2; best of 5")
+    for d in (10, 48, 158, 514):
+        m, number, q = d // 2, max(10, 5000 // d), np.full(d, 1 / d)
+        swap = min(timeit.repeat(
+            lambda: oracle.apply_cycle(oracle.product_joint(p, q), oracle.build_cycle(m, d - m)),
+            number=number, repeat=5,
+        ))
+        print(f"d = {d}: {swap / number * 1e6:,.1f} us")

@@ -182,16 +182,29 @@ _JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
     # p2 below the resolution of 1 - p0 - p1, the stepper's p2
     lambda: quasistatic.integrate_trajectory([1.0, 5e-324, 5e-324], E, "entropy"),
     lambda: quasistatic.integrate_trajectory([0.9, 0.1, 1e-17], E, "entropy"),
+    # cycle and gap-ratio arguments that are not integers: each was accepted or raised TypeError
+    lambda: regions.in_activation_region([0.5, 0.35, 0.15], [0, 3, 4], 2.5, 3),
+    lambda: regions.in_activation_region([0.5, 0.35, 0.15], [0, 3, 4], NAN, 3),
+    lambda: regions.coverage_fraction(regions.RationalGapRatio(1, 3), 2.5, 3, 50),
+    lambda: regions.k_activability_witness([0.5, 0.35, 0.15], [0, 3, 4], 2.5, 3),
+    lambda: engine.run_cycle([0.5, 0.35, 0.15], [0, 3, 4], 2.5, 3),
+    lambda: engine.run_cycle([0.5, 0.35, 0.15], [0, 3, 4], True, 3),
+    lambda: regions.covering_cycle([0.6, 0.3, 0.1], regions.RationalGapRatio(1.5, 2), 20),
+    lambda: regions.RationalGapRatio(NAN, 2),
+    lambda: regions.RationalGapRatio(1, True),
 ], ids=["relative_entropy_nan", "relative_entropy_unnormalized", "relative_entropy_lengths",
         "ledger_nan_machine", "ledger_beta_inf", "ledger_beta_nan", "ledger_underflow",
-        "ledger_joint_rows", "witness_cycle", "trajectory_subnormal_p2", "trajectory_tiny_p2"])
+        "ledger_joint_rows", "witness_cycle", "trajectory_subnormal_p2", "trajectory_tiny_p2",
+        "region_float_m", "region_nan_m", "coverage_float_m", "witness_float_m", "cycle_float_m",
+        "cycle_bool_m", "covering_float_ratio", "gap_ratio_nan", "gap_ratio_bool"])
 def test_domain_holes_rejected(call):
     with pytest.raises(ValueError):
         call()
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: oracle.SwapStep(0, 0, 1, 2), "^swap pairs must be distinct$"),
+    (lambda: oracle.apply_cycle(np.full((3, 3), 1 / 9), [(0, 0, 1, 2)]),
+     "^swap pairs must be distinct$"),
     (lambda: quasistatic.asymptotic_machine([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], 2, 1.0),
      "^need m >= 3$"),
     (lambda: quasistatic.integrate_trajectory([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], "bogus"),
@@ -245,10 +258,13 @@ _TAU = states.thermal_state(1.0, E)  # R3 for the gap ratio 1:1
     lambda tol: regions.covering_cycle(_TAU, regions.RationalGapRatio(1, 1), 6, tol),
     lambda tol: regions.coverage_fraction(regions.RationalGapRatio(1, 1), 2, 1, 20, tol),
     lambda tol: regions.approximate_gap_ratio([0.0, 1.0, 2.5], tol),
+    lambda tol: states.beta_from_energy(0.5, E, tol),
+    lambda tol: states.beta_from_entropy(0.5, E, tol),
 ], ids=["is_passive", "is_completely_passive", "classify", "classify_batch", "covering_cycle",
-        "coverage_fraction", "approximate_gap_ratio"])
+        "coverage_fraction", "approximate_gap_ratio", "beta_from_energy", "beta_from_entropy"])
 def test_bad_tolerance_rejected(call, tol):
-    # a NaN tolerance used to answer: True, False, R2, R2, None, 0.0 and a 32-digit ratio
+    # a NaN tolerance used to answer: True, False, R2, R2, None, 0.0 and a 32-digit ratio;
+    # the beta inversions blamed the target, or answered BETA_INF at an infinite one
     with pytest.raises(ValueError, match="^need a finite (tol|eps_band) >= 0"):
         call(tol)
 
@@ -379,6 +395,8 @@ def test_fuzz_public_entry_points(p, e, m, n, strategy, alpha, ratio, beta, targ
         (tol, lambda: regions.classify(batch, ratio, tol)),
         (tol, lambda: regions.covering_cycle(p, ratio, 6, tol)),
         (tol, lambda: regions.approximate_gap_ratio(e, tol)),
+        (tol, lambda: states.beta_from_energy(target, e, tol)),
+        (tol, lambda: states.beta_from_entropy(target, e, tol)),
         (eps_band, lambda: regions.coverage_fraction(ratio, m, n, 12, eps_band)),
     ]
     for bound, call in tol_calls:
