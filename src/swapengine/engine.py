@@ -35,14 +35,28 @@ def _geometric_sums(count: int, log_lam: float) -> list[float]:
 
 
 def _machine_solution(p: np.ndarray, m: int, n: int):
-    """(q, delta_p, alpha) from the closed form. Up to a common factor, the
-    occupation is the hot stroke's sum at j = 0 ... m (level j, and at j = m
-    the top level m + n - 1) or the cold stroke's at i = 1 ... n - 1 (level
-    m + i - 1)."""
+    """(q, delta_p, alpha) from the closed form."""
+    u, total, delta_p, alpha = _strokes(*_factors(p, m, n), m, n)
+    return u / total, delta_p, alpha
+
+
+def _factors(p: np.ndarray, m: int, n: int):
+    """(p1, s1, s2, g1, g2) of the passive qutrit or window p for cycles up to
+    (m, n): the factors s1 = p1/p0 and s2 = p2/p1 and their _geometric_sums
+    tables, m + 1 and n entries long."""
     p0, p1, p2 = p.tolist()  # Python floats, faster than numpy scalars here
     s1 = p1 / p0
     s2 = p2 / p1
-    g1, g2 = _geometric_sums(m + 1, math.log(s1)), _geometric_sums(n, math.log(s2))
+    return p1, s1, s2, _geometric_sums(m + 1, math.log(s1)), _geometric_sums(n, math.log(s2))
+
+
+def _strokes(p1: float, s1: float, s2: float, g1: list[float], g2: list[float], m: int, n: int):
+    """(u, total, delta_p, alpha) of the (m, n) cycle from _factors: the
+    machine occupations u up to the common factor 1/total, total = u.sum().
+    The occupation is the hot stroke's sum at j = 0 ... m (level j, and at
+    j = m the top level m + n - 1) or the cold stroke's at i = 1 ... n - 1
+    (level m + i - 1). An entry of g1 or g2 does not depend on the table's
+    length, so tables built for a longer cycle serve every shorter one."""
     s1m, s2n = s1**m, s2**n
     hot, cold = [], []
     for j in range(m + 1):
@@ -53,9 +67,7 @@ def _machine_solution(p: np.ndarray, m: int, n: int):
         cold.append(s2i * s2 * g2[n - 1 - i] + s2i * s1 * g1[m] + s2i + s1m * g2[i])
     u = np.array(hot[:m] + cold + hot[m:])
     total = u.sum()
-    alpha = p1 * s1m * s2n / total
-    delta_p = p1 * (s1m - s2n) / total
-    return u / total, delta_p, alpha
+    return u, total, p1 * (s1m - s2n) / total, p1 * s1m * s2n / total
 
 
 def machine_distribution(p, m: int, n: int) -> np.ndarray:
@@ -97,26 +109,34 @@ def run_cycle(p, energies, m: int, n: int) -> CycleOutcome:
     return _run_cycle(p, states.validate_hamiltonian(energies, 3), m, n)
 
 
-def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int) -> CycleOutcome:
-    """run_cycle on a checked cycle, ladder and passive qutrit, or a passive window's raw populations."""
-    de10, de21 = float(energies[1] - energies[0]), float(energies[2] - energies[1])
-    states._check_passive_on(p, de10, de21)
+def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int, k: int = 0) -> CycleOutcome:
+    """run_cycle on a checked cycle, ladder and passive qutrit. With k, the
+    cycle on levels k, k + 1, k + 2 of a checked state and ladder whose
+    window passed reduction's window check: it runs on the window's raw
+    populations, and final_system is the whole state with those levels moved."""
+    w = p[k : k + 3]
+    e0, e1, e2 = energies.tolist()[k : k + 3]
+    de10, de21 = e1 - e0, e2 - e1
+    states._check_passive_on(w, de10, de21)
     lever = states._lever(m, n, de10, de21)
-    q, delta_p, alpha = _machine_solution(p, m, n)
+    # _machine_solution's two steps, with one call less per cycle
+    u, total, delta_p, alpha = _strokes(*_factors(w, m, n), m, n)
+    q = u / total
     # + 0.0 turns the -0.0 of a resonant cycle (lever 0) with delta_p < 0 into 0.0
     work = lever * delta_p + 0.0
     q_hot = de10 * delta_p
     q_cold = de21 * delta_p
-    final = np.array(
-        [p[0] + m * delta_p, p[1] - (m + n) * delta_p, p[2] + n * delta_p]
-    )
+    p0, p1, p2 = w.tolist()
+    f0, f1, f2 = p0 + m * delta_p, p1 - (m + n) * delta_p, p2 + n * delta_p
+    final = p.copy()
+    final[k], final[k + 1], final[k + 2] = f0, f1, f2  # faster than a slice from a tuple
     # efficiency = work / heat drawn in: heat enters through the (0,1) pair
     # when delta_p >= 0, and through the (1,2) pair when the cycle runs the other way
     if delta_p >= 0:
-        final_active = final[1] < final[2]
+        final_active = f1 < f2
         heat_in, heat_out = m * de10, n * de21
     else:
-        final_active = final[0] < final[1]
+        final_active = f0 < f1
         heat_in, heat_out = n * de21, m * de10
     efficiency = 1.0 - heat_out / heat_in if heat_in > 0 else math.nan
     return CycleOutcome(

@@ -91,6 +91,7 @@ def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
     rng = _alpha_window(p, ratio)
     if alpha not in rng:
         raise ValueError(f"alpha={alpha} outside admissible range {rng}")
+    states._check_integer(m, "m")
     if m < 3:
         raise ValueError("need m >= 3")
     n = math.ceil(alpha * m)
@@ -159,6 +160,7 @@ def integrate_trajectory(
     states._check_passive_on(p, de10, de21)
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
+    states._check_integer(max_steps, "max_steps")
     if not max_steps >= 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
     p0, p1, p2 = p.tolist()  # Python floats: a ratio past the float range is inf, silently

@@ -10,7 +10,6 @@ one): run on the window's raw populations, it gives the full-state outcome.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +32,33 @@ def decompose(p, energies, k: int) -> SubspaceWindow:
 
 def _window(p: np.ndarray, e: np.ndarray, k: int) -> SubspaceWindow:
     """decompose on a checked state and ladder."""
-    if not 0 <= k <= p.size - 3:
-        raise ValueError(f"window start {k} out of range for d={p.size}")
-    lam = float(p[k : k + 3].sum())
-    if lam <= 0.0:
-        raise ValueError("window has zero mass")
+    *_, lam = _raw_window(p, k)
     return SubspaceWindow(
         k=k,
         weight=lam,
         reduced_state=p[k : k + 3] / lam,
         reduced_h=e[k : k + 3].copy(),
     )
+
+
+def _raw_window(p: np.ndarray, k: int) -> tuple[float, float, float, float]:
+    """(p_k, p_k+1, p_k+2, their sum) of the checked state p, as Python floats,
+    once k is a window start and the window has mass."""
+    states._check_integer(k, "window start")
+    if not 0 <= k <= p.size - 3:
+        raise ValueError(f"window start {k} out of range for d={p.size}")
+    a, b, c = p[k : k + 3].tolist()
+    lam = a + b + c  # numpy's sum of three entries, left to right
+    if lam <= 0.0:
+        raise ValueError("window has zero mass")
+    return a, b, c, lam
+
+
+def _check_window(p: np.ndarray, k: int) -> None:
+    """decompose's checks on window k of the checked state p, then
+    passive_qutrit's batch test on the renormalized window."""
+    a, b, c, lam = _raw_window(p, k)
+    states._check_passive_row(a / lam, b / lam, c / lam)
 
 
 def lifted_cycle(p, energies, k: int, m: int, n: int) -> engine.CycleOutcome:
@@ -55,18 +70,9 @@ def lifted_cycle(p, energies, k: int, m: int, n: int) -> engine.CycleOutcome:
     is the window's stationary one.
     """
     p, e = states.state_and_ladder(p, energies)
-    # the batch form checks the window's order, normalization and p0 <= 1
-    states.passive_qutrit(_window(p, e, k).reduced_state[None])
+    _check_window(p, k)
     states.check_cycle(m, n)
-    return _lift(p, k, engine._run_cycle(p[k : k + 3], e[k : k + 3], m, n))
-
-
-def _lift(p: np.ndarray, k: int, out: engine.CycleOutcome) -> engine.CycleOutcome:
-    """out, the cycle run on window k of the checked state p, with its final
-    window written into a copy of p."""
-    final = p.copy()
-    final[k : k + 3] = out.final_system
-    return dataclasses.replace(out, final_system=final)
+    return engine._run_cycle(p, e, m, n, k)
 
 
 def best_window(p, energies, m: int, n: int):
@@ -80,25 +86,44 @@ def best_cycle(p, energies, max_dim: int):
     """(k, outcome) maximizing lifted work over every window k and every
     (m, n) with m + n <= max_dim; ties break toward smaller m, then n, then k."""
     p, e = states.state_and_ladder(p, energies)
+    states._check_integer(max_dim, "max_dim")
     if max_dim < 2:
         raise ValueError(f"need max_dim >= 2, got {max_dim}")
     return _best(p, e, [(m, n) for m in range(1, max_dim) for n in range(1, max_dim - m + 1)])
 
 
 def _best(p: np.ndarray, e: np.ndarray, pairs) -> tuple[int, engine.CycleOutcome]:
-    """best_cycle over the checked (m, n) pairs, on a checked state and ladder."""
-    # k = 0 even for d < 3, so that _window raises; a qudit window with an
+    """best_cycle over the checked (m, n) pairs, on a checked state and ladder.
+
+    Each candidate computes only its work, lever times delta_p, with
+    _run_cycle's closed form; the winner's outcome is built once.
+    """
+    # k = 0 even for d < 3, so that _raw_window raises; a qudit window with an
     # empty top level cannot run a cycle, and a zero-mass window has one
     ks = [k for k in range(max(p.size - 2, 1)) if p.size <= 3 or p[k + 2] > 0.0]
     if not ks:
         raise ValueError("no 3-level window can run a cycle: every top population p[k+2] is 0")
-    # the batch form checks each window's order, normalization and p0 <= 1
-    states.passive_qutrit(np.array([_window(p, e, k).reduced_state for k in ks]))
-    slices = [(k, p[k : k + 3], e[k : k + 3]) for k in ks]
-    runs = ((k, engine._run_cycle(pk, ek, m, n)) for m, n in pairs for k, pk, ek in slices)
-    # max keeps the first of equal maxima
-    k, out = max(runs, key=lambda run: run[1].work)
-    return k, _lift(p, k, out)
+    # every window is checked before any cycle runs; one pair of geometric
+    # tables per window, as long as the longest cycle needs
+    m_max, n_max = max(m for m, _ in pairs), max(n for _, n in pairs)
+    windows = []
+    for k in ks:
+        _check_window(p, k)
+        w = p[k : k + 3]
+        e0, e1, e2 = e[k : k + 3].tolist()
+        windows.append((k, w, e1 - e0, e2 - e1, engine._factors(w, m_max, n_max)))
+    best = None
+    for i, (m, n) in enumerate(pairs):
+        for k, w, de10, de21, factors in windows:
+            if i == 0:  # _run_cycle's ladder check, where the window's first cycle meets it
+                states._check_passive_on(w, de10, de21)
+            lever = states._lever(m, n, de10, de21)
+            # _run_cycle's work; the first of equal maxima wins
+            work = lever * engine._strokes(*factors, m, n)[2] + 0.0
+            if best is None or work > best[0]:
+                best = work, k, m, n
+    _, k, m, n = best
+    return k, engine._run_cycle(p, e, m, n, k)
 
 
 def block_joint_cycle(p, energies, k: int, m: int, n: int):

@@ -132,6 +132,7 @@ def covering_cycle(p, ratio: RationalGapRatio, n_max: int, tol: float = R3_TOL):
     Returns (m, n) or None when nothing up to n_max works; raises for R3
     states, which no cycle activates.
     """
+    states._check_integer(n_max, "n_max")
     label = classify(p, ratio, tol)
     if label == R3:
         raise ValueError("state is completely passive (R3): never activable")
@@ -167,6 +168,7 @@ def k_activability_witness(p, energies, m: int, n: int) -> bool:
 def passive_simplex_grid(resolution: int) -> np.ndarray:
     """Uniform barycentric grid over strictly positive passive qutrit
     states: all (i, j, k)/resolution with i >= j >= k >= 1."""
+    states._check_integer(resolution, "resolution")
     if resolution < 10:
         raise ValueError("need resolution >= 10")
     # k ascending, then j from k to (resolution - k) // 2, then i = the rest
@@ -202,6 +204,7 @@ def coverage_fraction(
     """
     states.check_cycle(m, n)
     states.check_tol(eps_band, "eps_band")
+    states._check_integer(grid_resolution, "grid_resolution")  # before the cache, which keys 50.0 as 50
     l1, l2 = _grid_log_ratios(grid_resolution)
     in_r1, activated = coverage_counts(l1, l2, ratio.m_int, ratio.n_int, m, n, eps_band)
     if in_r1 == 0:

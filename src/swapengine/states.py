@@ -20,6 +20,7 @@ import numpy as np
 BETA_INF = math.inf
 
 _NORM_TOL = 1e-12
+_NOT_PASSIVE_QUTRIT = "need a normalized passive qutrit with p0 >= p1 >= p2 > 0"
 
 
 def is_beta_inf(beta: float) -> bool:
@@ -87,14 +88,27 @@ def passive_qutrit(probs) -> np.ndarray:
         p0, p1, p2 = p.tolist()
         ok = p0 >= p1 >= p2 > 0.0
     if not ok:  # negated, so that NaN fails it
-        raise ValueError("need a normalized passive qutrit with p0 >= p1 >= p2 > 0")
+        raise ValueError(_NOT_PASSIVE_QUTRIT)
     return p
+
+
+def _check_passive_row(p0: float, p1: float, p2: float) -> None:
+    """passive_qutrit's batch test on one row of Python floats, with its error."""
+    # negated, so that NaN fails it; the row sums left to right, as numpy's does
+    if not (1.0 >= p0 >= p1 >= p2 > 0.0 and abs(p0 + p1 + p2 - 1.0) <= 1e-12):
+        raise ValueError(_NOT_PASSIVE_QUTRIT)
 
 
 def _is_integer(k) -> bool:
     """True for an int or a numpy integer; a bool, a float or NaN is none."""
     # type() first: check_cycle runs once per cycle, and isinstance costs more
     return type(k) is int or isinstance(k, np.integer)
+
+
+def _check_integer(value, name: str) -> None:
+    """Raise ValueError unless value is an int or a numpy integer."""
+    if not _is_integer(value):
+        raise ValueError(f"need an integer {name}, got {value!r}")
 
 
 def check_cycle(m: int, n: int) -> None:

@@ -378,7 +378,14 @@ def _readme_examples():
     ]
 
 
-@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
+def _example_ids(argvs):
+    """Each example's subcommand, numbered from its second example on (optimize, optimize_2)."""
+    names = [argv[0] for argv in argvs]
+    return [name if names[:i].count(name) == 0 else f"{name}_{names[:i].count(name) + 1}"
+            for i, name in enumerate(names)]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=_example_ids(_readme_examples()))
 def test_readme_example_runs(tmp_path, argv):
     if "--out" in argv:
         i = argv.index("--out")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapengine import activation, engine, quasistatic, reduction, states
@@ -198,16 +198,19 @@ class TestBestWindow:
                 assert np.array_equal(getattr(out, field.name), getattr(direct, field.name))
 
 
-def _brute_force_best(p, e, max_dim, windows=None):
+def _pairs(max_dim):
+    return [(m, n) for m in range(1, max_dim) for n in range(1, max_dim - m + 1)]
+
+
+def _brute_force_best(p, e, pairs, windows=None):
     """(k, m, n, outcome) maximizing lifted work, one lifted_cycle per
     (m, n, k) with k in windows (default: all); the first of equal maxima wins."""
     best = None
-    for m in range(1, max_dim):
-        for n in range(1, max_dim - m + 1):
-            for k in range(p.size - 2) if windows is None else windows:
-                out = reduction.lifted_cycle(p, e, k, m, n)
-                if best is None or out.work > best[3].work:
-                    best = (k, m, n, out)
+    for m, n in pairs:
+        for k in range(p.size - 2) if windows is None else windows:
+            out = reduction.lifted_cycle(p, e, k, m, n)
+            if best is None or out.work > best[3].work:
+                best = (k, m, n, out)
     return best
 
 
@@ -218,7 +221,7 @@ class TestBestCycle:
             p = random_passive_qudit(rng, d)
             e = np.cumsum(rng.uniform(0.2, 2.0, size=d))
             k, out = reduction.best_cycle(p, e, 8)
-            ref_k, m, n, ref = _brute_force_best(p, e, 8)
+            ref_k, m, n, ref = _brute_force_best(p, e, _pairs(8))
             assert (k, out.m, out.n) == (ref_k, m, n)
             assert out.work == ref.work
             assert np.array_equal(out.final_system, ref.final_system)
@@ -228,7 +231,7 @@ class TestBestCycle:
         e = np.arange(5.0)
         tau = states.thermal_state(0.7, e)
         k, out = reduction.best_cycle(tau, e, 8)
-        assert (k, out.m, out.n) == (0, 1, 1) == _brute_force_best(tau, e, 8)[:3]
+        assert (k, out.m, out.n) == (0, 1, 1) == _brute_force_best(tau, e, _pairs(8))[:3]
         assert out.work == 0.0
 
     @pytest.mark.parametrize("e", [np.arange(5.0), np.array([0.0, 3.0, 4.0, 6.0, 9.0])])
@@ -236,7 +239,7 @@ class TestBestCycle:
         # windows 1 and 2 end on a zero population: only window 0 can run a cycle
         p = np.array([0.5, 0.3, 0.2, 0.0, 0.0])
         k, out = reduction.best_cycle(p, e, 6)
-        ref_k, m, n, ref = _brute_force_best(p, e, 6, windows=[0])
+        ref_k, m, n, ref = _brute_force_best(p, e, _pairs(6), windows=[0])
         assert (k, out.m, out.n) == (ref_k, m, n)
         assert out.work == ref.work
         assert np.array_equal(out.final_system, ref.final_system)
@@ -252,6 +255,147 @@ class TestBestCycle:
     def test_needs_max_dim_two(self, max_dim):
         with pytest.raises(ValueError, match="need max_dim >= 2"):
             reduction.best_cycle([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], max_dim)
+
+
+@st.composite
+def searchable_qudits(draw):
+    """A qudit with d = 3 ... 7 on a ladder whose gaps are often 0, 1 or 2
+    (degenerate windows, resonant cycles with lever 0): passive with equal
+    populations on equal energies, that is drawn with ties, thermal, or with
+    its top levels empty; or, for the errors, sorted with unequal populations
+    on equal energies, or unsorted."""
+    d = draw(st.integers(3, 7))
+    gap = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.1, 3.0)
+    e = np.concatenate([[0.0], np.cumsum(draw(st.lists(gap, min_size=d - 1, max_size=d - 1)))])
+    kind = draw(st.sampled_from(["drawn", "thermal", "empty_top", "unequal", "unsorted"]))
+    if kind == "thermal":
+        return states.thermal_state(draw(st.floats(0.0, 3.0)), e), e
+    # levels of equal energy share a block, except in the states no search accepts
+    block = np.unique(e, return_inverse=True)[1] if kind in ("drawn", "empty_top") else np.arange(d)
+    weight = st.sampled_from([0.1, 0.2, 0.3]) | st.floats(1e-3, 1.0)
+    size = int(block[-1]) + 1
+    w = draw(st.lists(weight, min_size=size, max_size=size))
+    if kind != "unsorted":
+        w.sort(reverse=True)
+    if kind == "empty_top":  # level 2 keeps its population, so window 0 can run
+        empty = draw(st.integers(0, block[-1] - block[2]))
+        w[len(w) - empty:] = [0.0] * empty
+    p = np.array(w)[block]
+    return p / p.sum(), e
+
+
+def _same(a, b) -> bool:
+    """== for a field of CycleOutcome, arrays entry by entry, with NaN equal to NaN."""
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def _window_check_in_numpy(p, k):
+    """The window check in numpy: decompose's mass, then passive_qutrit's
+    batch form on the renormalized window."""
+    lam = float(p[k : k + 3].sum())
+    if lam <= 0.0:
+        raise ValueError("window has zero mass")
+    states.passive_qutrit((p[k : k + 3] / lam)[None])
+
+
+def _search_by_full_outcomes(p, e, pairs):
+    """The search with one full _run_cycle per (m, n, k) candidate, every
+    window checked in numpy first; the first of equal maxima wins. Returns
+    (k, m, n)."""
+    if p.size < 3:
+        raise ValueError(f"window start 0 out of range for d={p.size}")
+    ks = [k for k in range(p.size - 2) if p.size == 3 or p[k + 2] > 0.0]
+    if not ks:
+        raise ValueError("no 3-level window can run a cycle: every top population p[k+2] is 0")
+    for k in ks:
+        _window_check_in_numpy(p, k)
+    runs = ((k, engine._run_cycle(p[k : k + 3], e[k : k + 3], m, n)) for m, n in pairs for k in ks)
+    k, out = max(runs, key=lambda run: run[1].work)
+    return k, out.m, out.n
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _windows_off_by_an_ulp():
+    """(p, k): windows at k = 1 of a 5-level state, each of a few masses,
+    passive, out of order by one ulp, with a top level that is subnormal or 0,
+    or empty."""
+    cases = []
+    for a, b, c in [(0.5, 0.3, 0.2), (0.4, 0.4, 0.2), (1 / 3, 1 / 3, 1 / 3), (0.7, 0.2, 0.1)]:
+        for lam in (0.5, 0.3, 1e-3):
+            x = [v * lam for v in (a, b, c)]
+            for w in (x, [x[0], np.nextafter(x[0], 1.0), x[2]], [x[0], x[1], np.nextafter(x[1], 1.0)],
+                      [x[0], x[1], 5e-324], [x[0], x[1], 0.0], [np.nextafter(x[1], 0.0), x[1], x[2]],
+                      [0.0, 0.0, 0.0]):
+                rest = 1.0 - sum(w)
+                cases.append((np.array([rest / 2, *w, rest / 2]), 1))
+    return cases
+
+
+class TestSearch:
+    """best_window and best_cycle compute only each candidate's work and
+    build the winner's outcome once; the choice and the outcome are those of
+    one lifted_cycle per candidate."""
+
+    @given(searchable_qudits(), st.integers(1, 6), st.integers(1, 6))
+    # the lever of window 0 overflows before window 1's degenerate pair is met
+    @example(case=(np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.0, 1e308, 1.1e308, 1.1e308])), m=2, n=1)
+    # window 0's degenerate pair is met before its lever overflows
+    @example(case=(np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.0, 1e308, 1e308, 1.1e308])), m=2, n=1)
+    # window 0 has unequal populations on equal energies, window 1 is out of order
+    @example(case=(np.array([0.4, 0.3, 0.1, 0.2]), np.array([0.0, 0.0, 1.0, 2.0])), m=1, n=1)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_brute_force_over_lifted_cycle(self, case, m, n):
+        p, e = case
+        windows = [k for k in range(max(p.size - 2, 1)) if p[k + 2] > 0.0]
+        for search, pairs in [(lambda: reduction.best_window(p, e, m, n), [(m, n)]),
+                              (lambda: reduction.best_cycle(p, e, 6), _pairs(6))]:
+            error = _outcome(_search_by_full_outcomes, p, e, pairs)
+            if error is not None:  # the error one full outcome per candidate meets first
+                assert _outcome(search) == error
+                continue
+            k, out = search()
+            ref_k, ref_m, ref_n, ref = _brute_force_best(p, e, pairs, windows)
+            assert (k, out.m, out.n) == (ref_k, ref_m, ref_n)
+            for field in dataclasses.fields(ref):
+                assert _same(getattr(out, field.name), getattr(ref, field.name)), field.name
+
+    def test_window_check_raises_what_the_numpy_check_raised(self):
+        cases = _windows_off_by_an_ulp()
+        outcomes = [_outcome(_window_check_in_numpy, p, k) for p, k in cases]
+        assert {None, "window has zero mass", states._NOT_PASSIVE_QUTRIT} == set(outcomes)
+        for (p, k), expected in zip(cases, outcomes):
+            assert _outcome(reduction._check_window, p, k) == expected, (p, k)
+            assert _outcome(reduction.lifted_cycle, p, np.arange(5.0), k, 2, 3) == expected
+
+    def test_builds_one_outcome_and_one_table_pair_per_window(self, monkeypatch):
+        built, tables = [], []
+        outcome, geometric_sums = engine.CycleOutcome, engine._geometric_sums
+
+        def counted_outcome(**fields):
+            built.append((fields["m"], fields["n"]))
+            return outcome(**fields)
+
+        def counted_sums(count, log_lam):
+            tables.append(count)
+            return geometric_sums(count, log_lam)
+
+        monkeypatch.setattr(engine, "CycleOutcome", counted_outcome)
+        monkeypatch.setattr(engine, "_geometric_sums", counted_sums)
+        p, e = np.array([0.35, 0.25, 0.2, 0.12, 0.08]), np.array([0.0, 1.0, 1.5, 3.0, 3.2])
+        k, out = reduction.best_cycle(p, e, 12)
+        # three windows, each with tables for m <= 11 and n <= 11; then the winner's own
+        assert built == [(out.m, out.n)]
+        assert tables == [12, 11] * 3 + [out.m + 1, out.n]
+        built.clear()
+        reduction.best_window(p, e, 2, 3)
+        assert len(built) == 1
 
 
 @st.composite

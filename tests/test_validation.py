@@ -166,6 +166,7 @@ def test_overflowing_ladder_rejected_without_warning(call):
             call()
 
 
+_QUDIT = np.array([0.35, 0.25, 0.2, 0.12, 0.08])
 _JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
 
 
@@ -192,11 +193,25 @@ _JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
     lambda: regions.covering_cycle([0.6, 0.3, 0.1], regions.RationalGapRatio(1.5, 2), 20),
     lambda: regions.RationalGapRatio(NAN, 2),
     lambda: regions.RationalGapRatio(1, True),
+    # window starts, counts and sizes that are not integers: each ran or raised TypeError
+    lambda: reduction.lifted_cycle(_QUDIT, np.arange(5.0), True, 2, 3),
+    lambda: reduction.decompose(_QUDIT, np.arange(5.0), 1.0),
+    lambda: reduction.block_joint_cycle(_QUDIT, np.arange(5.0), np.float64(1.0), 2, 3),
+    lambda: reduction.best_cycle(_QUDIT, np.arange(5.0), 6.0),
+    lambda: quasistatic.asymptotic_machine([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], 3.5, 1.0),
+    lambda: quasistatic.integrate_trajectory([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], "entropy",
+                                             max_steps=2.5),
+    lambda: regions.passive_simplex_grid(20.0),
+    lambda: regions.coverage_fraction(regions.RationalGapRatio(1, 3), 2, 3, 50.0),
+    lambda: regions.covering_cycle([0.6, 0.3, 0.1], regions.RationalGapRatio(1, 1), 20.0),
 ], ids=["relative_entropy_nan", "relative_entropy_unnormalized", "relative_entropy_lengths",
         "ledger_nan_machine", "ledger_beta_inf", "ledger_beta_nan", "ledger_underflow",
         "ledger_joint_rows", "witness_cycle", "trajectory_subnormal_p2", "trajectory_tiny_p2",
         "region_float_m", "region_nan_m", "coverage_float_m", "witness_float_m", "cycle_float_m",
-        "cycle_bool_m", "covering_float_ratio", "gap_ratio_nan", "gap_ratio_bool"])
+        "cycle_bool_m", "covering_float_ratio", "gap_ratio_nan", "gap_ratio_bool",
+        "lifted_bool_window", "decompose_float_window", "block_joint_float_window",
+        "best_cycle_float_max_dim", "asymptotic_float_m", "trajectory_float_max_steps",
+        "grid_float_resolution", "coverage_float_resolution", "covering_float_n_max"])
 def test_domain_holes_rejected(call):
     with pytest.raises(ValueError):
         call()
