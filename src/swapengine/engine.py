@@ -34,12 +34,6 @@ def _geometric_sums(count: int, log_lam: float) -> list[float]:
     return [math.expm1(k * log_lam) / d if log_lam else float(k) for k in range(count)]
 
 
-def _machine_solution(p: np.ndarray, m: int, n: int):
-    """(q, delta_p, alpha) from the closed form."""
-    u, total, delta_p, alpha = _strokes(*_factors(p, m, n), m, n)
-    return u / total, delta_p, alpha
-
-
 def _factors(p: np.ndarray, m: int, n: int):
     """(p1, s1, s2, g1, g2) of the passive qutrit or window p for cycles up to
     (m, n): the factors s1 = p1/p0 and s2 = p2/p1 and their _geometric_sums
@@ -74,8 +68,8 @@ def machine_distribution(p, m: int, n: int) -> np.ndarray:
     """Closed-form stationary machine distribution for the (m, n) cycle."""
     p = states.passive_qutrit(p)
     states.check_cycle(m, n)
-    q, _, _ = _machine_solution(p, m, n)
-    return q
+    u, total, _, _ = _strokes(*_factors(p, m, n), m, n)
+    return u / total
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,6 @@ def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int, k: int = 0) 
     de10, de21 = e1 - e0, e2 - e1
     states._check_passive_on(w, de10, de21)
     lever = states._lever(m, n, de10, de21)
-    # _machine_solution's two steps, with one call less per cycle
     u, total, delta_p, alpha = _strokes(*_factors(w, m, n), m, n)
     q = u / total
     # + 0.0 turns the -0.0 of a resonant cycle (lever 0) with delta_p < 0 into 0.0

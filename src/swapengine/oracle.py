@@ -40,10 +40,16 @@ def build_cycle(m: int, n: int) -> list[tuple[int, int, int, int]]:
 
 def apply_cycle(joint: np.ndarray, steps) -> np.ndarray:
     """Apply each swap (a transposition of probability mass) in order."""
-    out = np.array(joint, dtype=float).tolist()
+    j = np.asarray(joint, dtype=float)
+    if j.ndim != 2:
+        raise ValueError(f"joint must be 2-d, got shape {j.shape}")
+    rows, cols = j.shape
+    out = j.tolist()
     for a, b, c, e in steps:
-        if min(a, b, c, e) < 0:  # a negative index would wrap to the last row or column
-            raise ValueError("swap indices must be non-negative")
+        if not (0 <= a < rows and 0 <= b < rows and 0 <= c < cols and 0 <= e < cols):
+            if a < 0 or b < 0 or c < 0 or e < 0:  # it would wrap to the last row or column
+                raise ValueError("swap indices must be non-negative")
+            raise ValueError(f"swap step {a, b, c, e} out of range for joint shape {rows, cols}")
         if a == b or c == e:
             raise ValueError("swap pairs must be distinct")
         out[a][e], out[b][c] = out[b][c], out[a][e]
@@ -63,14 +69,16 @@ def machine_marginal(joint: np.ndarray) -> np.ndarray:
     return joint.sum(axis=0)
 
 
-def _landing(m: int, n: int) -> np.ndarray:
-    """Landing map of the cycle, read-only, shape (3, d): row t_i holds, for
-    system level i, t_i[k] = the flat index in the d x d update matrix of the
-    entry that column k reaches, so that B_i = 1 at t_i and 0 elsewhere.
+@lru_cache(maxsize=256)
+def _pattern(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The update matrix's nonzero pattern, read-only: the rows and columns
+    of its entries in row-major order, as np.nonzero lists them, and each
+    landing's position among them, level by level.
 
     One pass of the cycle's swaps over the joint's integer entry labels
-    gives it: entry (j, l) of the result names the source (i, k) whose mass
-    lands there.
+    gives the landing map: entry (j, l) of the result names the source
+    (i, k) whose mass lands there. Mass at (i, k) moves the machine from
+    level k to level l, so system level i adds p_i to entry (l, k).
     """
     d = m + n
     src = np.arange(3 * d).reshape(3, d).tolist()
@@ -78,18 +86,8 @@ def _landing(m: int, n: int) -> np.ndarray:
         src[a][e], src[b][c] = src[b][c], src[a][e]
     dest = np.empty(3 * d, dtype=np.intp)
     dest[np.ravel(src)] = np.arange(3 * d) % d
-    landing = dest.reshape(3, d) * d + np.arange(d)
-    landing.setflags(write=False)
-    return landing
-
-
-@lru_cache(maxsize=256)
-def _pattern(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The update matrix's nonzero pattern, read-only: the rows and columns
-    of its entries in row-major order, as np.nonzero lists them, and each
-    landing's position among them, level by level."""
-    flat, pos = np.unique(_landing(m, n), return_inverse=True)
-    pattern = (*np.divmod(flat, m + n), pos.ravel())
+    flat, pos = np.unique(dest.reshape(3, d) * d + np.arange(d), return_inverse=True)
+    pattern = (*np.divmod(flat, d), pos.ravel())
     for a in pattern:
         a.setflags(write=False)
     return pattern
@@ -100,15 +98,6 @@ def _entries(p: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.
     columns and rates, p_i summed where landings meet, level by level."""
     rows, cols, pos = _pattern(m, n)
     return rows, cols, np.bincount(pos, np.repeat(p, m + n), len(rows))
-
-
-def update_matrix(p, m: int, n: int) -> np.ndarray:
-    """Column-stochastic matrix of the machine-marginal update for state p:
-    p_i added at system level i's landing entries, level by level."""
-    rows, cols, rates = _entries(states.validate_state(p, 3), m, n)
-    b = np.zeros((m + n, m + n))
-    b[rows, cols] = rates
-    return b
 
 
 def _stationary_vector(d: int, rows: list, cols: list, rates: list) -> np.ndarray:

@@ -27,11 +27,7 @@ class SubspaceWindow:
 
 def decompose(p, energies, k: int) -> SubspaceWindow:
     """Renormalized 3-level window starting at level k, of weight its mass."""
-    return _window(*states.state_and_ladder(p, energies), k)
-
-
-def _window(p: np.ndarray, e: np.ndarray, k: int) -> SubspaceWindow:
-    """decompose on a checked state and ladder."""
+    p, e = states.state_and_ladder(p, energies)
     *_, lam = _raw_window(p, k)
     return SubspaceWindow(
         k=k,
@@ -133,10 +129,10 @@ def block_joint_cycle(p, energies, k: int, m: int, n: int):
     The machine is the stationary one of the reduced window state. Returns
     (final_system_marginal, final_machine_marginal).
     """
-    win = decompose(p, energies, k)
-    # the batch form checks the window's order, normalization and p0 <= 1
-    states.passive_qutrit(win.reduced_state[None])
-    q = oracle._stationary_machine(win.reduced_state, m, n)
+    p, _ = states.state_and_ladder(p, energies)
+    _check_window(p, k)
+    w = p[k : k + 3]
+    q = oracle._stationary_machine(w / w.sum(), m, n)
     joint = oracle.product_joint(p, q)
     steps = oracle.build_cycle(m, n)
     # act only on the window rows; identity on the rest of the ladder

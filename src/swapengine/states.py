@@ -83,12 +83,11 @@ def passive_qutrit(probs) -> np.ndarray:
         p0, p1, p2 = p.T
         ok = ((1.0 >= p0) & (p0 >= p1) & (p1 >= p2) & (p2 > 0.0)).all()
         ok = ok and (abs(p.sum(axis=1) - 1.0) <= 1e-12).all()
+        if not ok:  # negated, so that NaN fails it
+            raise ValueError(_NOT_PASSIVE_QUTRIT)
     else:
         p = validate_state(p, 3)
-        p0, p1, p2 = p.tolist()
-        ok = p0 >= p1 >= p2 > 0.0
-    if not ok:  # negated, so that NaN fails it
-        raise ValueError(_NOT_PASSIVE_QUTRIT)
+        _check_passive_row(*p.tolist())
     return p
 
 

@@ -13,14 +13,15 @@ from tests.conftest import random_passive_qutrits
 
 def _exact_solution(p, m: int, n: int):
     """Machine fixed point and delta_p for the float state p in exact
-    rationals: the oracle's landing map as rates k -> j, solved by GTH
+    rationals: the landings of the oracle's pattern as rates k -> j, solved by GTH
     elimination, then the cycle's swaps applied to p (x) q."""
     d = m + n
+    rows, _, pos = oracle._pattern(m, n)
     rate = [{} for _ in range(d)]
-    for p_i, t_i in zip(map(Fraction, p), oracle._landing(m, n)):
-        for k, t in enumerate(t_i.tolist()):
-            if t // d != k:
-                rate[k][t // d] = rate[k].get(t // d, 0) + p_i
+    for p_i, j_i in zip(map(Fraction, p), rows[pos.reshape(3, d)]):
+        for k, j in enumerate(j_i.tolist()):
+            if j != k:
+                rate[k][j] = rate[k].get(j, 0) + p_i
     weights = [{} for _ in range(d)]
     for top in range(d - 1, 0, -1):
         s = sum(rate[top].values())
@@ -40,6 +41,12 @@ def _exact_solution(p, m: int, n: int):
     return q, (sum(joint[0]) - Fraction(p[0])) / m
 
 
+def _closed_form(p, m: int, n: int):
+    """(q, delta_p, alpha) of the closed form for the checked qutrit p."""
+    u, total, delta_p, alpha = engine._strokes(*engine._factors(p, m, n), m, n)
+    return u / total, delta_p, alpha
+
+
 def _exact_machine(p, m: int, n: int) -> np.ndarray:
     return np.array([float(x) for x in _exact_solution(p, m, n)[0]])
 
@@ -52,7 +59,7 @@ def _errors(p, m: int, n: int, solved=None) -> tuple[float, float]:
     exact delta_p is 0, delta_p's error over p1."""
     q_exact, dp_exact = _exact_solution(p, m, n)
     q_exact, dp_exact = np.array([float(x) for x in q_exact]), float(dp_exact)
-    q, delta_p = engine._machine_solution(p, m, n)[:2] if solved is None else solved
+    q, delta_p = _closed_form(p, m, n)[:2] if solved is None else solved
     s1m, s2n = (p[1] / p[0]) ** m, (p[2] / p[1]) ** n
     if dp_exact:  # multiplied through by |s1**m - s2**n|, so that kappa = inf divides nothing
         dp_err = abs(delta_p - dp_exact) * abs(s1m - s2n) / (abs(dp_exact) * (s1m + s2n))
@@ -157,7 +164,7 @@ class TestClosedFormVsOracle:
         for p in random_passive_qutrits(rng, 10, min_p=1e-3):
             for m in range(1, 9):
                 for n in range(1, 9):
-                    q, _, _ = engine._machine_solution(p, m, n)
+                    q, _, _ = _closed_form(p, m, n)
                     q_ref = oracle.stationary_machine(p, m, n)
                     assert np.max(np.abs(q - q_ref)) < 1e-12
 
@@ -199,7 +206,7 @@ class TestClosedFormVsOracle:
         p = np.array(p)
         q_exact, dp_exact = _exact_solution(p, m, n)
         q_exact = np.array([float(x) for x in q_exact])
-        q, delta_p, _ = engine._machine_solution(p, m, n)
+        q, delta_p, _ = _closed_form(p, m, n)
         assert np.max(np.abs(q - q_exact) / q_exact) <= 1e-14
         assert abs(delta_p - float(dp_exact)) <= 1e-14 * abs(float(dp_exact))
 
@@ -303,6 +310,15 @@ class TestRunCycle:
         assert out.work == pytest.approx(out.heat_hot - out.heat_cold, abs=1e-14)
         assert out.final_system.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(out.final_system >= -1e-15)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
+           st.floats(-5.0, 5.0), st.floats(0.01, 10.0), st.floats(0.01, 10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_machine_is_machine_distribution(self, seed, m, n, e0, de10, de21):
+        # one closed form: the ladder moves work and heat, never the machine
+        p = random_passive_qutrits(np.random.default_rng(seed), 1, min_p=0.0)[0]
+        out = engine.run_cycle(p, [e0, e0 + de10, e0 + de10 + de21], m, n)
+        assert np.array_equal(out.machine, engine.machine_distribution(p, m, n))
 
     def test_final_state_shift_structure(self, worked_example):
         p, e = worked_example

@@ -48,7 +48,8 @@ class TestCycleStructure:
         oracle.apply_cycle(joint, steps)
         assert np.array_equal(joint, before)  # the input joint is not modified
         assert oracle.apply_cycle(np.arange(15).reshape(3, 5), steps).dtype == float
-        with pytest.raises(IndexError):  # step (0, 1, 1, 4) is beyond a 4-column joint
+        # step (0, 1, 1, 4) is beyond a 4-column joint
+        with pytest.raises(ValueError, match="out of range"):
             oracle.apply_cycle(np.full((3, 4), 1 / 12), steps)
 
     def test_mass_conserved(self):
@@ -77,7 +78,7 @@ class TestStationaryMachine:
 
     def test_update_matrix_column_stochastic(self):
         p = np.array([0.6, 0.25, 0.15])
-        b = oracle.update_matrix(p, 3, 4)
+        b = _update_matrix(p, 3, 4)
         assert np.allclose(b.sum(axis=0), 1.0, atol=1e-14)
         assert np.all(b >= 0)
 
@@ -128,6 +129,14 @@ class TestStationaryMachine:
             oracle.stationary_machine([0.7, 0.3, 0.0], 2, 2)
 
 
+def _update_matrix(p, m, n):
+    """The dense d x d update matrix from the solve's own entries."""
+    rows, cols, rates = oracle._entries(p, m, n)
+    b = np.zeros((m + n, m + n))
+    b[rows, cols] = rates
+    return b
+
+
 def _reference_update_matrix(p, m, n):
     """The update matrix from one cycle per joint basis state: column k of
     B_i is the machine marginal of unit mass at (i, k) after the cycle."""
@@ -153,7 +162,7 @@ class TestUpdateMatrix:
         for p in random_passive_qutrits(rng, 3, min_p=1e-3):
             for m, n in _REFERENCE_PAIRS:
                 assert np.array_equal(
-                    oracle.update_matrix(p, m, n), _reference_update_matrix(p, m, n)
+                    _update_matrix(p, m, n), _reference_update_matrix(p, m, n)
                 ), (m, n)
 
     def test_solve_matches_gth_on_reference_entries(self):
@@ -167,10 +176,12 @@ class TestUpdateMatrix:
             assert np.array_equal(oracle.stationary_machine(p, m, n), q), (m, n)
 
     def test_landing_vectors_read_only(self):
-        for t in oracle._landing(3, 4):
-            assert t.shape == (7,)
+        # the landings live in the cached pattern: its entries and their positions
+        rows, cols, pos = oracle._pattern(3, 4)
+        assert rows.shape == cols.shape and pos.shape == (3 * 7,)
+        for a in (rows, cols, pos):
             with pytest.raises(ValueError):
-                t[0] = 0
+                a[0] = 0
 
 
 class TestMutualInformation:

@@ -373,6 +373,7 @@ class TestSearch:
         for (p, k), expected in zip(cases, outcomes):
             assert _outcome(reduction._check_window, p, k) == expected, (p, k)
             assert _outcome(reduction.lifted_cycle, p, np.arange(5.0), k, 2, 3) == expected
+            assert _outcome(reduction.block_joint_cycle, p, np.arange(5.0), k, 2, 3) == expected
 
     def test_builds_one_outcome_and_one_table_pair_per_window(self, monkeypatch):
         built, tables = [], []

@@ -104,7 +104,7 @@ class TestValidatesOnce:
     def test_block_joint_cycle(self, calls):
         p = [0.4, 0.28, 0.12, 0.12, 0.08]
         reduction.block_joint_cycle(p, [0.0, 3.0, 4.0, 9.0, 11.0], 1, 2, 3)
-        # p once, the window's reduced state by the batch form; the ladder once
+        # p once, the window by reduction's Python-float check; the ladder once
         assert calls == {"validate_state": 1, "validate_hamiltonian": 1}
 
     def test_carnot_check(self, calls, worked_example):
@@ -204,6 +204,10 @@ _JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
     lambda: regions.passive_simplex_grid(20.0),
     lambda: regions.coverage_fraction(regions.RationalGapRatio(1, 3), 2, 3, 50.0),
     lambda: regions.covering_cycle([0.6, 0.3, 0.1], regions.RationalGapRatio(1, 1), 20.0),
+    # steps past the joint's shape and a joint that is not 2-d: each raised IndexError or TypeError
+    lambda: oracle.apply_cycle(np.zeros((3, 2)), [(0, 1, 0, 5)]),
+    lambda: oracle.apply_cycle(np.zeros((3, 2)), [(0, 3, 0, 1)]),
+    lambda: oracle.apply_cycle(np.zeros(3), [(0, 1, 0, 1)]),
 ], ids=["relative_entropy_nan", "relative_entropy_unnormalized", "relative_entropy_lengths",
         "ledger_nan_machine", "ledger_beta_inf", "ledger_beta_nan", "ledger_underflow",
         "ledger_joint_rows", "witness_cycle", "trajectory_subnormal_p2", "trajectory_tiny_p2",
@@ -211,7 +215,8 @@ _JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
         "cycle_bool_m", "covering_float_ratio", "gap_ratio_nan", "gap_ratio_bool",
         "lifted_bool_window", "decompose_float_window", "block_joint_float_window",
         "best_cycle_float_max_dim", "asymptotic_float_m", "trajectory_float_max_steps",
-        "grid_float_resolution", "coverage_float_resolution", "covering_float_n_max"])
+        "grid_float_resolution", "coverage_float_resolution", "covering_float_n_max",
+        "swap_step_past_columns", "swap_step_past_rows", "joint_1d"])
 def test_domain_holes_rejected(call):
     with pytest.raises(ValueError):
         call()
