@@ -3,10 +3,10 @@
 Builds the literal sequence of system-machine swaps as a permutation on the
 joint outcome space, computes marginals, and solves the machine fixed point
 (reusability condition) by GTH elimination, one path for every d. One pass
-of the cycle over the joint's entry labels gives its landing map, and so
-the at most 3d nonzero entries of the machine update matrix; a solve works
-on those entries alone, in O(d) time and memory, and never forms the d x d
-matrix. Everything here is exact distribution arithmetic; no sampling.
+of the cycle over the joint's entry labels gives its landing map, cached
+per (m, n); a solve reads the machine update matrix's 3d entries off it,
+in O(d) time and memory, and never forms the d x d matrix. Everything
+here is exact distribution arithmetic; no sampling.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ def apply_cycle(joint: np.ndarray, steps) -> np.ndarray:
     rows, cols = j.shape
     out = j.tolist()
     for a, b, c, e in steps:
+        # type() first: it is the common case, and every step of every cycle pays it
+        if not (type(a) is type(b) is type(c) is type(e) is int
+                or all(map(states._is_integer, (a, b, c, e)))):
+            raise ValueError(f"swap indices must be integers, got {a, b, c, e}")
         if not (0 <= a < rows and 0 <= b < rows and 0 <= c < cols and 0 <= e < cols):
             if a < 0 or b < 0 or c < 0 or e < 0:  # it would wrap to the last row or column
                 raise ValueError("swap indices must be non-negative")
@@ -70,48 +74,37 @@ def machine_marginal(joint: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _pattern(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The update matrix's nonzero pattern, read-only: the rows and columns
-    of its entries in row-major order, as np.nonzero lists them, and each
-    landing's position among them, level by level.
+def _landing(m: int, n: int) -> np.ndarray:
+    """The cycle's landing map, read-only: entry (i, k) of the (3, d) array
+    is the machine level l that mass at joint entry (i, k) lands on, so
+    system level i adds p_i to the update matrix's entry (l, k).
 
     One pass of the cycle's swaps over the joint's integer entry labels
-    gives the landing map: entry (j, l) of the result names the source
-    (i, k) whose mass lands there. Mass at (i, k) moves the machine from
-    level k to level l, so system level i adds p_i to entry (l, k).
-    """
+    gives it: entry (j, l) of the result names the source whose mass lands
+    there."""
     d = m + n
     src = np.arange(3 * d).reshape(3, d).tolist()
     for a, b, c, e in build_cycle(m, n):
         src[a][e], src[b][c] = src[b][c], src[a][e]
-    dest = np.empty(3 * d, dtype=np.intp)
-    dest[np.ravel(src)] = np.arange(3 * d) % d
-    flat, pos = np.unique(dest.reshape(3, d) * d + np.arange(d), return_inverse=True)
-    pattern = (*np.divmod(flat, d), pos.ravel())
-    for a in pattern:
-        a.setflags(write=False)
-    return pattern
-
-
-def _entries(p: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The update matrix's entries for the checked qutrit p, row-major: rows,
-    columns and rates, p_i summed where landings meet, level by level."""
-    rows, cols, pos = _pattern(m, n)
-    return rows, cols, np.bincount(pos, np.repeat(p, m + n), len(rows))
+    dest = np.empty((3, d), dtype=np.intp)
+    np.put(dest, src, np.arange(3 * d) % d)
+    dest.setflags(write=False)
+    return dest
 
 
 def _stationary_vector(d: int, rows: list, cols: list, rates: list) -> np.ndarray:
-    """Fixed point of q -> b q, b column-stochastic d x d with the nonzero
-    entries b[rows[i], cols[i]] = rates[i] in row-major order, by GTH
-    elimination (Grassmann, Taksar & Heyman 1985): levels leave from the top
-    down, their rates folded into the levels feeding them; outflows are
-    summed, never taken as 1 - b[k, k], so no entry loses relative accuracy
-    to cancellation."""
+    """Fixed point of q -> b q, b column-stochastic d x d with the entries
+    b[rows[i], cols[i]] = rates[i], repeated ones summed, by GTH elimination
+    (Grassmann, Taksar & Heyman 1985): levels leave from the top down, their
+    rates folded into the levels feeding them; outflows are summed, never
+    taken as 1 - b[k, k], so no entry loses relative accuracy to
+    cancellation. On the cycle's ring no sum here has over two terms, so the
+    entries' order cannot change a float."""
     out = [{} for _ in range(d)]  # out[k][j]: rate of k -> j, j != k
     into = [{} for _ in range(d)]  # into[j][k]: the same; j's weights once it leaves
     for j, k, r in zip(rows, cols, rates):
         if j != k:
-            out[k][j] = into[j][k] = r
+            out[k][j] = into[j][k] = out[k].get(j, 0.0) + r
     # running sums, not the builtin sum, which is compensated from Python 3.12 on
     for top in range(d - 1, 0, -1):
         s = 0.0
@@ -138,19 +131,22 @@ def _stationary_vector(d: int, rows: list, cols: list, rates: list) -> np.ndarra
 def stationary_machine(p, m: int, n: int) -> np.ndarray:
     """The machine distribution left invariant by one cycle on the passive
     qutrit p > 0, from one GTH solve for every d. The solve and its residual
-    b q - q run on the update matrix's at most 3d nonzero entries, and the
-    elimination is O(d) since the machine chain is a ring, so every step is
-    O(d) in time and memory.
+    b q - q run on the cycle's 3d landings, and the elimination is O(d)
+    since the machine chain is a ring, so every step is O(d) in time and
+    memory.
     Raises SingularFixedPointError when the fixed point is not unique or not
     strictly positive, or its residual exceeds 1e-12."""
-    return _stationary_machine(states.passive_qutrit(p), m, n)
+    p = states.passive_qutrit(p)
+    states.check_cycle(m, n)  # here, since a warm landing cache skips build_cycle's check
+    return _stationary_machine(p, m, n)
 
 
 def _stationary_machine(p: np.ndarray, m: int, n: int) -> np.ndarray:
     """stationary_machine of a checked passive qutrit."""
-    rows, cols, rates = _entries(p, m, n)
-    q = _stationary_vector(m + n, rows.tolist(), cols.tolist(), rates.tolist())
-    residual = np.max(np.abs(np.bincount(rows, rates * q[cols], m + n) - q))
+    d = m + n
+    landing = _landing(m, n).ravel()
+    q = _stationary_vector(d, landing.tolist(), list(range(d)) * 3, np.repeat(p, d).tolist())
+    residual = np.max(np.abs(np.bincount(landing, np.outer(p, q).ravel(), d) - q))
     if not residual <= 1e-12:  # a NaN from overflow fails too
         raise SingularFixedPointError(f"fixed-point residual too large: {residual:g}")
     return q
@@ -159,6 +155,8 @@ def _stationary_machine(p: np.ndarray, m: int, n: int) -> np.ndarray:
 def mutual_information(joint: np.ndarray) -> float:
     """I(S:M) = S(marg_S) + S(marg_M) - S(joint), in nats; clipped at 0."""
     j = np.asarray(joint, dtype=float)
+    if j.ndim != 2:
+        raise ValueError(f"joint must be 2-d, got shape {j.shape}")
     # negated, so that NaN fails; entries at most 1 cannot overflow the sum
     if not (((j >= 0) & (j <= 1)).all() and abs(j.sum() - 1.0) <= 1e-12):
         raise ValueError("joint must be a normalized distribution")

@@ -13,12 +13,11 @@ from tests.conftest import random_passive_qutrits
 
 def _exact_solution(p, m: int, n: int):
     """Machine fixed point and delta_p for the float state p in exact
-    rationals: the landings of the oracle's pattern as rates k -> j, solved by GTH
+    rationals: the oracle's landing map as rates k -> j, solved by GTH
     elimination, then the cycle's swaps applied to p (x) q."""
     d = m + n
-    rows, _, pos = oracle._pattern(m, n)
     rate = [{} for _ in range(d)]
-    for p_i, j_i in zip(map(Fraction, p), rows[pos.reshape(3, d)]):
+    for p_i, j_i in zip(map(Fraction, p), oracle._landing(m, n)):
         for k, j in enumerate(j_i.tolist()):
             if j != k:
                 rate[k][j] = rate[k].get(j, 0) + p_i

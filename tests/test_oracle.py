@@ -130,10 +130,11 @@ class TestStationaryMachine:
 
 
 def _update_matrix(p, m, n):
-    """The dense d x d update matrix from the solve's own entries."""
-    rows, cols, rates = oracle._entries(p, m, n)
-    b = np.zeros((m + n, m + n))
-    b[rows, cols] = rates
+    """The dense d x d update matrix from the solve's own landing map: p_i
+    at (landing, k), summed where landings meet."""
+    d = m + n
+    b = np.zeros((d, d))
+    np.add.at(b, (oracle._landing(m, n), np.arange(d)), p[:, None])
     return b
 
 
@@ -176,12 +177,34 @@ class TestUpdateMatrix:
             assert np.array_equal(oracle.stationary_machine(p, m, n), q), (m, n)
 
     def test_landing_vectors_read_only(self):
-        # the landings live in the cached pattern: its entries and their positions
-        rows, cols, pos = oracle._pattern(3, 4)
-        assert rows.shape == cols.shape and pos.shape == (3 * 7,)
-        for a in (rows, cols, pos):
-            with pytest.raises(ValueError):
-                a[0] = 0
+        # the cached landing map is shared by every solve of its (m, n)
+        landing = oracle._landing(3, 4)
+        assert landing.shape == (3, 7)
+        with pytest.raises(ValueError):
+            landing[0, 0] = 0
+
+    def test_landing_graph_is_one_ring(self):
+        # the O(d) solve and its order-free sums rest on this: an edge k - l
+        # for every landing l != k, every level has two neighbours, and the
+        # graph is connected
+        for m in range(1, 31):
+            for n in range(1, 31):
+                d = m + n
+                if d < 3:
+                    continue
+                nbrs = [set() for _ in range(d)]
+                for row in oracle._landing(m, n).tolist():
+                    for k, l in enumerate(row):
+                        if l != k:
+                            nbrs[k].add(l)
+                            nbrs[l].add(k)
+                assert all(len(s) == 2 for s in nbrs), (m, n)
+                seen, stack = {0}, [0]
+                while stack:
+                    for l in nbrs[stack.pop()] - seen:
+                        seen.add(l)
+                        stack.append(l)
+                assert len(seen) == d, (m, n)
 
 
 class TestMutualInformation:

@@ -208,6 +208,17 @@ _JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
     lambda: oracle.apply_cycle(np.zeros((3, 2)), [(0, 1, 0, 5)]),
     lambda: oracle.apply_cycle(np.zeros((3, 2)), [(0, 3, 0, 1)]),
     lambda: oracle.apply_cycle(np.zeros(3), [(0, 1, 0, 1)]),
+    # swap indices that are not integers: a float raised TypeError, a bool ran as 0 or 1
+    lambda: oracle.apply_cycle(np.zeros((3, 2)), [(0.0, 1, 0, 1)]),
+    lambda: oracle.apply_cycle(np.zeros((3, 2)), [(0, True, 0, 1)]),
+    # a 3-d joint read as one
+    lambda: oracle.mutual_information(np.full((2, 2, 2), 1 / 8)),
+    # cycle sizes that are not integers: a float raised TypeError, and a bool
+    # ran once its (m, n) was cached
+    lambda: oracle.stationary_machine([0.5, 0.3, 0.2], 2.0, 3),
+    lambda: (oracle.stationary_machine([0.5, 0.3, 0.2], 1, 3),
+             oracle.stationary_machine([0.5, 0.3, 0.2], True, 3)),
+    lambda: reduction.block_joint_cycle([0.4, 0.3, 0.2, 0.1], [0, 1, 1.5, 3], 0, 2.0, 3),
 ], ids=["relative_entropy_nan", "relative_entropy_unnormalized", "relative_entropy_lengths",
         "ledger_nan_machine", "ledger_beta_inf", "ledger_beta_nan", "ledger_underflow",
         "ledger_joint_rows", "witness_cycle", "trajectory_subnormal_p2", "trajectory_tiny_p2",
@@ -216,7 +227,9 @@ _JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
         "lifted_bool_window", "decompose_float_window", "block_joint_float_window",
         "best_cycle_float_max_dim", "asymptotic_float_m", "trajectory_float_max_steps",
         "grid_float_resolution", "coverage_float_resolution", "covering_float_n_max",
-        "swap_step_past_columns", "swap_step_past_rows", "joint_1d"])
+        "swap_step_past_columns", "swap_step_past_rows", "joint_1d", "swap_step_float",
+        "swap_step_bool", "mutual_info_3d", "stationary_float_m", "stationary_bool_m_warm",
+        "block_joint_float_m"])
 def test_domain_holes_rejected(call):
     with pytest.raises(ValueError):
         call()
