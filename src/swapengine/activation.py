@@ -85,9 +85,10 @@ def bath_ledger(p, energies, final_joint, beta: float, initial_machine=None) -> 
     system-machine mutual information. Their sum equals the free-energy
     drop F_beta(p) - F_beta(tau_beta) identically.
 
-    When initial_machine is given, the machine marginal of final_joint must
-    match it within 1e-10 (reusability), else ValueError. So is a beta
-    outside 0 < beta < inf, or one at which a term leaves the float range.
+    When initial_machine is given, it must have the joint's machine shape
+    (d,), and the machine marginal of final_joint must match it within 1e-10
+    (reusability), else ValueError. So is a beta outside 0 < beta < inf, or
+    one at which a term leaves the float range.
     """
     p, e = states.state_and_ladder(p, energies)
     if not 0.0 < beta < math.inf:  # negated, so that NaN fails it
@@ -95,6 +96,8 @@ def bath_ledger(p, energies, final_joint, beta: float, initial_machine=None) -> 
     info = oracle.mutual_information(final_joint)  # checks the joint
     joint = np.asarray(final_joint, dtype=float)
     if initial_machine is not None:
+        if np.shape(initial_machine) != (joint.shape[1],):
+            raise ValueError(f"initial machine must have shape (d,), got {np.shape(initial_machine)}")
         drift = np.max(np.abs(oracle.machine_marginal(joint) - initial_machine))
         if not drift <= 1e-10:  # negated, so that NaN fails it
             raise ValueError(f"machine marginal drifted by {drift:g}: reusability violated")

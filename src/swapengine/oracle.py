@@ -3,15 +3,13 @@
 Builds the literal sequence of system-machine swaps as a permutation on the
 joint outcome space, computes marginals, and solves the machine fixed point
 (reusability condition) by GTH elimination, one path for every d. One pass
-of the cycle over the joint's entry labels gives its landing map, cached
-per (m, n); a solve reads the machine update matrix's 3d entries off it,
-in O(d) time and memory, and never forms the d x d matrix. Everything
-here is exact distribution arithmetic; no sampling.
+of the cycle over the joint's entry labels gives its landing map; a solve
+reads the machine update matrix's 3d entries off it, in O(d) time and
+memory, and never forms the d x d matrix. Everything here is exact
+distribution arithmetic; no sampling.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,22 +71,21 @@ def machine_marginal(joint: np.ndarray) -> np.ndarray:
     return joint.sum(axis=0)
 
 
-@lru_cache(maxsize=256)
 def _landing(m: int, n: int) -> np.ndarray:
-    """The cycle's landing map, read-only: entry (i, k) of the (3, d) array
-    is the machine level l that mass at joint entry (i, k) lands on, so
-    system level i adds p_i to the update matrix's entry (l, k).
+    """The cycle's landing map: entry (i, k) of the (3, d) array is the
+    machine level l that mass at joint entry (i, k) lands on, so system
+    level i adds p_i to the update matrix's entry (l, k).
 
     One pass of the cycle's swaps over the joint's integer entry labels
     gives it: entry (j, l) of the result names the source whose mass lands
     there."""
+    steps = build_cycle(m, n)  # checks m and n before any arithmetic on them
     d = m + n
     src = np.arange(3 * d).reshape(3, d).tolist()
-    for a, b, c, e in build_cycle(m, n):
+    for a, b, c, e in steps:
         src[a][e], src[b][c] = src[b][c], src[a][e]
     dest = np.empty((3, d), dtype=np.intp)
     np.put(dest, src, np.arange(3 * d) % d)
-    dest.setflags(write=False)
     return dest
 
 
@@ -136,15 +133,13 @@ def stationary_machine(p, m: int, n: int) -> np.ndarray:
     memory.
     Raises SingularFixedPointError when the fixed point is not unique or not
     strictly positive, or its residual exceeds 1e-12."""
-    p = states.passive_qutrit(p)
-    states.check_cycle(m, n)  # here, since a warm landing cache skips build_cycle's check
-    return _stationary_machine(p, m, n)
+    return _stationary_machine(states.passive_qutrit(p), m, n)
 
 
 def _stationary_machine(p: np.ndarray, m: int, n: int) -> np.ndarray:
-    """stationary_machine of a checked passive qutrit."""
-    d = m + n
+    """stationary_machine of a checked passive qutrit; build_cycle checks m, n."""
     landing = _landing(m, n).ravel()
+    d = landing.size // 3
     q = _stationary_vector(d, landing.tolist(), list(range(d)) * 3, np.repeat(p, d).tolist())
     residual = np.max(np.abs(np.bincount(landing, np.outer(p, q).ravel(), d) - q))
     if not residual <= 1e-12:  # a NaN from overflow fails too

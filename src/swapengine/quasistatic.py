@@ -158,7 +158,7 @@ def integrate_trajectory(
     p = states.passive_qutrit(p)
     de10, de21 = float(e[1] - e[0]), float(e[2] - e[1])
     states._check_passive_on(p, de10, de21)
-    if not (math.isfinite(step) and step > 0.0):
+    if isinstance(step, (bool, np.bool_)) or not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     states._check_integer(max_steps, "max_steps")
     if not max_steps >= 1:

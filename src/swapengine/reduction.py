@@ -131,7 +131,6 @@ def block_joint_cycle(p, energies, k: int, m: int, n: int):
     """
     p, _ = states.state_and_ladder(p, energies)
     _check_window(p, k)
-    states.check_cycle(m, n)
     w = p[k : k + 3]
     q = oracle._stationary_machine(w / w.sum(), m, n)
     joint = oracle.product_joint(p, q)

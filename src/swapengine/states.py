@@ -119,8 +119,8 @@ def check_cycle(m: int, n: int) -> None:
 
 
 def check_tol(tol: float, name: str = "tol") -> None:
-    """Raise ValueError unless the tolerance is finite and >= 0."""
-    if not 0.0 <= tol < math.inf:  # negated, so that NaN fails it
+    """Raise ValueError unless the tolerance is finite and >= 0; a bool is none."""
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < math.inf:  # negated, so that NaN fails
         raise ValueError(f"need a finite {name} >= 0, got {tol!r}")
 
 

@@ -522,3 +522,39 @@ class TestOptimalWorkAndCarnot:
     def test_carnot_check_skips_the_uniform_state(self):
         # the flow is one sample with ln(p1/p2) = 0, where the efficiency is undefined
         assert quasistatic.carnot_check(np.full(3, 1 / 3), [0.0, 1.0, 3.0]) == 0.0
+
+
+class TestOpenFlowDefects:
+    """ROADMAP defects 1-3, pinned as strict expected failures: a flow that
+    mends one turns its pin into an unexpected pass, and the pin into a test."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP defect 1: the "
+                       "entropy flow has no error control, drifts in entropy and exceeds "
+                       "optimal_work")
+    def test_entropy_flow_on_a_skewed_state(self):
+        p = np.array([0.91737, 0.08168, 0.00094])
+        p /= p.sum()
+        e = [0.0, 3.6854, 5.5914]
+        traj = quasistatic.integrate_trajectory(p, e, "entropy")
+        s0 = states.entropy(p)
+        assert max(abs(pt.entropy - s0) for _, _, pt in traj.samples) <= 1e-8
+        assert traj.accumulated_work <= quasistatic.optimal_work(p, e) + 1e-9
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP defect 2: a "
+                       "constant alpha runs past the neutral curve")
+    @pytest.mark.parametrize("alpha", [0.43, 0.9, 2.9])
+    def test_constant_alpha_stops_at_the_neutral_curve(self, worked_example, alpha):
+        p, e = worked_example
+        traj = quasistatic.integrate_trajectory(p, e, alpha)
+        entropies = [pt.entropy for _, _, pt in traj.samples]
+        assert np.all(np.diff(entropies) >= -1e-8)
+        assert traj.accumulated_work <= quasistatic.optimal_work(p, e) + 1e-9
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="ROADMAP defect 3: a flow that "
+                       "starts near p0 == p1 never finishes")
+    def test_flow_from_near_p0_equal_p1_finishes(self):
+        p = np.array([0.34815658, 0.3481531, 0.30369033])
+        p /= p.sum()
+        e = [0.0, 1.0, 8.0]
+        traj = quasistatic.integrate_trajectory(p, e, "entropy", max_steps=2000)
+        assert abs(traj.accumulated_work - quasistatic.optimal_work(p, e)) <= 1e-9

@@ -170,6 +170,15 @@ _QUDIT = np.array([0.35, 0.25, 0.2, 0.12, 0.08])
 _JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
 
 
+def _ledger_with_machine_rows():
+    """bath_ledger on the worked example's (1, 1) cycle, given its stationary
+    machine as a (1, 2) array: numpy broadcast it against the marginal."""
+    p = [0.5, 0.35, 0.15]
+    q = oracle.stationary_machine(p, 1, 1)
+    joint = oracle.apply_cycle(oracle.product_joint(p, q), oracle.build_cycle(1, 1))
+    return activation.bath_ledger(p, [0.0, 3.0, 4.0], joint, 1.0, initial_machine=[q.tolist()])
+
+
 @pytest.mark.parametrize("call", [
     lambda: activation.relative_entropy([NAN, 0.5, 0.5], [0.3, 0.3, 0.4]),
     lambda: activation.relative_entropy([0.5, 0.5, 0.5], [0.3, 0.3, 0.4]),  # unnormalized p
@@ -213,12 +222,21 @@ _JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
     lambda: oracle.apply_cycle(np.zeros((3, 2)), [(0, True, 0, 1)]),
     # a 3-d joint read as one
     lambda: oracle.mutual_information(np.full((2, 2, 2), 1 / 8)),
-    # cycle sizes that are not integers: a float raised TypeError, and a bool
-    # ran once its (m, n) was cached
+    # cycle sizes that are not integers: a float raised TypeError, a bool ran
+    # once its (m, n) was in a landing cache; a str must meet build_cycle's
+    # check before any arithmetic on m and n
     lambda: oracle.stationary_machine([0.5, 0.3, 0.2], 2.0, 3),
     lambda: (oracle.stationary_machine([0.5, 0.3, 0.2], 1, 3),
              oracle.stationary_machine([0.5, 0.3, 0.2], True, 3)),
     lambda: reduction.block_joint_cycle([0.4, 0.3, 0.2, 0.1], [0, 1, 1.5, 3], 0, 2.0, 3),
+    lambda: oracle.stationary_machine([0.5, 0.3, 0.2], "2", 3),
+    # a machine of the wrong shape, broadcast against the machine marginal
+    _ledger_with_machine_rows,
+    # a bool is neither a tolerance nor a step: each ran at 1.0
+    lambda: regions.classify([0.5, 0.35, 0.15], regions.RationalGapRatio(3, 1), True),
+    lambda: regions.coverage_fraction(regions.RationalGapRatio(1, 3), 2, 3, 20, eps_band=True),
+    lambda: quasistatic.integrate_trajectory([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], "entropy",
+                                             step=True),
 ], ids=["relative_entropy_nan", "relative_entropy_unnormalized", "relative_entropy_lengths",
         "ledger_nan_machine", "ledger_beta_inf", "ledger_beta_nan", "ledger_underflow",
         "ledger_joint_rows", "witness_cycle", "trajectory_subnormal_p2", "trajectory_tiny_p2",
@@ -229,7 +247,8 @@ _JOINT = np.outer([0.5, 0.35, 0.15], [0.25, 0.75])
         "grid_float_resolution", "coverage_float_resolution", "covering_float_n_max",
         "swap_step_past_columns", "swap_step_past_rows", "joint_1d", "swap_step_float",
         "swap_step_bool", "mutual_info_3d", "stationary_float_m", "stationary_bool_m_warm",
-        "block_joint_float_m"])
+        "block_joint_float_m", "stationary_str_m", "ledger_machine_2d", "classify_bool_tol",
+        "coverage_bool_eps_band", "trajectory_bool_step"])
 def test_domain_holes_rejected(call):
     with pytest.raises(ValueError):
         call()
