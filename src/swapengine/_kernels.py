@@ -29,13 +29,16 @@ def _r3_gap(p0, p1, p2, ratio):
 
 
 def trajectory_core(p0, p1, ratio, alpha, step, max_steps):
-    """Adaptive RK4 flow of (p0, p1) toward the thermal manifold of the
-    gap ratio dE10/dE21, with the swap ratio given by alpha(p0, p1, p2).
+    """Adaptive RK4 flow of (p0, p1) toward the curve ratio ln(p1/p2) =
+    ln(p0/p1), with the swap ratio given by alpha(p0, p1, p2): the thermal
+    manifold at ratio = dE10/dE21, a constant alpha's neutral curve at
+    ratio = alpha.
 
     Each step starts at twice the last accepted size, capped at step, and
     halves while a stage or its end would leave the open passive set
     p0 >= p1 > p2 > 0, on which alpha is defined, or its end would overshoot
-    the manifold; the flow ends once the R3 log-gap is at most TERMINATION_TOL.
+    the curve; the flow ends once the gap ratio ln(p1/p2) - ln(p0/p1), the
+    R3 log-gap at ratio = dE10/dE21, is at most TERMINATION_TOL.
     The first stage depends only on the step's start, so it is evaluated
     once per step, not once per halving. Returns the path (t, states),
     with t a list and states an (n, 3) array. RuntimeError if the flow

@@ -83,14 +83,18 @@ def bath_ledger(p, energies, final_joint, beta: float, initial_machine=None) -> 
     dW1 is the system energy released by the cycle; dW2 is what the bath
     can still extract from the final marginal's athermality plus the
     system-machine mutual information. Their sum equals the free-energy
-    drop F_beta(p) - F_beta(tau_beta) identically.
+    drop F_beta(p) - F_beta(tau_beta) when the joint is a reversible image of
+    p (x) q, as a cycle's is: then I(S:M) = S(sigma) - S(p), for sigma its
+    system marginal.
 
     When initial_machine is given, it must have the joint's machine shape
     (d,), and the machine marginal of final_joint must match it within 1e-10
     (reusability), else ValueError. So is a beta outside 0 < beta < inf, or
-    one at which a term leaves the float range.
+    one at which a term leaves the float range, and a joint whose I(S:M)
+    misses S(sigma) - S(p) by more than 1e-12.
     """
     p, e = states.state_and_ladder(p, energies)
+    states._check_real(beta, "beta")
     if not 0.0 < beta < math.inf:  # negated, so that NaN fails it
         raise ValueError("bath ledger needs 0 < beta < inf")
     info = oracle.mutual_information(final_joint)  # checks the joint
@@ -118,4 +122,7 @@ def bath_ledger(p, energies, final_joint, beta: float, initial_machine=None) -> 
     # tau has no zero entry at a finite beta: an infinite D(sigma||tau) is an underflow
     if not all(map(math.isfinite, vars(ledger).values())):
         raise ValueError(f"bath ledger leaves the float range at beta = {beta!r}")
+    miss = abs(info - (states._entropy(sigma) - s_p))
+    if not miss <= 1e-12:
+        raise ValueError(f"I(S:M) misses S(sigma) - S(p) by {miss:g}: the joint is not a cycle's image of p")
     return ledger

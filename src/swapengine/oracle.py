@@ -71,16 +71,15 @@ def machine_marginal(joint: np.ndarray) -> np.ndarray:
     return joint.sum(axis=0)
 
 
-def _landing(m: int, n: int) -> np.ndarray:
-    """The cycle's landing map: entry (i, k) of the (3, d) array is the
-    machine level l that mass at joint entry (i, k) lands on, so system
-    level i adds p_i to the update matrix's entry (l, k).
+def _landing(steps) -> np.ndarray:
+    """The landing map of build_cycle's steps: entry (i, k) of the (3, d)
+    array is the machine level l that mass at joint entry (i, k) lands on,
+    so system level i adds p_i to the update matrix's entry (l, k).
 
     One pass of the cycle's swaps over the joint's integer entry labels
     gives it: entry (j, l) of the result names the source whose mass lands
     there."""
-    steps = build_cycle(m, n)  # checks m and n before any arithmetic on them
-    d = m + n
+    d = len(steps)  # a cycle of d = m + n machine levels has m + n swaps
     src = np.arange(3 * d).reshape(3, d).tolist()
     for a, b, c, e in steps:
         src[a][e], src[b][c] = src[b][c], src[a][e]
@@ -133,12 +132,12 @@ def stationary_machine(p, m: int, n: int) -> np.ndarray:
     memory.
     Raises SingularFixedPointError when the fixed point is not unique or not
     strictly positive, or its residual exceeds 1e-12."""
-    return _stationary_machine(states.passive_qutrit(p), m, n)
+    return _stationary_machine(states.passive_qutrit(p), build_cycle(m, n))
 
 
-def _stationary_machine(p: np.ndarray, m: int, n: int) -> np.ndarray:
-    """stationary_machine of a checked passive qutrit; build_cycle checks m, n."""
-    landing = _landing(m, n).ravel()
+def _stationary_machine(p: np.ndarray, steps) -> np.ndarray:
+    """stationary_machine of a checked passive qutrit, for build_cycle's steps."""
+    landing = _landing(steps).ravel()
     d = landing.size // 3
     q = _stationary_vector(d, landing.tolist(), list(range(d)) * 3, np.repeat(p, d).tolist())
     residual = np.max(np.abs(np.bincount(landing, np.outer(p, q).ravel(), d) - q))

@@ -38,14 +38,16 @@ class AlphaRange:
 def alpha_range(p, energies) -> AlphaRange:
     """Open interval of admissible swap ratios n/m (needs E2 > E1); empty
     (error) unless the state lies strictly on the work-extracting side of thermal."""
-    return _alpha_window(*_passive_on(p, energies))
+    p, _, ratio = _passive_on(p, energies)
+    return _alpha_window(p, ratio)
 
 
-def _passive_on(p, energies) -> tuple[np.ndarray, float]:
-    """A passive qutrit p, passive on a ladder with E2 > E1 as in run_cycle, and its dE10/dE21."""
-    p, (e, ratio) = states.passive_qutrit(p), states.qutrit_ladder(energies)
+def _passive_on(p, energies) -> tuple[np.ndarray, np.ndarray, float]:
+    """(p, e, dE10/dE21): a ladder with E2 > E1, then a qutrit passive on it as in run_cycle."""
+    e, ratio = states.qutrit_ladder(energies)  # before p: a thermal state on a bad ladder fails as the ladder
+    p = states.passive_qutrit(p)
     states._check_passive_on(p, float(e[1] - e[0]), float(e[2] - e[1]))
-    return p, ratio
+    return p, e, ratio
 
 
 def _alpha_window(p, upper: float) -> AlphaRange:
@@ -87,8 +89,9 @@ class AsymptoticMachine:
 def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
     """Limit shape of the stationary machine for a large (m, ceil(alpha*m))
     cycle. alpha must lie inside alpha_range(p, energies)."""
-    p, ratio = _passive_on(p, energies)
+    p, _, ratio = _passive_on(p, energies)
     rng = _alpha_window(p, ratio)
+    states._check_real(alpha, "alpha")
     if alpha not in rng:
         raise ValueError(f"alpha={alpha} outside admissible range {rng}")
     states._check_integer(m, "m")
@@ -118,6 +121,9 @@ def asymptotic_delta_p_prefactor(p) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """endpoint_beta is ln(p0/p2)/(E2 - E0) of the last state: a thermal beta on the
+    thermal manifold, not one where a constant alpha ends on its neutral curve."""
+
     samples: Sequence[tuple[float, np.ndarray, states.DiagramPoint]]
     accumulated_work: float
     accumulated_heat_hot: float
@@ -138,7 +144,10 @@ def integrate_trajectory(
     step: float = 0.05,
     max_steps: int = 200_000,
 ) -> Trajectory:
-    """RK4 integration of the quasi-static flow until the thermal manifold.
+    """RK4 integration of the quasi-static flow until its cycles stop
+    extracting work: a constant alpha on its neutral curve alpha ln(p1/p2) =
+    ln(p0/p1), before the thermal manifold unless alpha = dE10/dE21, and
+    every other strategy on the thermal manifold.
 
     strategy: "energy" / "energy_conserving" (alpha pinned to dE10/dE21, no
     work, pure cooling), "entropy" / "entropy_conserving" (alpha tracks the
@@ -154,10 +163,8 @@ def integrate_trajectory(
     drop between the first and last samples, and the hot heat its dE10 part;
     for the energy-conserving strategy the work is rounding error.
     """
-    e, ratio = states.qutrit_ladder(energies)  # before p: a thermal state on a bad ladder fails as the ladder
-    p = states.passive_qutrit(p)
+    p, e, ratio = _passive_on(p, energies)
     de10, de21 = float(e[1] - e[0]), float(e[2] - e[1])
-    states._check_passive_on(p, de10, de21)
     if isinstance(step, (bool, np.bool_)) or not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     states._check_integer(max_steps, "max_steps")
@@ -199,6 +206,10 @@ def integrate_trajectory(
 
         def alpha(p0, p1, p2):
             return const
+
+        # the stepper stops where ratio ln(p1/p2) = ln(p0/p1): alpha's neutral curve
+        # below dE10/dE21, else the thermal manifold (a thermal start past the window)
+        ratio = min(const, ratio)
 
     ts, ps = trajectory_core(p0, p1, ratio, alpha, step, max_steps)
     # the first row carries p2 as 1 - p0 - p1, so a thermal start gives exactly 0.0

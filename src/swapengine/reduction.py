@@ -127,16 +127,17 @@ def block_joint_cycle(p, energies, k: int, m: int, n: int):
     the full d x (m+n) joint space.
 
     The machine is the stationary one of the reduced window state. Returns
-    (final_system_marginal, final_machine_marginal).
+    (final_system_marginal, final_machine_marginal). The checks are
+    lifted_cycle's, in its order: the window, m and n, the window's ladder.
     """
-    p, _ = states.state_and_ladder(p, energies)
+    p, e = states.state_and_ladder(p, energies)
     _check_window(p, k)
-    w = p[k : k + 3]
-    q = oracle._stationary_machine(w / w.sum(), m, n)
-    joint = oracle.product_joint(p, q)
     steps = oracle.build_cycle(m, n)
+    w = p[k : k + 3]
+    e0, e1, e2 = e[k : k + 3].tolist()
+    states._check_passive_on(w, e1 - e0, e2 - e1)
+    q = oracle._stationary_machine(w / w.sum(), steps)
+    joint = oracle.product_joint(p, q)
     # act only on the window rows; identity on the rest of the ladder
-    block = oracle.apply_cycle(joint[k : k + 3].copy(), steps)
-    out = joint.copy()
-    out[k : k + 3] = block
-    return oracle.system_marginal(out), oracle.machine_marginal(out)
+    joint[k : k + 3] = oracle.apply_cycle(joint[k : k + 3], steps)
+    return oracle.system_marginal(joint), oracle.machine_marginal(joint)

@@ -110,6 +110,12 @@ def _check_integer(value, name: str) -> None:
         raise ValueError(f"need an integer {name}, got {value!r}")
 
 
+def _check_real(value, name: str) -> None:
+    """Raise ValueError on a bool, which a range check reads as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"need a real {name}, got {value!r}")
+
+
 def check_cycle(m: int, n: int) -> None:
     """Raise ValueError unless the (m, n) swap cycle has integers m, n >= 1."""
     if not (_is_integer(m) and _is_integer(n)):
@@ -282,6 +288,7 @@ def thermal_state(beta: float, energies) -> np.ndarray:
     """Gibbs state exp(-beta E_i)/Z; BETA_INF gives the (possibly shared)
     ground state."""
     e = validate_hamiltonian(energies)
+    _check_real(beta, "beta")
     if not beta >= 0:  # negated, so that NaN fails it
         raise ValueError("beta must be >= 0")
     return _gibbs(beta, e)
@@ -340,6 +347,7 @@ def beta_from_energy(target_energy: float, energies, tol: float = 1e-10) -> floa
     """
     e = validate_hamiltonian(energies)
     check_tol(tol)
+    _check_real(target_energy, "target energy")
     tol *= float(e[-1] - e[0])
     with np.errstate(over="ignore"):  # a sum past the float range is inf, rejected next
         e_uniform = float(e.mean())
@@ -361,6 +369,7 @@ def beta_from_entropy(target_entropy: float, energies, tol: float = 1e-10) -> fl
     """Inverse temperature whose thermal state has the given entropy (nats)."""
     e = validate_hamiltonian(energies)
     check_tol(tol)
+    _check_real(target_entropy, "target entropy")
     return _beta_from_entropy(target_entropy, e, tol)
 
 

@@ -117,6 +117,14 @@ class TestBathLedger:
         assert led.delta_w2 == pytest.approx(0.0, abs=1e-12)
         assert led.mutual_info == 0.0
 
+    def test_foreign_joint_raises(self, worked_example):
+        # a normalized joint that no cycle makes from p: its I(S:M) = 0 misses
+        # S(sigma) - S(p) by 0.031, and the ledger would miss the free-energy drop
+        p, e = worked_example
+        q = oracle.stationary_machine(p, 1, 1)
+        with pytest.raises(ValueError, match=r"^I\(S:M\) misses S\(sigma\) - S\(p\) by 0\.031"):
+            activation.bath_ledger(p, e, np.outer([0.2, 0.3, 0.5], q), 0.7, initial_machine=q)
+
     def test_reusability_violation_raises(self, worked_example):
         p, e = worked_example
         q, joint = _cycle_joint(p, 1, 1)

@@ -17,7 +17,7 @@ def _exact_solution(p, m: int, n: int):
     elimination, then the cycle's swaps applied to p (x) q."""
     d = m + n
     rate = [{} for _ in range(d)]
-    for p_i, j_i in zip(map(Fraction, p), oracle._landing(m, n)):
+    for p_i, j_i in zip(map(Fraction, p), oracle._landing(oracle.build_cycle(m, n))):
         for k, j in enumerate(j_i.tolist()):
             if j != k:
                 rate[k][j] = rate[k].get(j, 0) + p_i

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swapengine import engine, oracle
+from swapengine import engine, oracle, reduction
 from tests.conftest import random_passive_qutrits
 
 
@@ -134,7 +134,7 @@ def _update_matrix(p, m, n):
     at (landing, k), summed where landings meet."""
     d = m + n
     b = np.zeros((d, d))
-    np.add.at(b, (oracle._landing(m, n), np.arange(d)), p[:, None])
+    np.add.at(b, (oracle._landing(oracle.build_cycle(m, n)), np.arange(d)), p[:, None])
     return b
 
 
@@ -178,12 +178,22 @@ class TestUpdateMatrix:
 
     def test_landing_map_is_built_fresh(self):
         # the solve keeps no state: each call builds its own writable map
-        landing = oracle._landing(3, 4)
+        landing = oracle._landing(oracle.build_cycle(3, 4))
         assert landing.shape == (3, 7)
         before = landing.copy()
         landing[0, 0] = -1
-        assert np.array_equal(oracle._landing(3, 4), before)
+        assert np.array_equal(oracle._landing(oracle.build_cycle(3, 4)), before)
         assert not any(hasattr(f, "cache_clear") for f in vars(oracle).values())
+
+    def test_each_call_builds_its_cycle_once(self, monkeypatch, worked_example):
+        # the solve's landing map and block_joint_cycle's swaps share one list
+        built, real = [], oracle.build_cycle
+        monkeypatch.setattr(oracle, "build_cycle", lambda m, n: built.append((m, n)) or real(m, n))
+        oracle.stationary_machine(worked_example[0], 2, 3)
+        assert built == [(2, 3)]
+        built.clear()
+        reduction.block_joint_cycle([0.4, 0.28, 0.12, 0.12, 0.08], [0.0, 3.0, 4.0, 9.0, 11.0], 1, 2, 3)
+        assert built == [(2, 3)]
 
     def test_landing_graph_is_one_ring(self):
         # the O(d) solve and its order-free sums rest on this: an edge k - l
@@ -195,7 +205,7 @@ class TestUpdateMatrix:
                 if d < 3:
                     continue
                 nbrs = [set() for _ in range(d)]
-                for row in oracle._landing(m, n).tolist():
+                for row in oracle._landing(oracle.build_cycle(m, n)).tolist():
                     for k, l in enumerate(row):
                         if l != k:
                             nbrs[k].add(l)

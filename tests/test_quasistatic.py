@@ -49,16 +49,19 @@ class TestAlphaRange:
 
     @pytest.mark.parametrize("call", [
         lambda p, e: quasistatic.alpha_range(p, e),
+        lambda p, e: quasistatic.asymptotic_machine(p, e, 10, 0.5),
         lambda p, e: quasistatic.integrate_trajectory(p, e, "entropy"),
         lambda p, e: quasistatic.integrate_trajectory(p, e, "energy"),
-    ], ids=["alpha_range", "trajectory_entropy", "trajectory_energy"])
+    ], ids=["alpha_range", "asymptotic_machine", "trajectory_entropy", "trajectory_energy"])
     def test_equal_upper_levels_rejected_without_warning(self, call):
         # E1 == E2 leaves dE10/dE21 undefined, and (0.5, 0.3, 0.2) is not
-        # passive on that ladder
+        # passive on that ladder; every flow function checks the ladder
+        # first, so a state that is not passive at all gets the same message
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="E2 > E1"):
-                call([0.5, 0.3, 0.2], [0.0, 1.0, 1.0])
+            for p in ([0.5, 0.3, 0.2], [0.3, 0.5, 0.2]):
+                with pytest.raises(ValueError, match="^need E2 > E1: the gap ratio dE10/dE21 is undefined$"):
+                    call(p, [0.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("call", [
         lambda p, e: quasistatic.alpha_range(p, e),
@@ -207,10 +210,12 @@ class TestTrajectories:
             quasistatic.integrate_trajectory([0.4, 0.4, 0.2], [0.0, 1.0, 2.0], strategy)
 
     def test_callable_strategy_matches_constant(self, worked_example):
+        # at alpha = dE10/dE21 a number and a callable both stop on the
+        # thermal manifold
         p, e = worked_example
-        mid = quasistatic.alpha_range(p, e).midpoint()
-        t1 = quasistatic.integrate_trajectory(p, e, mid)
-        t2 = quasistatic.integrate_trajectory(p, e, lambda y: mid)
+        upper = quasistatic.alpha_range(p, e).upper
+        t1 = quasistatic.integrate_trajectory(p, e, upper)
+        t2 = quasistatic.integrate_trajectory(p, e, lambda y: upper)
         # one stepper: the two runs do the same arithmetic
         assert len(t1.samples) == len(t2.samples)
         assert t1.accumulated_work == t2.accumulated_work
@@ -247,6 +252,20 @@ class TestTrajectories:
         p, e = worked_example
         with pytest.raises(ValueError, match=r"outside admissible range \[0\.42"):
             quasistatic.integrate_trajectory(p, e, alpha)
+
+    # exact roots on the line p + s (1, -(1 + alpha), alpha) of the worked example
+    @pytest.mark.parametrize("alpha, work", [
+        (0.43, 0.00216845595199364), (0.9, 0.0472945944575119), (1.71, 0.0331946271560501),
+        (2.5, 0.0114392021556008), (2.9, 0.00213199685917795),
+    ])
+    def test_constant_alpha_stops_at_the_neutral_curve(self, worked_example, alpha, work):
+        p, e = worked_example
+        traj = quasistatic.integrate_trajectory(p, e, alpha)
+        entropies = [pt.entropy for _, _, pt in traj.samples]
+        assert np.all(np.diff(entropies) >= -1e-8)
+        assert abs(traj.accumulated_work - work) <= 1e-9
+        p0, p1, p2 = traj.final_state
+        assert abs(alpha * math.log(p1 / p2) - math.log(p0 / p1)) <= _kernels.TERMINATION_TOL
 
     def test_thermal_start_ignores_alpha_window(self):
         e = np.array([0.0, 1.0, 3.0])
@@ -525,8 +544,9 @@ class TestOptimalWorkAndCarnot:
 
 
 class TestOpenFlowDefects:
-    """ROADMAP defects 1-3, pinned as strict expected failures: a flow that
-    mends one turns its pin into an unexpected pass, and the pin into a test."""
+    """ROADMAP defects 1, 3 and the callable part of 2, pinned as strict
+    expected failures: a flow that mends one turns its pin into an
+    unexpected pass, and the pin into a test."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP defect 1: the "
                        "entropy flow has no error control, drifts in entropy and exceeds "
@@ -540,15 +560,13 @@ class TestOpenFlowDefects:
         assert max(abs(pt.entropy - s0) for _, _, pt in traj.samples) <= 1e-8
         assert traj.accumulated_work <= quasistatic.optimal_work(p, e) + 1e-9
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP defect 2: a "
-                       "constant alpha runs past the neutral curve")
-    @pytest.mark.parametrize("alpha", [0.43, 0.9, 2.9])
-    def test_constant_alpha_stops_at_the_neutral_curve(self, worked_example, alpha):
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP defect 2, "
+                       "callables (direction 1b): a constant callable runs past its "
+                       "neutral curve to the thermal manifold")
+    def test_constant_callable_stops_at_the_neutral_curve(self, worked_example):
         p, e = worked_example
-        traj = quasistatic.integrate_trajectory(p, e, alpha)
-        entropies = [pt.entropy for _, _, pt in traj.samples]
-        assert np.all(np.diff(entropies) >= -1e-8)
-        assert traj.accumulated_work <= quasistatic.optimal_work(p, e) + 1e-9
+        traj = quasistatic.integrate_trajectory(p, e, lambda y: 0.9)
+        assert abs(traj.accumulated_work - 0.0472945944575119) <= 1e-9
 
     @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="ROADMAP defect 3: a flow that "
                        "starts near p0 == p1 never finishes")

@@ -142,6 +142,18 @@ class TestBlockUnitaryOracle:
                     assert np.max(np.abs(sys_m - lifted.final_system)) < 1e-12
                     assert np.max(np.abs(mach_m - lifted.machine)) < 1e-12
 
+    @pytest.mark.parametrize("k, m, message", [
+        (0, 2, "^state is not passive: equal energies need equal populations$"),
+        (3, 0, "^window start 3 out of range for d=4$"),  # the window first
+        (0, 0, "^need m, n >= 1, got m = 0, n = 3$"),  # then m and n, then the ladder
+    ])
+    def test_refuses_what_lifted_cycle_refuses(self, k, m, message):
+        # p1 != p2 on E1 == E2: window 0 is not passive on its ladder
+        args = ([0.4, 0.3, 0.2, 0.1], [0.0, 1.0, 1.0, 3.0], k, m, 3)
+        for call in (reduction.lifted_cycle, reduction.block_joint_cycle):
+            with pytest.raises(ValueError, match=message):
+                call(*args)
+
 
 class TestBestWindow:
     def test_qutrit_returns_zero(self, worked_example):

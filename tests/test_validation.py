@@ -237,6 +237,12 @@ def _ledger_with_machine_rows():
     lambda: regions.coverage_fraction(regions.RationalGapRatio(1, 3), 2, 3, 20, eps_band=True),
     lambda: quasistatic.integrate_trajectory([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], "entropy",
                                              step=True),
+    # a bool is neither an inverse temperature, a swap ratio nor a target: each ran at 1.0
+    lambda: states.thermal_state(np.True_, E),
+    lambda: activation.bath_ledger([0.5, 0.35, 0.15], E, _JOINT, True),
+    lambda: quasistatic.asymptotic_machine([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], 10, True),
+    lambda: states.beta_from_energy(True, [0.0, 1.0, 3.0]),
+    lambda: states.beta_from_entropy(True, [0.0, 1.0, 3.0]),
 ], ids=["relative_entropy_nan", "relative_entropy_unnormalized", "relative_entropy_lengths",
         "ledger_nan_machine", "ledger_beta_inf", "ledger_beta_nan", "ledger_underflow",
         "ledger_joint_rows", "witness_cycle", "trajectory_subnormal_p2", "trajectory_tiny_p2",
@@ -248,7 +254,8 @@ def _ledger_with_machine_rows():
         "swap_step_past_columns", "swap_step_past_rows", "joint_1d", "swap_step_float",
         "swap_step_bool", "mutual_info_3d", "stationary_float_m", "stationary_bool_m_warm",
         "block_joint_float_m", "stationary_str_m", "ledger_machine_2d", "classify_bool_tol",
-        "coverage_bool_eps_band", "trajectory_bool_step"])
+        "coverage_bool_eps_band", "trajectory_bool_step", "thermal_bool_beta", "ledger_bool_beta",
+        "asymptotic_bool_alpha", "beta_from_energy_bool_target", "beta_from_entropy_bool_target"])
 def test_domain_holes_rejected(call):
     with pytest.raises(ValueError):
         call()
