@@ -147,7 +147,9 @@ def integrate_trajectory(
     """RK4 integration of the quasi-static flow until its cycles stop
     extracting work: a constant alpha on its neutral curve alpha ln(p1/p2) =
     ln(p0/p1), before the thermal manifold unless alpha = dE10/dE21, and
-    every other strategy on the thermal manifold.
+    every other strategy on the thermal manifold. The last step's size is
+    solved for, so the flow ends on it with r ln(p1/p2) - ln(p0/p1) in
+    [0, TERMINATION_TOL], r being that curve's alpha or dE10/dE21.
 
     strategy: "energy" / "energy_conserving" (alpha pinned to dE10/dE21, no
     work, pure cooling), "entropy" / "entropy_conserving" (alpha tracks the
@@ -201,15 +203,15 @@ def integrate_trajectory(
                 if not rng.lower - slack <= const <= rng.upper + slack:
                     raise ValueError(f"alpha={const} outside admissible range [{rng.lower}, {rng.upper}]")
                 const = min(max(const, rng.lower), rng.upper)
+                # the stepper stops where ratio ln(p1/p2) = ln(p0/p1): alpha's neutral
+                # curve below dE10/dE21, else the thermal manifold; a thermal start
+                # keeps the manifold whatever alpha, which the window does not bound
+                ratio = min(const, ratio)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
 
         def alpha(p0, p1, p2):
             return const
-
-        # the stepper stops where ratio ln(p1/p2) = ln(p0/p1): alpha's neutral curve
-        # below dE10/dE21, else the thermal manifold (a thermal start past the window)
-        ratio = min(const, ratio)
 
     ts, ps = trajectory_core(p0, p1, ratio, alpha, step, max_steps)
     # the first row carries p2 as 1 - p0 - p1, so a thermal start gives exactly 0.0
@@ -223,8 +225,8 @@ def integrate_trajectory(
         (t, y.copy(), states.DiagramPoint(en, s))
         for t, y, en, s in zip(ts, ps, energy, entropy)
     ]
-    final = samples[-1][1]
-    beta = math.log(final[0] / final[2]) / (e[2] - e[0])
+    f0, _, f2 = ps[-1].tolist()
+    beta = math.log(f0 / f2) / float(e[2] - e[0])
     return Trajectory(
         samples=samples,
         accumulated_work=de10 * dp0 - de21 * dp2,
