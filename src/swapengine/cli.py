@@ -29,11 +29,11 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_cycles(text: str):
-    out = []
-    for tok in text.split(","):
-        m, _, n = tok.partition(":")
-        out.append((int(m), int(n)))
-    return out
+    try:
+        return [(int(m), int(n)) for m, _, n in (tok.partition(":") for tok in text.split(","))]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad cycle list {text!r}: need m:n pairs such as 3:1,5:2") from exc
 
 
 def _parse_sweep(text: str) -> tuple[float, float, float]:
@@ -53,18 +53,22 @@ def _resolve_state(args, energies):
     raise ValueError("need --state or --beta")
 
 
+def _csv_cells(col):
+    """One column's CSV cells: FMT for floats, str for the rest."""
+    types = set(map(type, col))
+    if types == {float} and 0.0 not in col:  # 0.0 and -0.0 would be one key
+        cells = {v: FMT % v for v in set(col)}  # each distinct value formatted once
+        return map(cells.__getitem__, col)
+    if types <= {str, bool, int}:
+        return map(str, col)
+    return [FMT % v if isinstance(v, (float, np.floating)) else str(v) for v in col]
+
+
 def _emit(rows, header, args, config):
     """Write rows as CSV or JSON to --out (or stdout)."""
     if args.format == "csv":
-        fmts = {}  # one %-format per tuple of column types: FMT for floats, %s otherwise
-        lines = [",".join(header)]
-        for row in map(tuple, rows):
-            key = tuple(map(type, row))
-            if key not in fmts:
-                fmts[key] = ",".join(
-                    FMT if issubclass(t, (float, np.floating)) else "%s" for t in key)
-            lines.append(fmts[key] % row)
-        text = "\n".join(lines) + "\n"
+        cols = map(_csv_cells, zip(*rows))
+        text = "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
     else:
         results = [{k: v.item() if isinstance(v, np.generic) else v for k, v in zip(header, row)}
                    for row in rows]

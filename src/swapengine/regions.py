@@ -30,8 +30,9 @@ R3_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RationalGapRatio:
-    """Integers M >= 1 and N >= 0 (ints or numpy integers) with
-    M * dE10 = N * dE21 (within the tolerance used to construct them)."""
+    """Integers M >= 1 and N >= 0 (ints or numpy integers, kept as Python
+    ints so that no product wraps) with M * dE10 = N * dE21 (within the
+    tolerance used to construct them)."""
 
     m_int: int
     n_int: int
@@ -41,6 +42,8 @@ class RationalGapRatio:
             raise ValueError(f"need integers M and N, got M = {self.m_int!r}, N = {self.n_int!r}")
         if self.m_int < 1 or self.n_int < 0:
             raise ValueError("need M >= 1 and N >= 0")
+        object.__setattr__(self, "m_int", int(self.m_int))
+        object.__setattr__(self, "n_int", int(self.n_int))
 
 
 def approximate_gap_ratio(energies, tol: float = 1e-9) -> RationalGapRatio:
@@ -189,6 +192,17 @@ def _grid_log_ratios(resolution: int):
     return l1, l2
 
 
+@lru_cache(maxsize=8)
+def _r1_log_ratios(resolution: int, big_m: int, big_n: int, eps_band: float):
+    """Read-only _grid_log_ratios(resolution) at the grid's R1 points for
+    M dE10 = N dE21, outside the eps_band strip around R3."""
+    l1, l2 = _grid_log_ratios(resolution)
+    r1 = big_n * l2 - big_m * l1 > eps_band
+    l1, l2 = l1[r1], l2[r1]
+    l1.flags.writeable = l2.flags.writeable = False
+    return l1, l2
+
+
 def coverage_fraction(
     ratio: RationalGapRatio,
     m: int,
@@ -205,8 +219,7 @@ def coverage_fraction(
     states.check_cycle(m, n)
     states.check_tol(eps_band, "eps_band")
     states._check_integer(grid_resolution, "grid_resolution")  # before the cache, which keys 50.0 as 50
-    l1, l2 = _grid_log_ratios(grid_resolution)
-    in_r1, activated = coverage_counts(l1, l2, ratio.m_int, ratio.n_int, m, n, eps_band)
-    if in_r1 == 0:
+    l1, l2 = _r1_log_ratios(grid_resolution, ratio.m_int, ratio.n_int, eps_band)
+    if l1.size == 0:
         return 0.0
-    return activated / in_r1
+    return coverage_counts(l1, l2, ratio.m_int, ratio.n_int, m, n) / l1.size

@@ -257,6 +257,15 @@ class TestVerifyAndErrors:
         assert exc.value.code == 2
         assert "lo:hi:steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cycles", ["3", "3:x", "1:1,"])
+    def test_cycles_need_m_n_pairs(self, capsys, cycles):
+        with pytest.raises(SystemExit) as exc:
+            run(["fig5", "--energies", "0,1,3", "--grid", "20", "--cycles", cycles])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad cycle list {cycles!r}: need m:n pairs such as 3:1,5:2" in captured.err
+
     @pytest.mark.parametrize("sweep", ["0.5:7.5:inf", "0.5:7.5:-3", "0.5:7.5:2.7"])
     def test_sweep_gap_needs_whole_steps(self, capsys, sweep):
         with pytest.raises(SystemExit) as exc:
@@ -349,6 +358,16 @@ CELLS = st.one_of(
 @example(  # one column, four type signatures
     table=[[1.5], [np.float32(0.1)], [np.int64(3)], [None]], fmt="csv",
 )
+@example(  # floats with both zeros, a NaN and a repeat: 0.0 and -0.0 are one dict key
+    table=[[0.25], [0.0], [-0.0], [float("nan")], [0.25], [-0.0]], fmt="csv",
+)
+@example(  # True, 1 and 1.0 are one dict key too
+    table=[[True], [1], [1.0], [1], [True]], fmt="csv",
+)
+@example(  # nonzero floats only, with a NaN and repeats; then str, bool and int
+    table=[[0.1, "R1", True, 3], [float("nan"), "R2", False, 3], [0.1, "R1", True, -2**70]],
+    fmt="csv",
+)
 @example(
     table=[
         [0.1, 1, True, "R1", None, np.float64(-0.0), np.float32(2.5), np.int64(-7), np.bool_(1)],
@@ -397,15 +416,17 @@ _PINNED = Path(__file__).with_name("cli_stdout.txt")
 
 
 def _pinned_argvs():
-    """The README's cycle, fig4 and optimize examples, without --out, then verify --format csv."""
+    """The README's cycle, fig4, fig6 and optimize examples, without --out, then
+    a small fig5 and verify --format csv."""
     argvs = []
     for argv in _readme_examples():
-        if argv[0] in ("cycle", "fig4", "optimize"):
+        if argv[0] in ("cycle", "fig4", "fig6", "optimize"):
             if "--out" in argv:
                 i = argv.index("--out")
                 argv = argv[:i] + argv[i + 2:]
             argvs.append(argv)
-    return argvs + [["verify", "--format", "csv"]]
+    fig5 = ["fig5", "--energies", "0,1,3", "--grid", "25", "--cycles", "3:1,5:2"]
+    return argvs + [fig5, ["verify", "--format", "csv"]]
 
 
 def _stdout(argv) -> str:

@@ -297,6 +297,21 @@ class TestGridAndCoverage:
         ratio = regions.RationalGapRatio(2, 1)
         assert regions.coverage_fraction(ratio, 2, 1, 40) == 0.0
 
+    def test_numpy_integer_ratio_does_not_wrap(self):
+        # M N products past 2**63 wrap in int64 but not in Python ints
+        big, three = np.int64(2**62), np.int64(3)
+        ratio = regions.RationalGapRatio(big, three)
+        assert type(ratio.m_int) is int and type(ratio.n_int) is int
+        assert regions.coverage_fraction(ratio, 5, 4, 20) == 0.0
+        assert regions.coverage_fraction(regions.RationalGapRatio(three, big), 4, 5, 20) == (
+            regions.coverage_fraction(regions.RationalGapRatio(3, 2**62), 4, 5, 20))
+        assert regions.covering_cycle([0.4, 0.4, 0.2], ratio, 10) == (2**62 + 1, 3)
+
+    def test_numpy_integer_cycle_does_not_wrap(self):
+        ratio = regions.RationalGapRatio(1, 3)
+        assert regions.coverage_fraction(ratio, np.int64(2**62), np.int64(3), 20) == (
+            regions.coverage_fraction(ratio, 2**62, 3, 20))
+
     @pytest.mark.parametrize("m, n", [(0, 1), (1, -1)])
     def test_coverage_rejects_cycle_below_one(self, m, n):
         with pytest.raises(ValueError, match="need m, n >= 1"):
@@ -304,35 +319,57 @@ class TestGridAndCoverage:
 
 
 class TestGridLogRatioCache:
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        regions._grid_log_ratios.cache_clear()
+        regions._r1_log_ratios.cache_clear()
+
     def test_read_only_and_equal_to_fresh_logs(self):
         for resolution in (10, 37, 90, 401):
-            l1, l2 = regions._grid_log_ratios(resolution)
             grid = regions.passive_simplex_grid(resolution)
-            assert np.array_equal(l1, np.log(grid[:, 0] / grid[:, 1]))
-            assert np.array_equal(l2, np.log(grid[:, 1] / grid[:, 2]))
-            for logs in (l1, l2):
+            fresh1, fresh2 = np.log(grid[:, 0] / grid[:, 1]), np.log(grid[:, 1] / grid[:, 2])
+            l1, l2 = regions._grid_log_ratios(resolution)
+            assert np.array_equal(l1, fresh1) and np.array_equal(l2, fresh2)
+            logs = [l1, l2]
+            for big_m, big_n, eps_band in ((2, 1, 1e-3), (1, 3, 0.0), (3, 2, 0.05)):
+                r1 = big_n * fresh2 - big_m * fresh1 > eps_band
+                s1, s2 = regions._r1_log_ratios(resolution, big_m, big_n, eps_band)
+                assert s1.size and np.array_equal(s1, fresh1[r1]) and np.array_equal(s2, fresh2[r1])
+                logs += [s1, s2]
+            for arr in logs:
                 with pytest.raises(ValueError, match="read-only"):
-                    logs[0] = 0.0
+                    arr[0] = 0.0
 
     def test_grid_built_once_per_resolution(self, monkeypatch):
-        built = Counter()
-        real = regions.passive_simplex_grid
+        """The grid once per resolution; each R1 subset once per (resolution, M, N, eps_band)."""
+        built, masked = Counter(), Counter()  # grids, and R1 subsets, per resolution
+        real_grid, real_logs = regions.passive_simplex_grid, regions._grid_log_ratios
 
-        def counted(resolution):
+        def counted_grid(resolution):
             built[resolution] += 1
-            return real(resolution)
+            return real_grid(resolution)
 
-        monkeypatch.setattr(regions, "passive_simplex_grid", counted)
-        regions._grid_log_ratios.cache_clear()
-        ratio = regions.RationalGapRatio(2, 1)
+        def counted_logs(resolution):  # one call per R1 subset built
+            masked[resolution] += 1
+            return real_logs(resolution)
+
+        monkeypatch.setattr(regions, "passive_simplex_grid", counted_grid)
+        monkeypatch.setattr(regions, "_grid_log_ratios", counted_logs)
+        # three families, the first also at a wider band and as numpy integers,
+        # which key as Python ints: four R1 subsets per resolution
+        keys = [((2, 1), 1e-3), ((1, 3), 1e-3), ((3, 2), 1e-3), ((2, 1), 0.05),
+                ((np.int64(2), np.int64(1)), 1e-3)]
         for _ in range(3):
             for resolution in (40, 41):
-                for m, n in [(3, 1), (5, 2), (2, 1)]:
-                    regions.coverage_fraction(ratio, m, n, resolution)
+                for (big_m, big_n), eps_band in keys:
+                    ratio = regions.RationalGapRatio(big_m, big_n)
+                    for m, n in [(3, 1), (5, 2), (2, 1)]:
+                        regions.coverage_fraction(ratio, m, n, resolution, eps_band)
             with pytest.raises(ValueError, match="resolution >= 10"):
-                regions.coverage_fraction(ratio, 3, 1, 9)
+                regions.coverage_fraction(regions.RationalGapRatio(2, 1), 3, 1, 9)
         # a resolution below 10 raises, and is tried again, on every call
         assert built == {40: 1, 41: 1, 9: 3}
+        assert masked == {40: 4, 41: 4, 9: 3}
 
     def test_simplex_grid_stays_fresh_and_writable(self):
         regions.coverage_fraction(regions.RationalGapRatio(2, 1), 3, 1, 30)
@@ -360,3 +397,37 @@ class TestGridLogRatioCache:
                         regions.RationalGapRatio(*ratio), m, n, 57, eps_band
                     )
                     assert got == expected, (m, n, eps_band)
+
+
+if __name__ == "__main__":
+    # the coverage and fig5 costs, to compare two trees:
+    # PYTHONPATH=src python -m tests.test_regions
+    import itertools
+    import os
+    import tempfile
+    import timeit
+
+    from swapengine import cli
+
+    def best_us(fn, number):
+        return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
+
+    ratio = regions.RationalGapRatio(2, 1)
+    regions.coverage_fraction(ratio, 3, 1, 400)
+    fresh = (regions.RationalGapRatio(k + 1, k) for k in itertools.count(1))  # a new ratio per call
+
+    def cold():
+        regions._grid_log_ratios.cache_clear()
+        regions.coverage_fraction(next(fresh), 3, 1, 400)
+
+    print("coverage_fraction at resolution 400, time per call (best of 5)")
+    print(f"family hit: {best_us(lambda: regions.coverage_fraction(ratio, 5, 2, 400), 2000):.1f} us")
+    print(f"new ratio, cached resolution: "
+          f"{best_us(lambda: regions.coverage_fraction(next(fresh), 3, 1, 400), 500):.1f} us")
+    print(f"cold: {best_us(cold, 50):.1f} us")
+    print("cli.main fig5 --energies 0,1,3 in-process, time per run (best of 5)")
+    with tempfile.TemporaryDirectory() as tmp:
+        for grid, number in ((30, 200), (90, 50), (400, 5)):
+            argv = ["fig5", "--energies", "0,1,3", "--grid", str(grid),
+                    "--out", os.path.join(tmp, "fig5.csv")]
+            print(f"grid {grid}: {best_us(lambda: cli.main(argv), number) / 1e3:.2f} ms")
