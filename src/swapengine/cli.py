@@ -30,10 +30,13 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_cycles(text: str):
     try:
-        return [(int(m), int(n)) for m, _, n in (tok.partition(":") for tok in text.split(","))]
+        cycles = [(int(m), int(n)) for m, _, n in (tok.partition(":") for tok in text.split(","))]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad cycle list {text!r}: need m:n pairs such as 3:1,5:2") from exc
+    if len(set(cycles)) < len(cycles):  # two columns of one name; JSON would keep one
+        raise argparse.ArgumentTypeError(f"bad cycle list {text!r}: a cycle is repeated")
+    return cycles
 
 
 def _parse_sweep(text: str) -> tuple[float, float, float]:
@@ -56,6 +59,10 @@ def _resolve_state(args, energies):
 def _csv_cells(col):
     """One column's CSV cells: FMT for floats, str for the rest."""
     types = set(map(type, col))
+    if types == {str}:
+        return col
+    if types == {bool}:
+        return map(("False", "True").__getitem__, col)
     if types == {float} and 0.0 not in col:  # 0.0 and -0.0 would be one key
         cells = {v: FMT % v for v in set(col)}  # each distinct value formatted once
         return map(cells.__getitem__, col)
@@ -64,14 +71,15 @@ def _csv_cells(col):
     return [FMT % v if isinstance(v, (float, np.floating)) else str(v) for v in col]
 
 
-def _emit(rows, header, args, config):
-    """Write rows as CSV or JSON to --out (or stdout)."""
+def _emit(cols, header, args, config):
+    """Write columns, one list of cells per header name, as CSV or JSON to
+    --out (or stdout)."""
     if args.format == "csv":
-        cols = map(_csv_cells, zip(*rows))
-        text = "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
+        cells = map(_csv_cells, cols)
+        text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     else:
-        results = [{k: v.item() if isinstance(v, np.generic) else v for k, v in zip(header, row)}
-                   for row in rows]
+        cols = [[v.item() if isinstance(v, np.generic) else v for v in col] for col in cols]
+        results = [dict(zip(header, row)) for row in zip(*cols)]
         text = json.dumps({"config": config, "results": results}, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -97,7 +105,7 @@ def cmd_cycle(args) -> int:
         "efficiency_meaningful": out.efficiency_meaningful, "final_p0": final[0],
         "final_p1": final[1], "final_p2": final[2], "final_active": out.final_active,
     }
-    _emit([list(cols.values())], list(cols), args, _config_dict(args))
+    _emit([[v] for v in cols.values()], list(cols), args, _config_dict(args))
     return 0
 
 
@@ -113,9 +121,10 @@ def cmd_fig4(args) -> int:
     vt = states.virtual_temperatures(p, args.energies)
     beta_hot, beta_cold = vt.hot, vt.cold
     lo, hi, steps = args.sweep_gap
-    rows = []
+    gaps = np.linspace(lo, hi, int(steps)).tolist()
+    works, effs = [], []
     # Python floats: a sum or product past the float range is inf, silently
-    for gap in np.linspace(lo, hi, int(steps)).tolist():
+    for gap in gaps:
         ee = np.array([0.0, gap, gap + de21])
         x1, x2 = beta_hot * gap, beta_cold * de21
         if not (x1 <= _LN_FLOAT_MAX and x2 <= _LN_FLOAT_MAX):  # negated, so that NaN fails it
@@ -124,8 +133,9 @@ def cmd_fig4(args) -> int:
         pg = np.array([r1, 1.0, 1.0 / r2])
         pg /= pg.sum()
         out = engine.run_cycle(pg, ee, 1, 1)
-        rows.append([float(gap), float(out.work), float(out.efficiency)])
-    _emit(rows, ["gap", "work", "efficiency"], args, _config_dict(args))
+        works.append(float(out.work))
+        effs.append(float(out.efficiency))
+    _emit([gaps, works, effs], ["gap", "work", "efficiency"], args, _config_dict(args))
     return 0
 
 
@@ -136,9 +146,9 @@ def cmd_fig5(args) -> int:
     grid = regions.passive_simplex_grid(args.grid)
     header = ["p0", "p1", "p2", "region"] + [f"active_{m}_{n}" for m, n in cycles]
     labels = regions.classify(grid, ratio).tolist()
-    flags = [regions.in_activation_region(grid, args.energies, m, n).tolist() for m, n in cycles]
-    rows = zip(*grid.T.tolist(), labels, *flags)
-    _emit(rows, header, args, _config_dict(args, cycles=[list(c) for c in cycles]))
+    flags = [f.tolist() for f in regions.activation_flags(grid, args.energies, cycles)]
+    cols = [*grid.T.tolist(), labels, *flags]
+    _emit(cols, header, args, _config_dict(args, cycles=[list(c) for c in cycles]))
     return 0
 
 
@@ -149,11 +159,10 @@ def cmd_fig6(args) -> int:
     if strategy.startswith("alpha="):
         strategy = float(strategy[len("alpha="):])
     traj = quasistatic.integrate_trajectory(p, args.energies, strategy)
-    rows = [
-        [float(t), float(y[0]), float(y[1]), float(y[2]), pt.energy, pt.entropy]
-        for t, y, pt in traj.samples
-    ]
-    _emit(rows, ["t", "p0", "p1", "p2", "energy", "entropy"], args, _config_dict(args))
+    ts, ys, pts = zip(*traj.samples)
+    cols = [list(map(float, ts)), *np.array(ys).T.tolist(),
+            [pt.energy for pt in pts], [pt.entropy for pt in pts]]
+    _emit(cols, ["t", "p0", "p1", "p2", "energy", "entropy"], args, _config_dict(args))
     return 0
 
 
@@ -166,7 +175,7 @@ def cmd_optimize(args) -> int:
     p = _resolve_state(args, args.energies)
     k, out = reduction.best_cycle(p, args.energies, args.max_dim)
     header = ["m", "n", "window", "work", "efficiency"]
-    _emit([[out.m, out.n, k, out.work, out.efficiency]], header, args, _config_dict(args))
+    _emit([[out.m], [out.n], [k], [out.work], [out.efficiency]], header, args, _config_dict(args))
     return 0
 
 
@@ -213,7 +222,7 @@ def cmd_verify(args) -> int:
             print(f"{name}: {'PASS' if ok else 'FAIL'}")
     else:
         args.format = args.format or "csv"
-        _emit(rows, ["check", "pass", "measured", "threshold"], args, _config_dict(args))
+        _emit(list(zip(*rows)), ["check", "pass", "measured", "threshold"], args, _config_dict(args))
     return 0 if all(row[1] for row in rows) else 1
 
 

@@ -92,7 +92,10 @@ def _best(p: np.ndarray, e: np.ndarray, pairs) -> tuple[int, engine.CycleOutcome
     """best_cycle over the checked (m, n) pairs, on a checked state and ladder.
 
     Each candidate computes only its work, lever times delta_p, with
-    _run_cycle's closed form; the winner's outcome is built once.
+    _run_cycle's closed form; the winner's outcome is built once. Once a
+    positive work is held, a candidate whose work cannot be positive is
+    skipped unassembled: delta_p has the sign of s1**m - s2**n, so the work
+    has that sign times the lever's.
     """
     # k = 0 even for d < 3, so that _raw_window raises; a qudit window with an
     # empty top level cannot run a cycle, and a zero-mass window has one
@@ -114,6 +117,10 @@ def _best(p: np.ndarray, e: np.ndarray, pairs) -> tuple[int, engine.CycleOutcome
             if i == 0:  # _run_cycle's ladder check, where the window's first cycle meets it
                 states._check_passive_on(w, de10, de21)
             lever = states._lever(m, n, de10, de21)
+            if best is not None and best[0] > 0.0:
+                s1m, s2n = factors[1] ** m, factors[2] ** n  # as _strokes computes them
+                if not (s1m > s2n if lever > 0.0 else lever < 0.0 and s1m < s2n):
+                    continue
             # _run_cycle's work; the first of equal maxima wins
             work = lever * engine._strokes(*factors, m, n)[2] + 0.0
             if best is None or work > best[0]:

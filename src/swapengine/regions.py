@@ -4,9 +4,10 @@ With the gap ratio pinned to integers (M dE10 = N dE21), passive states
 split into R1 / R2 / R3 by comparing N ln(p1/p2) against M ln(p0/p1); the
 cycle (m, n) activates exactly the states where the analogous comparison
 with exponents (n, m) has the same sign as m dE10 - n dE21. All
-comparisons are done in log space. `classify` and `in_activation_region`
-take one state or an (N, 3) array of states, decided in one numpy pass; one
-state runs as a batch of one, so both forms take the same lines.
+comparisons are done in log space. `classify`, `in_activation_region` and
+its many-cycle form `activation_flags` take one state or an (N, 3) array of
+states, decided in one numpy pass; one state runs as a batch of one, so
+both forms take the same lines.
 """
 
 from __future__ import annotations
@@ -110,19 +111,33 @@ def in_activation_region(p, energies, m: int, n: int):
     of N flags. A state that is not passive on the ladder (unequal
     populations on equal energies) raises, as in run_cycle.
     """
-    states.check_cycle(m, n)
+    return activation_flags(p, energies, [(m, n)])[0]
+
+
+def activation_flags(p, energies, cycles):
+    """in_activation_region of p for each (m, n) of cycles, in their order.
+
+    The state and ladder are checked and the log ratios taken once; then
+    each cycle's m, n and lever are checked in turn, so the first bad cycle
+    raises. Gives a list with one entry per cycle: a bool for one state,
+    a bool array of N flags for an (N, 3) array of states.
+    """
     p = states.passive_qutrit(p)
     de10, de21 = states.gaps(energies)
     states._check_passive_on(p, de10, de21)
-    active = _active(np.atleast_2d(p), m, n, states._lever(m, n, de10, de21))
-    return active if p.ndim == 2 else bool(active[0])
+    l1, l2 = _log_ratios(np.atleast_2d(p))
+    flags = []
+    for m, n in cycles:
+        states.check_cycle(m, n)
+        active = _active(l1, l2, m, n, states._lever(m, n, de10, de21))
+        flags.append(active if p.ndim == 2 else bool(active[0]))
+    return flags
 
 
-def _active(p, m: int, n: int, lever: float):
-    """Activation flags of a checked (N, 3) batch with positive entries: the
-    log gap n ln(p1/p2) - m ln(p0/p1) and the lever m dE10 - n dE21 have one
+def _active(l1, l2, m: int, n: int, lever: float):
+    """Activation flags from the _log_ratios of a checked batch: the log gap
+    n ln(p1/p2) - m ln(p0/p1) and the lever m dE10 - n dE21 have one
     nonzero sign, so a degenerate cycle (lever 0) activates nothing."""
-    l1, l2 = _log_ratios(p)
     gap = n * l2 - m * l1
     return (np.sign(gap) == np.sign(lever)) & (gap != 0.0)
 
@@ -165,7 +180,7 @@ def k_activability_witness(p, energies, m: int, n: int) -> bool:
     if min(p0, p1, p2) <= 0.0:
         return False
     # the log gap (m + n) ln p1 - m ln p0 - n ln p2 is in_activation_region's
-    return bool(_active(p[None], m, n, lever)[0])
+    return bool(_active(*_log_ratios(p[None]), m, n, lever)[0])
 
 
 def passive_simplex_grid(resolution: int) -> np.ndarray:

@@ -266,6 +266,30 @@ class TestVerifyAndErrors:
         assert captured.out == ""
         assert f"bad cycle list {cycles!r}: need m:n pairs such as 3:1,5:2" in captured.err
 
+    @pytest.mark.parametrize("cycles", ["3:1,5:2,3:1", "1:1,01:1"])
+    def test_cycles_must_not_repeat(self, capsys, cycles):
+        # a repeated cycle wrote two active_m_n columns, and JSON kept one of them
+        with pytest.raises(SystemExit) as exc:
+            run(["fig5", "--energies", "0,1,3", "--grid", "20", "--cycles", cycles])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad cycle list {cycles!r}: a cycle is repeated" in captured.err
+
+    @pytest.mark.parametrize("cycles, message", [
+        ("5:7,0:1", "overflows the float range"),  # the first cycle's lever m dE10 - n dE21
+        ("0:1,5:7", "need m, n >= 1"),
+    ])
+    def test_first_bad_cycle_reports(self, capsys, cycles, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["fig5", "--energies", "0,1e308,1.7e308", "--grid", "12",
+                        "--cycles", cycles]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     @pytest.mark.parametrize("sweep", ["0.5:7.5:inf", "0.5:7.5:-3", "0.5:7.5:2.7"])
     def test_sweep_gap_needs_whole_steps(self, capsys, sweep):
         with pytest.raises(SystemExit) as exc:
@@ -377,13 +401,19 @@ CELLS = st.one_of(
     ],
     fmt="json",
 )
+@example(  # a bool-only column (looked up) and a str-only column (used as it is)
+    table=[[True, "R1"], [False, ""], [True, "R3"]], fmt="csv",
+)
+@example(table=[], fmt="csv")  # no rows: the header alone
+@example(table=[], fmt="json")
 @settings(max_examples=200, deadline=None)
 def test_emit_matches_per_value_rule(table, fmt):
     header = [f"c{i}" for i in range(len(table[0]))] if table else ["c0"]
     config = {"command": "test", "format": fmt}
+    cols = [list(col) for col in zip(*table)] or [[] for _ in header]  # _emit takes columns
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit(table, header, SimpleNamespace(format=fmt, out=None), config)
+        cli._emit(cols, header, SimpleNamespace(format=fmt, out=None), config)
     assert out.getvalue() == _reference_emit(table, header, fmt, config)
 
 
@@ -417,7 +447,8 @@ _PINNED = Path(__file__).with_name("cli_stdout.txt")
 
 def _pinned_argvs():
     """The README's cycle, fig4, fig6 and optimize examples, without --out, then
-    a small fig5 and verify --format csv."""
+    three small fig5 runs (CSV, JSON, and four cycles with the degenerate
+    (2, 1) of the 0,1,3 ladder among them) and verify --format csv."""
     argvs = []
     for argv in _readme_examples():
         if argv[0] in ("cycle", "fig4", "fig6", "optimize"):
@@ -426,7 +457,10 @@ def _pinned_argvs():
                 argv = argv[:i] + argv[i + 2:]
             argvs.append(argv)
     fig5 = ["fig5", "--energies", "0,1,3", "--grid", "25", "--cycles", "3:1,5:2"]
-    return argvs + [fig5, ["verify", "--format", "csv"]]
+    fig5_json = ["fig5", "--energies", "0,1,3", "--grid", "20", "--cycles", "3:1,5:2",
+                 "--format", "json"]
+    fig5_four = ["fig5", "--energies", "0,1,3", "--grid", "20", "--cycles", "3:1,5:2,2:1,1:1"]
+    return argvs + [fig5, fig5_json, fig5_four, ["verify", "--format", "csv"]]
 
 
 def _stdout(argv) -> str:

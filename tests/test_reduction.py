@@ -441,6 +441,37 @@ class TestQuditOptimum:
         assert activation.optimal_bound_check(p, e, best)
 
 
+
+class TestSignPrune:
+    """Once the search holds a positive work, it skips every candidate whose
+    lever and s1**m - s2**n do not share a nonzero sign, without assembling
+    it; the choice is the unpruned one."""
+
+    @given(passive_qudits(), st.integers(2, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_best_cycle_equals_unpruned_lifted_works(self, case, max_dim):
+        p, e = case
+        k, out = reduction.best_cycle(p, e, max_dim)
+        ref_k, m, n, ref = _brute_force_best(p, e, _pairs(max_dim))
+        assert (k, out.m, out.n) == (ref_k, m, n)
+        for field in dataclasses.fields(ref):
+            assert _same(getattr(out, field.name), getattr(ref, field.name)), field.name
+
+    def test_skips_candidates_that_cannot_win(self, monkeypatch):
+        assembled, strokes = [], engine._strokes
+
+        def counted(*args):
+            assembled.append(args[-2:])
+            return strokes(*args)
+
+        monkeypatch.setattr(engine, "_strokes", counted)
+        p, e = np.array([0.35, 0.25, 0.2, 0.12, 0.08]), np.array([0.0, 1.0, 1.5, 3.0, 3.2])
+        k, out = reduction.best_cycle(p, e, 60)
+        assert (k, out.m, out.n) == (2, 1, 3)
+        # 795 of the 3 x 1,770 (m, n, k) candidates, then the winner's outcome
+        assert len(assembled) == 796 and assembled[-1] == (1, 3)
+
+
 if __name__ == "__main__":
     # lifted_cycle's accuracy against exact rationals, to compare two trees:
     # PYTHONPATH=src python -m tests.test_reduction

@@ -135,10 +135,13 @@ def _assert_batch_matches_scalar(batch, ratio, cycles):
     labels = regions.classify(batch, rgr)
     assert labels.shape == (len(batch),)
     assert labels.tolist() == [regions.classify(p, rgr) for p in batch]
-    for m, n in cycles:
+    expected = [[regions.in_activation_region(p, e, m, n) for p in batch] for m, n in cycles]
+    for (m, n), want in zip(cycles, expected):
         flags = regions.in_activation_region(batch, e, m, n)
         assert flags.dtype == bool and flags.shape == (len(batch),)
-        assert flags.tolist() == [regions.in_activation_region(p, e, m, n) for p in batch]
+        assert flags.tolist() == want
+    # the many-cycle form: the same flags, one entry per cycle in order
+    assert [f.tolist() for f in regions.activation_flags(batch, e, cycles)] == expected
 
 
 class TestBatchPredicates:
