@@ -55,7 +55,11 @@ def optimal_bound_check(p, energies, outcome: engine.CycleOutcome) -> bool:
 def relative_entropy(p, q) -> float:
     """D(p||q) in nats; 0 ln 0 = 0, support violation -> inf."""
     q = states.validate_state(q)
-    p = states.validate_state(p, q.size)
+    return _relative_entropy(states.validate_state(p, q.size), q)
+
+
+def _relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
+    """relative_entropy on checked states of one length."""
     mask = p > 0.0
     if np.any(q[mask] <= 0.0):
         return math.inf
@@ -97,17 +101,17 @@ def bath_ledger(p, energies, final_joint, beta: float, initial_machine=None) -> 
     states._check_real(beta, "beta")
     if not 0.0 < beta < math.inf:  # negated, so that NaN fails it
         raise ValueError("bath ledger needs 0 < beta < inf")
-    info = oracle.mutual_information(final_joint)  # checks the joint
-    joint = np.asarray(final_joint, dtype=float)
+    info, sigma, s_sigma, machine = oracle._information(final_joint)  # checks the joint
     if initial_machine is not None:
-        if np.shape(initial_machine) != (joint.shape[1],):
+        if np.shape(initial_machine) != machine.shape:
             raise ValueError(f"initial machine must have shape (d,), got {np.shape(initial_machine)}")
-        drift = np.max(np.abs(oracle.machine_marginal(joint) - initial_machine))
+        drift = np.max(np.abs(machine - initial_machine))
         if not drift <= 1e-10:  # negated, so that NaN fails it
             raise ValueError(f"machine marginal drifted by {drift:g}: reusability violated")
-    sigma = oracle.system_marginal(joint)
+    sigma = states.validate_state(sigma, e.size)  # a state of the ladder's length
+    # a Gibbs state of a checked ladder at 0 < beta < inf is a state
     tau = states._gibbs(beta, e)
-    d_sigma = relative_entropy(sigma, tau)  # checks sigma: a state of tau's length
+    d_sigma = _relative_entropy(sigma, tau)
     u_p, s_p = float(p @ e), states._entropy(p)
     u_tau, s_tau = float(tau @ e), states._entropy(tau)
     ledger = BathLedger(
@@ -122,7 +126,7 @@ def bath_ledger(p, energies, final_joint, beta: float, initial_machine=None) -> 
     # tau has no zero entry at a finite beta: an infinite D(sigma||tau) is an underflow
     if not all(map(math.isfinite, vars(ledger).values())):
         raise ValueError(f"bath ledger leaves the float range at beta = {beta!r}")
-    miss = abs(info - (states._entropy(sigma) - s_p))
+    miss = abs(info - (s_sigma - s_p))
     if not miss <= 1e-12:
         raise ValueError(f"I(S:M) misses S(sigma) - S(p) by {miss:g}: the joint is not a cycle's image of p")
     return ledger

@@ -113,13 +113,20 @@ def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int, k: int = 0) 
     de10, de21 = e1 - e0, e2 - e1
     states._check_passive_on(w, de10, de21)
     lever = states._lever(m, n, de10, de21)
-    u, total, delta_p, alpha = _strokes(*_factors(w, m, n), m, n)
+    return _outcome(p, k, m, n, de10, de21, lever, _strokes(*_factors(w, m, n), m, n))
+
+
+def _outcome(p: np.ndarray, k: int, m: int, n: int, de10: float, de21: float, lever: float,
+             strokes) -> CycleOutcome:
+    """_run_cycle's outcome from the window's checked gaps and lever and the
+    _strokes tuple of its (m, n) cycle."""
+    u, total, delta_p, alpha = strokes
     q = u / total
     # + 0.0 turns the -0.0 of a resonant cycle (lever 0) with delta_p < 0 into 0.0
     work = lever * delta_p + 0.0
     q_hot = de10 * delta_p
     q_cold = de21 * delta_p
-    p0, p1, p2 = w.tolist()
+    p0, p1, p2 = p[k : k + 3].tolist()
     f0, f1, f2 = p0 + m * delta_p, p1 - (m + n) * delta_p, p2 + n * delta_p
     final = p.copy()
     final[k], final[k + 1], final[k + 2] = f0, f1, f2  # faster than a slice from a tuple

@@ -148,6 +148,12 @@ def _stationary_machine(p: np.ndarray, steps) -> np.ndarray:
 
 def mutual_information(joint: np.ndarray) -> float:
     """I(S:M) = S(marg_S) + S(marg_M) - S(joint), in nats; clipped at 0."""
+    return _information(joint)[0]
+
+
+def _information(joint) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """(I(S:M), system marginal, its entropy, machine marginal) of the joint,
+    checked once."""
     j = np.asarray(joint, dtype=float)
     if j.ndim != 2:
         raise ValueError(f"joint must be 2-d, got shape {j.shape}")
@@ -155,5 +161,7 @@ def mutual_information(joint: np.ndarray) -> float:
     if not (((j >= 0) & (j <= 1)).all() and abs(j.sum() - 1.0) <= 1e-12):
         raise ValueError("joint must be a normalized distribution")
     h = states._entropy
-    info = h(system_marginal(j)) + h(machine_marginal(j)) - h(j.ravel())
-    return max(info, 0.0)
+    sigma, machine = system_marginal(j), machine_marginal(j)
+    s_sigma = h(sigma)
+    info = s_sigma + h(machine) - h(j.ravel())
+    return max(info, 0.0), sigma, s_sigma, machine

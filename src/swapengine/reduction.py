@@ -92,10 +92,13 @@ def _best(p: np.ndarray, e: np.ndarray, pairs) -> tuple[int, engine.CycleOutcome
     """best_cycle over the checked (m, n) pairs, on a checked state and ladder.
 
     Each candidate computes only its work, lever times delta_p, with
-    _run_cycle's closed form; the winner's outcome is built once. Once a
-    positive work is held, a candidate whose work cannot be positive is
-    skipped unassembled: delta_p has the sign of s1**m - s2**n, so the work
-    has that sign times the lever's.
+    _run_cycle's closed form, and the winner's outcome is built from its
+    strokes. delta_p has the sign of s1**m - s2**n, so the work has that sign
+    times the lever's: a first pass assembles only the candidates where both
+    signs are the same and nonzero. Every other work is at most 0, so a
+    positive work there is the full search's choice. A second pass, with
+    nothing skipped, runs only when the first holds no positive work: no
+    window extracts work, or a positive-signed delta_p underflowed to 0.
     """
     # k = 0 even for d < 3, so that _raw_window raises; a qudit window with an
     # empty top level cannot run a cycle, and a zero-mass window has one
@@ -111,22 +114,26 @@ def _best(p: np.ndarray, e: np.ndarray, pairs) -> tuple[int, engine.CycleOutcome
         w = p[k : k + 3]
         e0, e1, e2 = e[k : k + 3].tolist()
         windows.append((k, w, e1 - e0, e2 - e1, engine._factors(w, m_max, n_max)))
-    best = None
-    for i, (m, n) in enumerate(pairs):
-        for k, w, de10, de21, factors in windows:
-            if i == 0:  # _run_cycle's ladder check, where the window's first cycle meets it
-                states._check_passive_on(w, de10, de21)
-            lever = states._lever(m, n, de10, de21)
-            if best is not None and best[0] > 0.0:
-                s1m, s2n = factors[1] ** m, factors[2] ** n  # as _strokes computes them
-                if not (s1m > s2n if lever > 0.0 else lever < 0.0 and s1m < s2n):
-                    continue
-            # _run_cycle's work; the first of equal maxima wins
-            work = lever * engine._strokes(*factors, m, n)[2] + 0.0
-            if best is None or work > best[0]:
-                best = work, k, m, n
-    _, k, m, n = best
-    return k, engine._run_cycle(p, e, m, n, k)
+    for pruned in (True, False):
+        best = None
+        for i, (m, n) in enumerate(pairs):
+            for k, w, de10, de21, factors in windows:
+                if pruned and i == 0:  # _run_cycle's ladder check, where the window's first cycle meets it
+                    states._check_passive_on(w, de10, de21)
+                lever = states._lever(m, n, de10, de21)
+                if pruned:
+                    s1m, s2n = factors[1] ** m, factors[2] ** n  # as _strokes computes them
+                    if not (s1m > s2n if lever > 0.0 else lever < 0.0 and s1m < s2n):
+                        continue
+                strokes = engine._strokes(*factors, m, n)
+                # _run_cycle's work; the first of equal maxima wins
+                work = lever * strokes[2] + 0.0
+                if best is None or work > best[0]:
+                    best = work, k, m, n, de10, de21, lever, strokes
+        if best is not None and best[0] > 0.0:
+            break
+    _, k, m, n, de10, de21, lever, strokes = best
+    return k, engine._outcome(p, k, m, n, de10, de21, lever, strokes)
 
 
 def block_joint_cycle(p, energies, k: int, m: int, n: int):

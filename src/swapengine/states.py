@@ -173,7 +173,7 @@ def entropy(probs) -> float:
 
 def _entropy(p: np.ndarray) -> float:
     nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(-(nz * np.log(nz)).sum())
 
 
 def is_passive(probs, energies, tol: float = 0.0) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swapengine import activation, engine, quasistatic, reduction, states
+from swapengine import activation, engine, quasistatic, reduction, regions, states
 from tests.test_engine import _errors
 
 
@@ -403,9 +403,9 @@ class TestSearch:
         monkeypatch.setattr(engine, "_geometric_sums", counted_sums)
         p, e = np.array([0.35, 0.25, 0.2, 0.12, 0.08]), np.array([0.0, 1.0, 1.5, 3.0, 3.2])
         k, out = reduction.best_cycle(p, e, 12)
-        # three windows, each with tables for m <= 11 and n <= 11; then the winner's own
+        # three windows, each with tables for m <= 11 and n <= 11; the winner builds none
         assert built == [(out.m, out.n)]
-        assert tables == [12, 11] * 3 + [out.m + 1, out.n]
+        assert tables == [12, 11] * 3
         built.clear()
         reduction.best_window(p, e, 2, 3)
         assert len(built) == 1
@@ -443,9 +443,9 @@ class TestQuditOptimum:
 
 
 class TestSignPrune:
-    """Once the search holds a positive work, it skips every candidate whose
-    lever and s1**m - s2**n do not share a nonzero sign, without assembling
-    it; the choice is the unpruned one."""
+    """The search's first pass skips every candidate whose lever and
+    s1**m - s2**n do not share a nonzero sign, without assembling it; the
+    choice is the unpruned one."""
 
     @given(passive_qudits(), st.integers(2, 16))
     @settings(max_examples=60, deadline=None)
@@ -468,8 +468,60 @@ class TestSignPrune:
         p, e = np.array([0.35, 0.25, 0.2, 0.12, 0.08]), np.array([0.0, 1.0, 1.5, 3.0, 3.2])
         k, out = reduction.best_cycle(p, e, 60)
         assert (k, out.m, out.n) == (2, 1, 3)
-        # 795 of the 3 x 1,770 (m, n, k) candidates, then the winner's outcome
-        assert len(assembled) == 796 and assembled[-1] == (1, 3)
+        # 790 of the 3 x 1,770 (m, n, k) candidates; the winner's outcome reuses its strokes
+        assert len(assembled) == 790 and (1, 3) in assembled
+
+
+# a passive 5-level state whose Boltzmann ratios p_{i+1}/p_i fall along its ladder
+_FALLING_RATIOS = (np.array([1.0, 0.8, 0.5, 0.2, 0.05]) / 2.55, np.array([0.0, 1.0, 3.0, 6.0, 10.0]))
+_THERMAL_LADDER = np.array([0.0, 1.0, 2.5, 3.0, 5.5])
+
+
+class TestSecondPass:
+    """When the first pass holds no positive work, the search assembles
+    every candidate; its choice and outcome are the unpruned ones."""
+
+    @pytest.mark.parametrize("case, search, pairs", [
+        # no window extracts work at any pair
+        (_FALLING_RATIOS, lambda p, e: reduction.best_cycle(p, e, 4), _pairs(4)),
+        (_FALLING_RATIOS, lambda p, e: reduction.best_window(p, e, 2, 2), [(2, 2)]),
+        # thermal: lever 0 or delta_p of the lever's opposite sign at every candidate
+        ((states.thermal_state(0.8, _THERMAL_LADDER), _THERMAL_LADDER),
+         lambda p, e: reduction.best_cycle(p, e, 8), _pairs(8)),
+        ((states.thermal_state(0.8, _THERMAL_LADDER), _THERMAL_LADDER),
+         lambda p, e: reduction.best_window(p, e, 2, 3), [(2, 3)]),
+    ], ids=["no_work_cycle", "no_work_window", "thermal_cycle", "thermal_window"])
+    def test_equals_the_unpruned_search_without_work(self, monkeypatch, case, search, pairs):
+        p, e = case
+        assembled, strokes = [], engine._strokes
+
+        def counted(*args):
+            assembled.append(args[-2:])
+            return strokes(*args)
+
+        monkeypatch.setattr(engine, "_strokes", counted)
+        k, out = search(p, e)
+        assert len(assembled) >= len(pairs) * (p.size - 2)  # the second pass assembles them all
+        monkeypatch.undo()
+        assert out.work <= 0.0
+        assert (k, out.m, out.n) == _search_by_full_outcomes(p, e, pairs)
+        ref_k, m, n, ref = _brute_force_best(p, e, pairs)
+        assert (k, out.m, out.n) == (ref_k, m, n)
+        for field in dataclasses.fields(ref):
+            assert _same(getattr(out, field.name), getattr(ref, field.name)), field.name
+
+    def test_work_that_underflows_to_zero(self, worked_example):
+        # s1**m and s2**n both underflow to 0, so delta_p reads 0.0 for a
+        # cycle that does activate the state
+        p, e = worked_example
+        k, out = reduction.best_window(p, e, 2100, 2100)
+        assert out.delta_p == out.work == 0.0
+        assert regions.in_activation_region(p, e, 2100, 2100)
+        assert (k, out.m, out.n) == _search_by_full_outcomes(p, e, [(2100, 2100)])
+        ref_k, m, n, ref = _brute_force_best(p, e, [(2100, 2100)])
+        assert (k, out.m, out.n) == (ref_k, m, n)
+        for field in dataclasses.fields(ref):
+            assert _same(getattr(out, field.name), getattr(ref, field.name)), field.name
 
 
 if __name__ == "__main__":

@@ -172,6 +172,17 @@ def test_three_entry_sum_runs_left_to_right():
         states.validate_state([0.1, 0.2, 0.3])
 
 
+@given(st.lists(st.sampled_from([0.0]) | st.floats(1e-300, 1.0), min_size=2, max_size=300).filter(any),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_entropy_sums_as_np_sum_does(w, with_zeros):
+    # the ndarray method is np.sum's add.reduce without its Python wrapper
+    p = np.array(w + [0.0] if with_zeros else [v for v in w if v > 0.0] * 2)
+    p /= p.sum()
+    nz = p[p > 0]
+    assert states._entropy(p) == float(-np.sum(nz * np.log(nz)))
+
+
 class TestPassivity:
     def test_sorted_is_passive(self):
         assert states.is_passive([0.5, 0.3, 0.2], [0, 1, 2])

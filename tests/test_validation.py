@@ -94,8 +94,8 @@ class TestValidatesOnce:
         joint = oracle.apply_cycle(oracle.product_joint(p, q), oracle.build_cycle(2, 3))
         calls.clear()
         activation.bath_ledger(p, e, joint, 0.7, initial_machine=q)
-        # p, and the final marginal and the Gibbs state in relative_entropy; the ladder once
-        assert calls == {"validate_state": 3, "validate_hamiltonian": 1, "_gibbs": 1}
+        # p and the final marginal; the Gibbs state of the checked ladder is not checked again
+        assert calls == {"validate_state": 2, "validate_hamiltonian": 1, "_gibbs": 1}
 
     def test_stationary_machine(self, calls, worked_example):
         oracle.stationary_machine(worked_example[0], 2, 3)
