@@ -4,10 +4,14 @@ Builds the literal sequence of system-machine swaps as a permutation on the
 joint outcome space, computes marginals, and solves the machine fixed point
 (reusability condition) by GTH elimination, one path for every d. One pass
 of the cycle over the joint's entry labels gives its landing map; a solve
-reads the machine update matrix's 3d entries off it, in O(d) time and
-memory, and never forms the d x d matrix. Everything here is exact
-distribution arithmetic; no sampling.
-"""
+reads the machine chain's rates off it and never forms the d x d update
+matrix. The chain is a ring, the cycle's machine pairs, so the solve holds
+it as a doubly linked list and eliminates in O(d) time and memory. It
+eliminates in level order, top down, as GTH on any sparse form of the chain
+does (the tests keep a dict form as the reference): each fold is then the
+same float operation, so the fixed point is the same to the last bit, which
+an elimination in ring order is not. Everything here is exact distribution
+arithmetic; no sampling."""
 
 from __future__ import annotations
 
@@ -88,38 +92,48 @@ def _landing(steps) -> np.ndarray:
     return dest
 
 
-def _stationary_vector(d: int, rows: list, cols: list, rates: list) -> np.ndarray:
-    """Fixed point of q -> b q, b column-stochastic d x d with the entries
-    b[rows[i], cols[i]] = rates[i], repeated ones summed, by GTH elimination
-    (Grassmann, Taksar & Heyman 1985): levels leave from the top down, their
-    rates folded into the levels feeding them; outflows are summed, never
-    taken as 1 - b[k, k], so no entry loses relative accuracy to
-    cancellation. On the cycle's ring no sum here has over two terms, so the
-    entries' order cannot change a float."""
-    out = [{} for _ in range(d)]  # out[k][j]: rate of k -> j, j != k
-    into = [{} for _ in range(d)]  # into[j][k]: the same; j's weights once it leaves
-    for j, k, r in zip(rows, cols, rates):
-        if j != k:
-            out[k][j] = into[j][k] = out[k].get(j, 0.0) + r
-    # running sums, not the builtin sum, which is compensated from Python 3.12 on
-    for top in range(d - 1, 0, -1):
-        s = 0.0
-        for r in out[top].values():
-            s += r
-        if s == 0.0 or not into[top]:
+def _ring_fixed_point(order: list, landing: list, rates: list) -> np.ndarray:
+    """Fixed point of q -> b q for the machine chain of a cycle whose levels
+    form the ring order[0] -> order[1] -> ... -> order[-1] -> order[0]: mass
+    at level k from system level i lands on landing[i][k], at rate rates[i].
+
+    GTH elimination (Grassmann, Taksar & Heyman 1985) on the ring held as a
+    doubly linked list: fr[k] is the rate of k -> nxt[k] and bk[k] that of
+    k -> prv[k]. Levels leave in level order, top down; the top t's rates
+    fold into its two neighbours, which become each other's. Outflows are
+    summed, never taken as 1 - b[k, k], so no entry loses relative accuracy
+    to cancellation, and no sum has over two terms. Raises ValueError when a
+    landing is off the ring, and SingularFixedPointError when a level, as it
+    leaves, has no outflow or no inflow."""
+    d = len(order)
+    nxt, prv = [0] * d, [0] * d
+    for k, l in zip(order, order[1:] + order[:1]):
+        nxt[k], prv[l] = l, k
+    fr, bk = [0.0] * d, [0.0] * d
+    for row, r in zip(landing, rates):
+        for k, l in enumerate(row):
+            if l == nxt[k]:  # d = 2 has nxt == prv: all its rates are in fr
+                fr[k] += r
+            elif l == prv[k]:
+                bk[k] += r
+            elif l != k:
+                raise ValueError(f"level {k} lands on {l}, off the cycle's ring")
+    folds = []  # (t, a, w_a, b, w_b): q[t] = q[a] w_a + q[b] w_b
+    for t in range(d - 1, 0, -1):
+        a, b = prv[t], nxt[t]
+        s = bk[t] + fr[t]
+        if s == 0.0 or fr[a] == bk[b] == 0.0:
             raise SingularFixedPointError("fixed point is not unique or not strictly positive")
-        for j in out[top]:
-            del into[j][top]
-        for i in into[top]:
-            w = into[top][i] = into[top][i] / s
-            del out[i][top]
-            for j, r in out[top].items():
-                if j != i:
-                    out[i][j] = into[j][i] = out[i].get(j, 0.0) + w * r
+        wa, wb = fr[a] / s, bk[b] / s
+        folds.append((t, a, wa, b, wb))
+        if t > 2:  # four levels or more: a and b become neighbours
+            fr[a], bk[b] = wa * fr[t], wb * bk[t]
+        elif t == 2:  # three: a -> b was bk[a] and b -> a fr[b]; as at d = 2, fr holds the last two
+            fr[a], bk[a], fr[b], bk[b] = bk[a] + wa * fr[t], 0.0, fr[b] + wb * bk[t], 0.0
+        nxt[a], prv[b] = b, a
     q = [1.0] + [0.0] * (d - 1)
-    for top in range(1, d):
-        for i, w in into[top].items():
-            q[top] += q[i] * w
+    for t, a, wa, b, wb in reversed(folds):
+        q[t] = q[a] * wa + q[b] * wb
     q = np.array(q)
     return q / q.sum()
 
@@ -130,17 +144,21 @@ def stationary_machine(p, m: int, n: int) -> np.ndarray:
     b q - q run on the cycle's 3d landings, and the elimination is O(d)
     since the machine chain is a ring, so every step is O(d) in time and
     memory.
-    Raises SingularFixedPointError when the fixed point is not unique or not
-    strictly positive, or its residual exceeds 1e-12."""
+    Raises SingularFixedPointError when the chain has a level with no
+    outflow or no inflow, so that the fixed point is not unique or not
+    strictly positive, or when the residual exceeds 1e-12. Entries whose
+    true value is below the float range come out as exact zeros, as they do
+    in engine.machine_distribution: p = (1 - 1e-150 - 1e-300, 1e-150,
+    1e-300) gives two at (3, 4)."""
     return _stationary_machine(states.passive_qutrit(p), build_cycle(m, n))
 
 
 def _stationary_machine(p: np.ndarray, steps) -> np.ndarray:
     """stationary_machine of a checked passive qutrit, for build_cycle's steps."""
-    landing = _landing(steps).ravel()
-    d = landing.size // 3
-    q = _stationary_vector(d, landing.tolist(), list(range(d)) * 3, np.repeat(p, d).tolist())
-    residual = np.max(np.abs(np.bincount(landing, np.outer(p, q).ravel(), d) - q))
+    landing = _landing(steps)
+    # the ring's order: each hot step's machine level c, each cold step's e
+    q = _ring_fixed_point([c if a == 0 else e for a, _, c, e in steps], landing.tolist(), p.tolist())
+    residual = np.max(np.abs(np.bincount(landing.ravel(), np.outer(p, q).ravel(), q.size) - q))
     if not residual <= 1e-12:  # a NaN from overflow fails too
         raise SingularFixedPointError(f"fixed-point residual too large: {residual:g}")
     return q

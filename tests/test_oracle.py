@@ -102,7 +102,15 @@ class TestStationaryMachine:
         assert np.max(np.abs(q - engine.machine_distribution(p, m, n))) <= 1e-12
 
     def test_reducible_chain_raises(self):
-        # two closed blocks, {0, 1} and {2, 3}: every mixture is a fixed point
+        # on the ring 0 - 1 - 2 - 3 - 0: two closed blocks, {0, 1} and {2, 3},
+        # so every mixture is a fixed point; then 0 <-> 1 alone, with 2 and 3
+        # draining into them and fed by neither
+        order, rates = [0, 1, 2, 3], [0.5, 0.3, 0.2]
+        for landing in ([[1, 0, 3, 2], [0, 1, 2, 3], [0, 1, 2, 3]],
+                        [[1, 0, 1, 0], [0, 1, 2, 3], [0, 1, 2, 3]]):
+            with pytest.raises(oracle.SingularFixedPointError):
+                oracle._ring_fixed_point(order, landing, rates)
+        # the reference refuses two closed blocks on any sparse chain
         b = np.array([
             [0.5, 0.5, 0.0, 0.0],
             [0.5, 0.5, 0.0, 0.0],
@@ -111,7 +119,33 @@ class TestStationaryMachine:
         ])
         rows, cols = np.nonzero(b)
         with pytest.raises(oracle.SingularFixedPointError):
-            oracle._stationary_vector(4, rows.tolist(), cols.tolist(), b[rows, cols].tolist())
+            _reference_gth(4, rows.tolist(), cols.tolist(), b[rows, cols].tolist())
+
+    def test_transient_end_of_ring_raises(self):
+        # the elimination ends on levels 0 and 1, and here nothing feeds 0:
+        # it drains into the closed pair 1 <-> 2, or at d = 2 into 1, which
+        # keeps all its mass
+        with pytest.raises(oracle.SingularFixedPointError):
+            oracle._ring_fixed_point([0, 1, 2], [[1, 2, 1], [0, 1, 2], [0, 1, 2]], [0.5, 0.3, 0.2])
+        with pytest.raises(oracle.SingularFixedPointError):
+            oracle._ring_fixed_point([0, 1], [[1, 1], [0, 1], [0, 1]], [0.5, 0.3, 0.2])
+
+    def test_landing_off_the_ring_raises(self):
+        # (0, 1, 2, 5) joins levels 2 and 5, which are not neighbours on the
+        # ring 0 - 1 - 2 - 6 - 5 - 4 - 3 - 0 the other steps give
+        steps = oracle.build_cycle(3, 4)
+        steps[2] = (0, 1, 2, 5)
+        with pytest.raises(ValueError, match="off the cycle's ring"):
+            oracle._stationary_machine(np.array([0.5, 0.3, 0.2]), steps)
+
+    @pytest.mark.parametrize("m, n, zeros", [(3, 4, 2), (10, 10, 15)])
+    def test_entries_below_the_float_range_are_zero(self, m, n, zeros):
+        # the true entries underflow: the solve returns exact zeros, the
+        # closed form's own, rather than raising
+        p = np.array([1 - 1e-150 - 1e-300, 1e-150, 1e-300])
+        q = oracle.stationary_machine(p, m, n)
+        assert np.count_nonzero(q == 0.0) == zeros
+        assert np.array_equal(q, engine.machine_distribution(p, m, n))
 
     def test_solve_memory_is_linear_in_d(self):
         # the dense 2000 x 2000 update matrix alone would take 32 MB
@@ -127,6 +161,47 @@ class TestStationaryMachine:
     def test_rejects_zero_probabilities(self):
         with pytest.raises(ValueError):
             oracle.stationary_machine([0.7, 0.3, 0.0], 2, 2)
+
+
+def _reference_gth(d: int, rows: list, cols: list, rates: list) -> np.ndarray:
+    """Fixed point of q -> b q, b column-stochastic d x d with the entries
+    b[rows[i], cols[i]] = rates[i], repeated ones summed, by GTH elimination
+    on any sparse chain: rates held as dicts, levels leaving from the top
+    down, outflows summed. On the cycle's ring no sum here has over two
+    terms, so the ring solve must give the same floats."""
+    out = [{} for _ in range(d)]  # out[k][j]: rate of k -> j, j != k
+    into = [{} for _ in range(d)]  # into[j][k]: the same; j's weights once it leaves
+    for j, k, r in zip(rows, cols, rates):
+        if j != k:
+            out[k][j] = into[j][k] = out[k].get(j, 0.0) + r
+    # running sums, not the builtin sum, which is compensated from Python 3.12 on
+    for top in range(d - 1, 0, -1):
+        s = 0.0
+        for r in out[top].values():
+            s += r
+        if s == 0.0 or not into[top]:
+            raise oracle.SingularFixedPointError("fixed point is not unique or not strictly positive")
+        for j in out[top]:
+            del into[j][top]
+        for i in into[top]:
+            w = into[top][i] = into[top][i] / s
+            del out[i][top]
+            for j, r in out[top].items():
+                if j != i:
+                    out[i][j] = into[j][i] = out[i].get(j, 0.0) + w * r
+    q = [1.0] + [0.0] * (d - 1)
+    for top in range(1, d):
+        for i, w in into[top].items():
+            q[top] += q[i] * w
+    q = np.array(q)
+    return q / q.sum()
+
+
+def _reference_machine(p, m, n):
+    """stationary_machine by the reference GTH on the landing map's 3d entries."""
+    d = m + n
+    landing = oracle._landing(oracle.build_cycle(m, n)).ravel()
+    return _reference_gth(d, landing.tolist(), list(range(d)) * 3, np.repeat(p, d).tolist())
 
 
 def _update_matrix(p, m, n):
@@ -173,8 +248,24 @@ class TestUpdateMatrix:
         for p, (m, n) in zip(qutrits, pairs):
             b = _reference_update_matrix(p, m, n)
             rows, cols = np.nonzero(b)
-            q = oracle._stationary_vector(m + n, rows.tolist(), cols.tolist(), b[rows, cols].tolist())
+            q = _reference_gth(m + n, rows.tolist(), cols.tolist(), b[rows, cols].tolist())
             assert np.array_equal(oracle.stationary_machine(p, m, n), q), (m, n)
+
+    def test_ring_solve_is_bit_identical_to_reference_gth(self):
+        # random and skewed states on every m, n <= 40, and the ends of the range
+        rng = np.random.default_rng(36)
+        skewed = []
+        for eps in (1e-6, 1e-8, 1e-10):
+            p = np.array([1 - 2 * eps, eps, 0.999999 * eps])
+            skewed.append(p / p.sum())
+        for m in range(1, 41):
+            for n in range(1, 41):
+                for p in random_passive_qutrits(rng, 1) + skewed:
+                    assert np.array_equal(oracle.stationary_machine(p, m, n),
+                                          _reference_machine(p, m, n)), (p, m, n)
+        p = np.array([0.5, 0.3, 0.2])
+        for m, n in [(257, 257), (1000, 1000), (3, 500), (500, 3), (1, 1)]:
+            assert np.array_equal(oracle.stationary_machine(p, m, n), _reference_machine(p, m, n)), (m, n)
 
     def test_landing_map_is_built_fresh(self):
         # the solve keeps no state: each call builds its own writable map
@@ -248,17 +339,26 @@ if __name__ == "__main__":
 
     p = np.exp([0.8, 0.0, -0.8]) / np.exp([0.8, 0.0, -0.8]).sum()
 
-    print("stationary_machine at p = exp(0.8, 0, -0.8) / Z, m = d // 2; best of 5")
+    def best(f, number):
+        return min(timeit.repeat(f, number=number, repeat=5)) / number * 1e6
+
+    print("stationary_machine at p = exp(0.8, 0, -0.8) / Z, m = d // 2, and its layers"
+          " (landing map, ring elimination, residual check); best of 5, us")
     for d in (10, 48, 158, 514):
         m, number = d // 2, max(10, 5000 // d)
-        solve = min(timeit.repeat(lambda: oracle.stationary_machine(p, m, d - m), number=number, repeat=5))
-        print(f"d = {d}: {solve / number * 1e6:,.0f} us")
+        steps = oracle.build_cycle(m, d - m)
+        landing = oracle._landing(steps)
+        order = [c if a == 0 else e for a, _, c, e in steps]
+        q = oracle.stationary_machine(p, m, d - m)
+        solve = best(lambda: oracle.stationary_machine(p, m, d - m), number)
+        land = best(lambda: oracle._landing(steps), number)
+        elim = best(lambda: oracle._ring_fixed_point(order, landing.tolist(), p.tolist()), number)
+        # the residual check as _stationary_machine computes it
+        resid = best(lambda: np.max(np.abs(np.bincount(landing.ravel(), np.outer(p, q).ravel(), d) - q)), number)
+        print(f"d = {d}: {solve:,.0f} (landing {land:,.1f}, elimination {elim:,.1f}, residual {resid:,.1f})")
 
     print("apply_cycle(product_joint(p, q), build_cycle(m, n)) at q uniform, m = d // 2; best of 5")
     for d in (10, 48, 158, 514):
         m, number, q = d // 2, max(10, 5000 // d), np.full(d, 1 / d)
-        swap = min(timeit.repeat(
-            lambda: oracle.apply_cycle(oracle.product_joint(p, q), oracle.build_cycle(m, d - m)),
-            number=number, repeat=5,
-        ))
-        print(f"d = {d}: {swap / number * 1e6:,.1f} us")
+        swap = best(lambda: oracle.apply_cycle(oracle.product_joint(p, q), oracle.build_cycle(m, d - m)), number)
+        print(f"d = {d}: {swap:,.1f} us")
