@@ -56,28 +56,36 @@ def _resolve_state(args, energies):
     raise ValueError("need --state or --beta")
 
 
+_BOOL_CELLS = np.array(["False", "True"], dtype=object)
+
+
 def _csv_cells(col):
-    """One column's CSV cells: FMT for floats, str for the rest."""
+    """One column's CSV cells: FMT for floats, str for the rest. An array's
+    rule follows from its dtype, a list's from the types of its values."""
+    if isinstance(col, np.ndarray):
+        if col.dtype == bool:
+            return _BOOL_CELLS.take(col).tolist()
+        if col.dtype.kind == "f" and not (col == 0.0).any():  # np.unique makes 0.0 and -0.0 one value
+            values, where = np.unique(col, return_inverse=True)  # each distinct value formatted once
+            return np.array([FMT % v for v in values.tolist()], dtype=object).take(where).tolist()
+        col = col.tolist()
     types = set(map(type, col))
     if types == {str}:
         return col
-    if types == {bool}:
-        return map(("False", "True").__getitem__, col)
-    if types == {float} and 0.0 not in col:  # 0.0 and -0.0 would be one key
-        cells = {v: FMT % v for v in set(col)}  # each distinct value formatted once
-        return map(cells.__getitem__, col)
     if types <= {str, bool, int}:
         return map(str, col)
     return [FMT % v if isinstance(v, (float, np.floating)) else str(v) for v in col]
 
 
 def _emit(cols, header, args, config):
-    """Write columns, one list of cells per header name, as CSV or JSON to
-    --out (or stdout)."""
+    """Write columns, one per header name, as CSV or JSON to --out (or
+    stdout). A column is a list of values or a 1-d array; an array writes
+    what its .tolist() would."""
     if args.format == "csv":
         cells = map(_csv_cells, cols)
         text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     else:
+        cols = [col.tolist() if isinstance(col, np.ndarray) else col for col in cols]
         cols = [[v.item() if isinstance(v, np.generic) else v for v in col] for col in cols]
         results = [dict(zip(header, row)) for row in zip(*cols)]
         text = json.dumps({"config": config, "results": results}, indent=2, sort_keys=True) + "\n"
@@ -121,10 +129,10 @@ def cmd_fig4(args) -> int:
     vt = states.virtual_temperatures(p, args.energies)
     beta_hot, beta_cold = vt.hot, vt.cold
     lo, hi, steps = args.sweep_gap
-    gaps = np.linspace(lo, hi, int(steps)).tolist()
+    gaps = np.linspace(lo, hi, int(steps))
     works, effs = [], []
     # Python floats: a sum or product past the float range is inf, silently
-    for gap in gaps:
+    for gap in gaps.tolist():
         ee = np.array([0.0, gap, gap + de21])
         x1, x2 = beta_hot * gap, beta_cold * de21
         if not (x1 <= _LN_FLOAT_MAX and x2 <= _LN_FLOAT_MAX):  # negated, so that NaN fails it
@@ -135,20 +143,16 @@ def cmd_fig4(args) -> int:
         out = engine.run_cycle(pg, ee, 1, 1)
         works.append(float(out.work))
         effs.append(float(out.efficiency))
-    _emit([gaps, works, effs], ["gap", "work", "efficiency"], args, _config_dict(args))
+    _emit([gaps, np.array(works), np.array(effs)], ["gap", "work", "efficiency"], args, _config_dict(args))
     return 0
 
 
 def cmd_fig5(args) -> int:
     """Region label and per-cycle activation flags on a simplex grid."""
-    ratio = regions.approximate_gap_ratio(args.energies)
     cycles = args.cycles or [(3, 1), (5, 2), (11, 5)]
-    grid = regions.passive_simplex_grid(args.grid)
+    grid, labels, flags = regions.grid_activation(args.grid, args.energies, cycles)
     header = ["p0", "p1", "p2", "region"] + [f"active_{m}_{n}" for m, n in cycles]
-    labels = regions.classify(grid, ratio).tolist()
-    flags = [f.tolist() for f in regions.activation_flags(grid, args.energies, cycles)]
-    cols = [*grid.T.tolist(), labels, *flags]
-    _emit(cols, header, args, _config_dict(args, cycles=[list(c) for c in cycles]))
+    _emit([*grid.T, labels, *flags], header, args, _config_dict(args, cycles=[list(c) for c in cycles]))
     return 0
 
 
@@ -160,8 +164,8 @@ def cmd_fig6(args) -> int:
         strategy = float(strategy[len("alpha="):])
     traj = quasistatic.integrate_trajectory(p, args.energies, strategy)
     ts, ys, pts = zip(*traj.samples)
-    cols = [list(map(float, ts)), *np.array(ys).T.tolist(),
-            [pt.energy for pt in pts], [pt.entropy for pt in pts]]
+    cols = [np.array(ts, dtype=float), *np.array(ys).T,
+            np.array([pt.energy for pt in pts]), np.array([pt.entropy for pt in pts])]
     _emit(cols, ["t", "p0", "p1", "p2", "energy", "entropy"], args, _config_dict(args))
     return 0
 

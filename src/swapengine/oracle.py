@@ -3,7 +3,7 @@
 Builds the literal sequence of system-machine swaps as a permutation on the
 joint outcome space, computes marginals, and solves the machine fixed point
 (reusability condition) by GTH elimination, one path for every d. One pass
-of the cycle over the joint's entry labels gives its landing map; a solve
+of the cycle in reverse over machine levels gives its landing map; a solve
 reads the machine chain's rates off it and never forms the d x d update
 matrix. The chain is a ring, the cycle's machine pairs, so the solve holds
 it as a doubly linked list and eliminates in O(d) time and memory. It
@@ -75,20 +75,19 @@ def machine_marginal(joint: np.ndarray) -> np.ndarray:
     return joint.sum(axis=0)
 
 
-def _landing(steps) -> np.ndarray:
+def _landing(steps) -> list:
     """The landing map of build_cycle's steps: entry (i, k) of the (3, d)
-    array is the machine level l that mass at joint entry (i, k) lands on,
-    so system level i adds p_i to the update matrix's entry (l, k).
+    nested list is the machine level l that mass at joint entry (i, k) lands
+    on, so system level i adds p_i to the update matrix's entry (l, k).
 
-    One pass of the cycle's swaps over the joint's integer entry labels
-    gives it: entry (j, l) of the result names the source whose mass lands
-    there."""
+    One pass of the cycle's swaps, in reverse order, over the joint's
+    machine-level labels gives it: the labels are the landing map of no
+    swaps, and swapping step t's two entries in the landing map of the
+    steps after t gives that of step t onwards."""
     d = len(steps)  # a cycle of d = m + n machine levels has m + n swaps
-    src = np.arange(3 * d).reshape(3, d).tolist()
-    for a, b, c, e in steps:
-        src[a][e], src[b][c] = src[b][c], src[a][e]
-    dest = np.empty((3, d), dtype=np.intp)
-    np.put(dest, src, np.arange(3 * d) % d)
+    dest = [list(range(d)) for _ in range(3)]
+    for a, b, c, e in reversed(steps):
+        dest[a][e], dest[b][c] = dest[b][c], dest[a][e]
     return dest
 
 
@@ -157,8 +156,9 @@ def _stationary_machine(p: np.ndarray, steps) -> np.ndarray:
     """stationary_machine of a checked passive qutrit, for build_cycle's steps."""
     landing = _landing(steps)
     # the ring's order: each hot step's machine level c, each cold step's e
-    q = _ring_fixed_point([c if a == 0 else e for a, _, c, e in steps], landing.tolist(), p.tolist())
-    residual = np.max(np.abs(np.bincount(landing.ravel(), np.outer(p, q).ravel(), q.size) - q))
+    q = _ring_fixed_point([c if a == 0 else e for a, _, c, e in steps], landing, p.tolist())
+    flat = np.array(landing, dtype=np.intp).ravel()
+    residual = np.max(np.abs(np.bincount(flat, np.outer(p, q).ravel(), q.size) - q))
     if not residual <= 1e-12:  # a NaN from overflow fails too
         raise SingularFixedPointError(f"fixed-point residual too large: {residual:g}")
     return q

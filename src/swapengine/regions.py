@@ -7,7 +7,9 @@ with exponents (n, m) has the same sign as m dE10 - n dE21. All
 comparisons are done in log space. `classify`, `in_activation_region` and
 its many-cycle form `activation_flags` take one state or an (N, 3) array of
 states, decided in one numpy pass; one state runs as a batch of one, so
-both forms take the same lines.
+both forms take the same lines. `grid_activation` gives fig5 both on
+`passive_simplex_grid`, labels and every cycle's flags, in one call that
+reads the grid and its log ratios from a cache.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ R3 = "R3"
 
 # relative tolerance of the log comparison deciding R3 membership
 R3_TOL = 1e-9
+
+# _labels' table: 1 where N ln(p1/p2) > M ln(p0/p1), 2 inside the R3 band
+_LABELS = np.array([R2, R1, R3])
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,9 @@ def approximate_gap_ratio(energies, tol: float = 1e-9) -> RationalGapRatio:
 
     Walks the continued-fraction convergents of dE10/dE21; convergents are
     the best approximations in exactly the |M x - N| sense, so the first one
-    inside tolerance has the smallest admissible M.
+    inside tolerance has the smallest admissible M. Raises ValueError when
+    none is: the expansion ends, or its next term passes the float range,
+    first.
     """
     _, x = states.qutrit_ladder(energies)
     states.check_tol(tol)
@@ -63,13 +70,13 @@ def approximate_gap_ratio(energies, tol: float = 1e-9) -> RationalGapRatio:
     for _ in range(64):
         if m_cur >= 1 and abs(m_cur * x - n_cur) <= tol:
             return RationalGapRatio(m_int=m_cur, n_int=n_cur)
-        if frac == 0.0:
+        if frac == 0.0 or 1.0 / frac == math.inf:  # the expansion ends, or its next term overflows
             break
         a = math.floor(1.0 / frac)
         frac = 1.0 / frac - a
         n_prev, n_cur = n_cur, int(a) * n_cur + n_prev
         m_prev, m_cur = m_cur, int(a) * m_cur + m_prev
-    return RationalGapRatio(m_int=m_cur, n_int=n_cur)
+    raise ValueError(f"no convergent of dE10/dE21 = {x!r} is within tol = {tol!r}")
 
 
 def _log_ratios(p):
@@ -93,15 +100,19 @@ def classify(p, ratio: RationalGapRatio, tol: float = R3_TOL):
     """
     p = states.passive_qutrit(p)
     states.check_tol(tol)
-    l1, l2 = _log_ratios(np.atleast_2d(p))
+    labels = _labels(*_log_ratios(np.atleast_2d(p)), ratio, tol)
+    return labels if p.ndim == 2 else str(labels[0])
+
+
+def _labels(l1, l2, ratio: RationalGapRatio, tol: float):
+    """classify's labels from the _log_ratios of a checked batch."""
     # tol = 0 times an infinite side is NaN; a huge tol makes the band inf, so R3
     with np.errstate(invalid="ignore", over="ignore"):
         lhs, rhs = ratio.n_int * l2, ratio.m_int * l1
         band = tol * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
     dist = abs(lhs - rhs)
     # a huge M or N can make a side infinite: such a row is never R3, though inf <= tol * inf
-    labels = np.where(np.isfinite(dist) & (dist <= band), R3, np.where(lhs > rhs, R1, R2))
-    return labels if p.ndim == 2 else str(labels[0])
+    return _LABELS[np.where(np.isfinite(dist) & (dist <= band), 2, lhs > rhs)]
 
 
 def in_activation_region(p, energies, m: int, n: int):
@@ -125,12 +136,17 @@ def activation_flags(p, energies, cycles):
     p = states.passive_qutrit(p)
     de10, de21 = states.gaps(energies)
     states._check_passive_on(p, de10, de21)
-    l1, l2 = _log_ratios(np.atleast_2d(p))
+    flags = _cycle_flags(*_log_ratios(np.atleast_2d(p)), de10, de21, cycles)
+    return flags if p.ndim == 2 else [bool(active[0]) for active in flags]
+
+
+def _cycle_flags(l1, l2, de10: float, de21: float, cycles):
+    """activation_flags from the _log_ratios of a checked batch, passive on
+    the gaps de10, de21: each cycle's m, n and lever are checked in turn."""
     flags = []
     for m, n in cycles:
         states.check_cycle(m, n)
-        active = _active(l1, l2, m, n, states._lever(m, n, de10, de21))
-        flags.append(active if p.ndim == 2 else bool(active[0]))
+        flags.append(_active(l1, l2, m, n, states._lever(m, n, de10, de21)))
     return flags
 
 
@@ -199,19 +215,38 @@ def passive_simplex_grid(resolution: int) -> np.ndarray:
     return np.stack([i, j, k], axis=1).astype(float) / resolution
 
 
+def grid_activation(resolution: int, energies, cycles):
+    """fig5's map: (passive_simplex_grid(resolution), its classify labels
+    for approximate_gap_ratio(energies), its activation_flags for cycles).
+
+    The ladder is checked, then the resolution, then the grid is checked
+    passive on the ladder, as activation_flags checks it; then each cycle in
+    turn. The grid and its log ratios come from the cache coverage_fraction
+    reads, so the package's own grid is built at most once and not checked
+    again; the grid returned is a fresh copy.
+    """
+    ratio = approximate_gap_ratio(energies)
+    states._check_integer(resolution, "resolution")  # before the cache, which keys 50.0 as 50
+    grid, l1, l2 = _grid_log_ratios(resolution)
+    de10, de21 = states.gaps(energies)
+    states._check_passive_on(grid, de10, de21)
+    return grid.copy(), _labels(l1, l2, ratio, R3_TOL), _cycle_flags(l1, l2, de10, de21, cycles)
+
+
 @lru_cache(maxsize=8)
 def _grid_log_ratios(resolution: int):
-    """Read-only _log_ratios of passive_simplex_grid(resolution)."""
-    l1, l2 = _log_ratios(passive_simplex_grid(resolution))
-    l1.flags.writeable = l2.flags.writeable = False
-    return l1, l2
+    """Read-only passive_simplex_grid(resolution) and its _log_ratios."""
+    grid = passive_simplex_grid(resolution)
+    l1, l2 = _log_ratios(grid)
+    grid.flags.writeable = l1.flags.writeable = l2.flags.writeable = False
+    return grid, l1, l2
 
 
 @lru_cache(maxsize=8)
 def _r1_log_ratios(resolution: int, big_m: int, big_n: int, eps_band: float):
     """Read-only _grid_log_ratios(resolution) at the grid's R1 points for
     M dE10 = N dE21, outside the eps_band strip around R3."""
-    l1, l2 = _grid_log_ratios(resolution)
+    _, l1, l2 = _grid_log_ratios(resolution)
     r1 = big_n * l2 - big_m * l1 > eps_band
     l1, l2 = l1[r1], l2[r1]
     l1.flags.writeable = l2.flags.writeable = False

@@ -373,24 +373,36 @@ CELLS = st.one_of(
 )
 
 
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")]))
+# array columns of 8 values, cut to the table's rows: their rule is chosen by dtype
+ARRAY_COLUMNS = st.lists(st.one_of(
+    st.lists(_FLOATS, min_size=8, max_size=8).map(np.array),
+    st.lists(st.floats(width=32), min_size=8, max_size=8).map(lambda v: np.array(v, dtype=np.float32)),
+    st.lists(st.booleans(), min_size=8, max_size=8).map(np.array),
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=8, max_size=8).map(np.array),
+    st.lists(st.text(max_size=3), min_size=8, max_size=8).map(np.array),
+), max_size=3)
+
+
 @given(
     table=st.integers(1, 5).flatmap(
         lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=8)
     ),
     fmt=st.sampled_from(["csv", "json"]),
+    arrays=ARRAY_COLUMNS,
 )
 @example(  # one column, four type signatures
-    table=[[1.5], [np.float32(0.1)], [np.int64(3)], [None]], fmt="csv",
+    table=[[1.5], [np.float32(0.1)], [np.int64(3)], [None]], fmt="csv", arrays=[],
 )
 @example(  # floats with both zeros, a NaN and a repeat: 0.0 and -0.0 are one dict key
-    table=[[0.25], [0.0], [-0.0], [float("nan")], [0.25], [-0.0]], fmt="csv",
+    table=[[0.25], [0.0], [-0.0], [float("nan")], [0.25], [-0.0]], fmt="csv", arrays=[],
 )
 @example(  # True, 1 and 1.0 are one dict key too
-    table=[[True], [1], [1.0], [1], [True]], fmt="csv",
+    table=[[True], [1], [1.0], [1], [True]], fmt="csv", arrays=[],
 )
 @example(  # nonzero floats only, with a NaN and repeats; then str, bool and int
     table=[[0.1, "R1", True, 3], [float("nan"), "R2", False, 3], [0.1, "R1", True, -2**70]],
-    fmt="csv",
+    fmt="csv", arrays=[],
 )
 @example(
     table=[
@@ -399,22 +411,40 @@ CELLS = st.one_of(
          np.float32(float("nan")), 2**70, np.float64(-float("inf"))],
         [np.int64(0), np.float32(1e-45), None, 3.0, "", False, 2.2e-308, np.float64(1e300), 7],
     ],
-    fmt="json",
+    fmt="json", arrays=[],
 )
-@example(  # a bool-only column (looked up) and a str-only column (used as it is)
-    table=[[True, "R1"], [False, ""], [True, "R3"]], fmt="csv",
+@example(  # a bool-only column and a str-only column (used as it is)
+    table=[[True, "R1"], [False, ""], [True, "R3"]], fmt="csv", arrays=[],
 )
-@example(table=[], fmt="csv")  # no rows: the header alone
-@example(table=[], fmt="json")
+@example(table=[], fmt="csv", arrays=[])  # no rows: the header alone
+@example(table=[], fmt="json", arrays=[])
+@example(  # array columns: floats with both zeros, NaN and inf, floats without a zero, bools
+    table=[[1]] * 6, fmt="csv",
+    arrays=[np.array([0.25, 0.0, -0.0, float("nan"), float("inf"), 0.25, -float("inf"), 1e-300]),
+            np.array([0.5, float("nan"), 0.5, -float("inf"), float("inf"), 5e-324, 2.0, 3.0]),
+            np.array([True, False, False, True, True, False, True, False])],
+)
+@example(  # a grid's strided columns, as fig5 passes them
+    table=[[None]] * 8, fmt="csv",
+    arrays=[*regions.passive_simplex_grid(10)[:8].T, np.zeros(8, dtype=bool)],
+)
+@example(
+    table=[["x"]] * 5, fmt="json",
+    arrays=[np.array([-0.0, 0.0, float("nan"), float("inf"), 0.1, 0.1, 2.0, 3.0]),
+            np.array([True, False] * 4), np.array(["R1", "R2", "R3", "", "a", "b", "c", "d"])],
+)
 @settings(max_examples=200, deadline=None)
-def test_emit_matches_per_value_rule(table, fmt):
-    header = [f"c{i}" for i in range(len(table[0]))] if table else ["c0"]
+def test_emit_matches_per_value_rule(table, fmt, arrays):
+    arrays = [a[:len(table)] for a in arrays]
+    header = [f"c{i}" for i in range(len(table[0]) if table else 1)]
     config = {"command": "test", "format": fmt}
     cols = [list(col) for col in zip(*table)] or [[] for _ in header]  # _emit takes columns
+    header += [f"a{i}" for i in range(len(arrays))]
+    rows = [[*row, *(a[i] for a in arrays)] for i, row in enumerate(table)]  # numpy scalars
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit(cols, header, SimpleNamespace(format=fmt, out=None), config)
-    assert out.getvalue() == _reference_emit(table, header, fmt, config)
+        cli._emit(cols + arrays, header, SimpleNamespace(format=fmt, out=None), config)
+    assert out.getvalue() == _reference_emit(rows, header, fmt, config)
 
 
 def _readme_examples():

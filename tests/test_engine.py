@@ -18,7 +18,7 @@ def _exact_solution(p, m: int, n: int):
     d = m + n
     rate = [{} for _ in range(d)]
     for p_i, j_i in zip(map(Fraction, p), oracle._landing(oracle.build_cycle(m, n))):
-        for k, j in enumerate(j_i.tolist()):
+        for k, j in enumerate(j_i):
             if j != k:
                 rate[k][j] = rate[k].get(j, 0) + p_i
     weights = [{} for _ in range(d)]

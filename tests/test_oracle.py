@@ -200,8 +200,21 @@ def _reference_gth(d: int, rows: list, cols: list, rates: list) -> np.ndarray:
 def _reference_machine(p, m, n):
     """stationary_machine by the reference GTH on the landing map's 3d entries."""
     d = m + n
-    landing = oracle._landing(oracle.build_cycle(m, n)).ravel()
+    landing = np.ravel(oracle._landing(oracle.build_cycle(m, n)))
     return _reference_gth(d, landing.tolist(), list(range(d)) * 3, np.repeat(p, d).tolist())
+
+
+def _reference_landing(steps) -> np.ndarray:
+    """The landing map forward: one pass of the swaps over the joint's
+    entry labels names the source whose mass lands at each entry, and
+    inverting that permutation gives each source's landing level."""
+    d = len(steps)
+    src = np.arange(3 * d).reshape(3, d).tolist()
+    for a, b, c, e in steps:
+        src[a][e], src[b][c] = src[b][c], src[a][e]
+    dest = np.empty((3, d), dtype=np.intp)
+    np.put(dest, src, np.arange(3 * d) % d)
+    return dest
 
 
 def _update_matrix(p, m, n):
@@ -209,7 +222,7 @@ def _update_matrix(p, m, n):
     at (landing, k), summed where landings meet."""
     d = m + n
     b = np.zeros((d, d))
-    np.add.at(b, (oracle._landing(oracle.build_cycle(m, n)), np.arange(d)), p[:, None])
+    np.add.at(b, (np.array(oracle._landing(oracle.build_cycle(m, n))), np.arange(d)), p[:, None])
     return b
 
 
@@ -270,11 +283,27 @@ class TestUpdateMatrix:
     def test_landing_map_is_built_fresh(self):
         # the solve keeps no state: each call builds its own writable map
         landing = oracle._landing(oracle.build_cycle(3, 4))
-        assert landing.shape == (3, 7)
-        before = landing.copy()
-        landing[0, 0] = -1
-        assert np.array_equal(oracle._landing(oracle.build_cycle(3, 4)), before)
+        assert np.shape(landing) == (3, 7)
+        before = [row.copy() for row in landing]
+        landing[0][0] = -1
+        assert oracle._landing(oracle.build_cycle(3, 4)) == before
         assert not any(hasattr(f, "cache_clear") for f in vars(oracle).values())
+
+    def test_landing_matches_forward_reference(self):
+        # the reverse pass over machine levels against the forward pass over
+        # entry labels and its inverse permutation
+        rng = np.random.default_rng(37)
+        pairs = [tuple(mn) for mn in rng.integers(1, 60, size=(300, 2)).tolist()] + [(1, 1), (257, 257)]
+        for m, n in pairs:
+            steps = oracle.build_cycle(m, n)
+            assert oracle._landing(steps) == _reference_landing(steps).tolist(), (m, n)
+        # build_cycle's swaps touch disjoint entries, so their order is moot
+        # there; on swap lists that share entries only the reverse pass is right
+        for d in (2, 3, 7, 40):
+            for _ in range(50):
+                steps = [(*rng.choice(3, 2, replace=False).tolist(), *rng.choice(d, 2, replace=False).tolist())
+                         for _ in range(d)]
+                assert oracle._landing(steps) == _reference_landing(steps).tolist(), steps
 
     def test_each_call_builds_its_cycle_once(self, monkeypatch, worked_example):
         # the solve's landing map and block_joint_cycle's swaps share one list
@@ -296,7 +325,7 @@ class TestUpdateMatrix:
                 if d < 3:
                     continue
                 nbrs = [set() for _ in range(d)]
-                for row in oracle._landing(oracle.build_cycle(m, n)).tolist():
+                for row in oracle._landing(oracle.build_cycle(m, n)):
                     for k, l in enumerate(row):
                         if l != k:
                             nbrs[k].add(l)
@@ -352,9 +381,10 @@ if __name__ == "__main__":
         q = oracle.stationary_machine(p, m, d - m)
         solve = best(lambda: oracle.stationary_machine(p, m, d - m), number)
         land = best(lambda: oracle._landing(steps), number)
-        elim = best(lambda: oracle._ring_fixed_point(order, landing.tolist(), p.tolist()), number)
+        elim = best(lambda: oracle._ring_fixed_point(order, landing, p.tolist()), number)
         # the residual check as _stationary_machine computes it
-        resid = best(lambda: np.max(np.abs(np.bincount(landing.ravel(), np.outer(p, q).ravel(), d) - q)), number)
+        resid = best(lambda: np.max(np.abs(np.bincount(
+            np.array(landing, dtype=np.intp).ravel(), np.outer(p, q).ravel(), d) - q)), number)
         print(f"d = {d}: {solve:,.0f} (landing {land:,.1f}, elimination {elim:,.1f}, residual {resid:,.1f})")
 
     print("apply_cycle(product_joint(p, q), build_cycle(m, n)) at q uniform, m = d // 2; best of 5")

@@ -33,6 +33,15 @@ class TestGapRatio:
         assert tight.m_int > loose.m_int
         assert abs(tight.m_int * phi - tight.n_int) <= 1e-6
 
+    @pytest.mark.parametrize("lower", [1e-300, 5e-324])
+    def test_no_convergent_within_tol_raises(self, lower):
+        # 1e-300: the expansion ends at M = 1e300, where M x - N rounds to 1.1e-16;
+        # 5e-324: its next term, 1/x, is past the float range
+        with pytest.raises(ValueError, match="no convergent of dE10/dE21"):
+            regions.approximate_gap_ratio([0.0, lower, 1.0], tol=0.0)
+        r = regions.approximate_gap_ratio([0.0, lower, 1.0])  # at the default tol, N = 0
+        assert (r.m_int, r.n_int) == (1, 0)
+
 
 class TestClassification:
     def test_worked_example_in_r1(self, worked_example):
@@ -190,6 +199,83 @@ class TestBatchPredicates:
             regions.in_activation_region(batch, [0.0, 1.0, 3.0], 3, 1)
 
 
+def _fig5_reference(resolution, energies, cycles):
+    """fig5's map from the public calls it made before grid_activation."""
+    ratio = regions.approximate_gap_ratio(energies)
+    grid = regions.passive_simplex_grid(resolution)
+    return grid, regions.classify(grid, ratio), regions.activation_flags(grid, energies, cycles)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def fig5_cases(draw):
+    """A resolution, a ladder and cycles: random or exact-integer gaps, with
+    the degenerate cycle (M, N) among the cycles of an integer ladder; some
+    with a bad cycle, a bad resolution or E0 == E1."""
+    resolution = draw(st.integers(10, 120))
+    cycles = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=4, unique=True))
+    if draw(st.booleans()):
+        ratio = draw(st.sampled_from(RATIOS))
+        energies = _ladder(ratio) * draw(st.sampled_from([1.0, 0.5, 3.0]))
+        cycles.insert(draw(st.integers(0, len(cycles))), ratio)
+    else:
+        g1, g2 = draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0))
+        energies = [0.0, g1, g1 + g2]
+    flaw = draw(st.sampled_from([None, None, None, "cycle", "resolution", "E0=E1"]))
+    if flaw == "cycle":
+        cycles.insert(draw(st.integers(0, len(cycles))), draw(st.sampled_from([(0, 1), (2, -1), (1.0, 1)])))
+    elif flaw == "resolution":
+        resolution = draw(st.sampled_from([9, -4, 50.0, True]))
+    elif flaw == "E0=E1":
+        energies = [0.5, 0.5, 0.5 + draw(st.floats(0.1, 3.0))]
+    return resolution, energies, [tuple(c) for c in cycles]
+
+
+class TestGridActivation:
+    @given(fig5_cases())
+    @example((20, [0.0, 1.0, 3.0], [(3, 1), (2, 1), (0, 1), (-1, 1)]))
+    @example((9, [0.0, 0.0, 1.0], [(0, 1)]))
+    @example((30, [0.0, 0.0, 1.0], [(0, 1)]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_classify_and_activation_flags(self, case):
+        want = _outcome(_fig5_reference, *case)
+        got = _outcome(regions.grid_activation, *case)
+        if isinstance(want[0], type):  # the same first error
+            assert got == want
+            return
+        (grid, labels, flags), (want_grid, want_labels, want_flags) = got, want
+        assert np.array_equal(grid, want_grid) and grid.flags.writeable
+        assert labels.dtype == want_labels.dtype and labels.tolist() == want_labels.tolist()
+        assert len(flags) == len(want_flags) == len(case[2])
+        for f, w in zip(flags, want_flags):
+            assert f.dtype == bool and np.array_equal(f, w)
+
+    def test_reads_the_cached_log_ratios(self, monkeypatch):
+        # the package's own grid is not checked again, and its logs are the cached ones
+        regions._grid_log_ratios(33)
+        monkeypatch.setattr(regions, "_log_ratios", None)
+        monkeypatch.setattr(states, "passive_qutrit", None)
+        grid, labels, (flags,) = regions.grid_activation(33, [0.0, 1.0, 3.0], [(3, 1)])
+        assert len(grid) == len(labels) == len(flags)
+
+    def test_builds_the_grid_once_and_returns_a_copy(self, monkeypatch):
+        regions._grid_log_ratios.cache_clear()
+        built = []
+        real_grid = regions.passive_simplex_grid
+        monkeypatch.setattr(regions, "passive_simplex_grid", lambda r: built.append(r) or real_grid(r))
+        for _ in range(2):
+            grid, _, _ = regions.grid_activation(41, [0.0, 1.0, 3.0], [(3, 1)])
+            grid[0] = -1.0  # the caller's copy, not the cache's
+        assert built == [41]
+        assert regions._grid_log_ratios(41)[0][0, 0] > 0
+
+
 class TestCoveringCycle:
     def test_r1_state_gets_activating_cycle(self, worked_example):
         p, _ = worked_example
@@ -331,9 +417,10 @@ class TestGridLogRatioCache:
         for resolution in (10, 37, 90, 401):
             grid = regions.passive_simplex_grid(resolution)
             fresh1, fresh2 = np.log(grid[:, 0] / grid[:, 1]), np.log(grid[:, 1] / grid[:, 2])
-            l1, l2 = regions._grid_log_ratios(resolution)
+            cached, l1, l2 = regions._grid_log_ratios(resolution)
+            assert np.array_equal(cached, grid)
             assert np.array_equal(l1, fresh1) and np.array_equal(l2, fresh2)
-            logs = [l1, l2]
+            logs = [cached, l1, l2]
             for big_m, big_n, eps_band in ((2, 1, 1e-3), (1, 3, 0.0), (3, 2, 0.05)):
                 r1 = big_n * fresh2 - big_m * fresh1 > eps_band
                 s1, s2 = regions._r1_log_ratios(resolution, big_m, big_n, eps_band)
@@ -405,6 +492,9 @@ class TestGridLogRatioCache:
 if __name__ == "__main__":
     # the coverage and fig5 costs, to compare two trees:
     # PYTHONPATH=src python -m tests.test_regions
+    import argparse
+    import contextlib
+    import io
     import itertools
     import os
     import tempfile
@@ -430,7 +520,43 @@ if __name__ == "__main__":
     print(f"cold: {best_us(cold, 50):.1f} us")
     print("cli.main fig5 --energies 0,1,3 in-process, time per run (best of 5)")
     with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fig5.csv")
         for grid, number in ((30, 200), (90, 50), (400, 5)):
-            argv = ["fig5", "--energies", "0,1,3", "--grid", str(grid),
-                    "--out", os.path.join(tmp, "fig5.csv")]
+            argv = ["fig5", "--energies", "0,1,3", "--grid", str(grid), "--out", path]
             print(f"grid {grid}: {best_us(lambda: cli.main(argv), number) / 1e3:.2f} ms")
+        argv = ["fig5", "--energies", "0,1,3", "--grid", "90", "--out", path]
+
+        def cold_fig5():  # one run per process: the grid's cache starts empty
+            regions._grid_log_ratios.cache_clear()
+            cli.main(argv)
+
+        print(f"grid 90, cold cache: {best_us(cold_fig5, 50) / 1e3:.2f} ms")
+
+        # the grid-90 run's phases, each as cmd_fig5 runs it
+        argv = ["fig5", "--energies", "0,1,3", "--grid", "90", "--out", path]
+        args = cli._PARSER.parse_args(argv)
+        cycles = [(3, 1), (5, 2), (11, 5)]
+        grid, labels, flags = regions.grid_activation(90, args.energies, cycles)
+        cols = [*grid.T, labels, *flags]
+        header = ["p0", "p1", "p2", "region"] + [f"active_{m}_{n}" for m, n in cycles]
+        config = cli._config_dict(args, cycles=[list(c) for c in cycles])
+        to_memory = argparse.Namespace(format="csv", out=None)
+
+        def text():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli._emit(cols, header, to_memory, config)
+
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            cli._emit(cols, header, to_memory, config)
+
+        def write():
+            with open(path, "w") as fh:
+                fh.write(buf.getvalue())
+
+        phases = {
+            "parse": lambda: cli._PARSER.parse_args(argv),
+            "grid map": lambda: regions.grid_activation(90, args.energies, cycles),
+            "CSV text": text,
+            "write": write,
+        }
+        print("grid 90 phases: " + ", ".join(f"{name} {best_us(fn, 200):.0f} us" for name, fn in phases.items()))
