@@ -6,6 +6,9 @@ s1 = p1/p0 of the hot pair (0,1) and s2 = p2/p1 of the cold pair (1,2),
 one formula per stroke: the hot stroke's for machine levels 0 ... m - 1
 and the top level, the cold stroke's for the rest. Each reads one table
 of sums, of k = 0 ... m powers of s1 and of k = 0 ... n - 1 powers of s2.
+A table depends only on its factor, so calls share it: the module keeps
+the longest table built for each of at most 16 factors, and empties that
+map when it is full. The outcome's scalars are Python floats.
 
 Numerics: the textbook expression for the machine occupations subtracts
 nearly equal geometric sums and loses all precision for skewed states, so
@@ -26,12 +29,28 @@ import numpy as np
 from . import states
 
 
+_SUMS: dict[float, list[float]] = {}  # log_lam -> the longest _geometric_sums table built
+_SUMS_MAX = 16  # factors kept; a qudit search holds 2 per window
+
+
 def _geometric_sums(count: int, log_lam: float) -> list[float]:
     """Sums of lam**i for 0 <= i < k, for k = 0 ... count - 1, each as
     expm1(k ln lam) / expm1(ln lam): no cancellation as lam nears 1, and k
-    at lam = 1."""
-    d = math.expm1(log_lam)
-    return [math.expm1(k * log_lam) / d if log_lam else float(k) for k in range(count)]
+    at lam = 1. Each entry depends only on k and lam, so one table per
+    factor, kept in _SUMS and extended in place, serves every call; the
+    caller gets a fresh list."""
+    table = _SUMS.get(log_lam)
+    if table is None:
+        if len(_SUMS) >= _SUMS_MAX:
+            _SUMS.clear()
+        table = _SUMS[log_lam] = []
+    start = len(table)
+    if start < count:
+        expm1 = math.expm1  # looked up once per build, not once per entry
+        d = expm1(log_lam)
+        table += ([expm1(k * log_lam) / d for k in range(start, count)] if log_lam
+                  else map(float, range(start, count)))
+    return table[:count]
 
 
 def _factors(p: np.ndarray, m: int, n: int):
@@ -60,7 +79,7 @@ def _strokes(p1: float, s1: float, s2: float, g1: list[float], g2: list[float], 
         s2i = s2**i
         cold.append(s2i * s2 * g2[n - 1 - i] + s2i * s1 * g1[m] + s2i + s1m * g2[i])
     u = np.array(hot[:m] + cold + hot[m:])
-    total = u.sum()
+    total = float(u.sum())  # so the outcome's arithmetic runs on Python floats
     return u, total, p1 * (s1m - s2n) / total, p1 * s1m * s2n / total
 
 

@@ -237,10 +237,13 @@ def integrate_trajectory(
 
 def optimal_work(p, energies) -> float:
     """Maximum extractable work: energy above the thermal state of equal
-    entropy (the isentropic endpoint), for a state of any dimension."""
+    entropy (the isentropic endpoint), for a state of any dimension. It is
+    never negative: the rounding that puts a thermal state's difference
+    below 0 gives +0.0."""
     p, e = states.state_and_ladder(p, energies)
     tau = states._gibbs(states._beta_from_entropy(states._entropy(p), e), e)
-    return float(p @ e) - float(tau @ e)
+    # + 0.0 turns max's -0.0 into 0.0
+    return max(float(p @ e) - float(tau @ e), 0.0) + 0.0
 
 
 def carnot_check(p, energies) -> float:

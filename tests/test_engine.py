@@ -1,13 +1,16 @@
+import dataclasses
 import math
+import types
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swapengine import engine, oracle
+from swapengine import engine, oracle, reduction
 from tests.conftest import random_passive_qutrits
 
 
@@ -125,6 +128,118 @@ class TestGeometricSum:
             return math.expm1(k * log_lam) / math.expm1(log_lam) if log_lam else float(k)
 
         assert engine._geometric_sums(60, log_lam) == [one(k) for k in range(60)]
+
+
+def _uncached_sums(count: int, log_lam: float) -> list[float]:
+    """_geometric_sums without the shared tables, the reference: a fresh
+    build on every call."""
+    d = math.expm1(log_lam)
+    return [math.expm1(k * log_lam) / d if log_lam else float(k) for k in range(count)]
+
+
+@st.composite
+def boltzmann_factors(draw):
+    """A factor p_k+1/p_k: exactly 1, within rounding of 1, skewed (1e-12
+    to 1e-3) or anywhere in [0.05, 1]."""
+    kind = draw(st.sampled_from(["one", "near one", "skewed", "ordinary"]))
+    if kind == "one":
+        return 1.0
+    if kind == "near one":
+        return 1.0 - draw(st.integers(1, 64)) * 2.0**-53
+    if kind == "skewed":
+        return 10.0 ** draw(st.floats(-12.0, -3.0))
+    return draw(st.floats(0.05, 1.0))
+
+
+def _same(a, b) -> bool:
+    """Bit equality of two outcome fields: floats by .hex(), arrays by array_equal."""
+    if isinstance(a, float):
+        return type(b) is type(a) and a.hex() == b.hex()
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+_SCALARS = ("delta_p", "work", "q_hot", "q_cold", "heat_hot", "heat_cold", "efficiency", "alpha_coeff")
+_LADDER = np.array([0.0, 1.0, 1.6, 2.9, 3.3])
+
+
+class TestSharedTables:
+    @given(st.lists(boltzmann_factors(), min_size=4, max_size=4), st.integers(1, 30),
+           st.integers(1, 30), st.sampled_from([None, "longer", "shorter"]), st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_outcomes_equal_fresh_tables(self, factors, m, n, warm, step):
+        # a cleared cache, and one warmed on the same state by a longer or a shorter cycle
+        w = np.cumprod([1.0, *factors])
+        qudit, p = w / w.sum(), w[:3] / w[:3].sum()
+
+        def results(m, n):
+            k, best = reduction.best_window(qudit, _LADDER, m, n)
+            return [engine.run_cycle(p, _LADDER[:3], m, n), reduction.lifted_cycle(qudit, _LADDER, 0, m, n),
+                    best, k, engine.machine_distribution(p, m, n)]
+
+        with mock.patch.object(engine, "_geometric_sums", _uncached_sums):
+            expected = results(m, n)
+        engine._SUMS.clear()
+        if warm == "longer":
+            results(m + step, n + step)
+        elif warm == "shorter":
+            results(max(m - step, 1), max(n - step, 1))
+        got = results(m, n)
+        for out, ref in zip(got[:3], expected[:3]):
+            for field in dataclasses.fields(ref):
+                assert _same(getattr(out, field.name), getattr(ref, field.name)), field.name
+        assert got[3] == expected[3]
+        assert np.array_equal(got[4], expected[4])
+
+    def test_builds_only_missing_entries(self):
+        calls = []
+
+        def expm1(x):
+            calls.append(x)
+            return math.expm1(x)
+
+        p, e = np.array([0.59, 0.40, 0.01]), np.array([0.0, 3.0, 4.0])
+        l1, l2 = math.log(p[1] / p[0]), math.log(p[2] / p[1])
+        counting = types.SimpleNamespace(**{**vars(math), "expm1": expm1})
+        engine._SUMS.clear()
+        with mock.patch.object(engine, "math", counting):
+            engine.run_cycle(p, e, 7, 9)
+            # per table built or extended: its denominator, then one quotient per new entry
+            assert calls == [l1, *(k * l1 for k in range(8)), l2, *(k * l2 for k in range(9))]
+            calls.clear()
+            engine.run_cycle(p, e, 3, 4)
+            engine.machine_distribution(p, 7, 9)
+            assert calls == []
+            engine.run_cycle(p, e, 10, 12)
+            assert calls == [l1, *(k * l1 for k in range(8, 11)), l2, *(k * l2 for k in range(9, 12))]
+
+    def test_cache_stays_bounded(self):
+        rng = np.random.default_rng(3)
+        e = np.array([0.0, 1.0, 1.5])
+        for p in random_passive_qutrits(rng, 100, min_p=1e-3):
+            engine.run_cycle(p, e, 5, 6)
+            assert len(engine._SUMS) <= engine._SUMS_MAX
+
+    def test_returned_table_is_a_copy(self):
+        table = engine._geometric_sums(10, -0.4)
+        expected = list(table)
+        table[3] = 99.0
+        table.append(1.0)
+        assert engine._geometric_sums(10, -0.4) == expected
+        assert engine._geometric_sums(11, -0.4)[:10] == expected
+
+    @pytest.mark.parametrize("p, e, m, n", [
+        ([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], 2, 3),
+        # delta_p < 0, and a NaN efficiency
+        (np.array([0.25, 0.15, 0.12]) / 0.52, [0.0, 1.0, 2.0], 2, 3),
+        ([0.4, 0.4, 0.2], [0.0, 0.0, 1.0], 1, 1),
+    ])
+    def test_scalars_are_python_floats(self, p, e, m, n):
+        _, best = reduction.best_window(np.array([0.35, 0.25, 0.2, 0.12, 0.08]), _LADDER, m, n)
+        for out in (engine.run_cycle(p, e, m, n), best):
+            for name in _SCALARS:
+                assert type(getattr(out, name)) is float, name
 
 
 class TestNearOneRatios:
@@ -376,10 +491,29 @@ class TestRunCycle:
 
 
 if __name__ == "__main__":
-    # the closed form's accuracy against exact rationals, to compare two trees:
-    # PYTHONPATH=src python -m tests.test_engine
+    # the closed form's accuracy against exact rationals and its cost, to
+    # compare two trees: PYTHONPATH=src python -m tests.test_engine
+    import timeit
+
     for name, cases in (("seed 5", _seed5_cases()), ("near ties", _near_tie_cases())):
         q_err, dp_err = np.array([_errors(p, m, n) for p, m, n in cases]).T
         print(f"{name}, {len(cases)} cases: q rel err median {np.median(q_err):.3g} max "
               f"{q_err.max():.3g}; delta_p err / (|delta_p| kappa) median "
               f"{np.median(dp_err):.3g} max {dp_err.max():.3g}")
+
+    def best_us(fn, number):
+        return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
+
+    sums = getattr(engine, "_SUMS", {})  # a tree without shared tables has none to clear
+    p, e = np.array([0.5, 0.35, 0.15]), np.array([0.0, 3.0, 4.0])
+    print("run_cycle on the worked example, time per call (best of 5), empty / warm table cache")
+    for m, n in ((2, 3), (7, 9), (100, 80)):
+        cold = best_us(lambda: (sums.clear(), engine.run_cycle(p, e, m, n)), 2000)
+        warm = best_us(lambda: engine.run_cycle(p, e, m, n), 2000)
+        print(f"({m}, {n}): {cold:.1f} / {warm:.1f} us")
+    # the bench sweep's first 5-level qudit, before its jitter
+    w = np.exp(-np.concatenate([[0.0], np.cumsum([0.5, 0.4, 0.6, 0.3])]))
+    q, eq = w / w.sum(), np.concatenate([[0.0], np.cumsum([1.0, 1.8, 0.7, 1.4])])
+    cold = best_us(lambda: (sums.clear(), reduction.best_window(q, eq, 12, 11)), 2000)
+    warm = best_us(lambda: reduction.best_window(q, eq, 12, 11), 2000)
+    print(f"best_window at (12, 11) on the bench sweep's 5-level qudit: {cold:.1f} / {warm:.1f} us")

@@ -531,6 +531,15 @@ class TestOptimalWorkAndCarnot:
             0.0, abs=1e-9
         )
 
+    def test_never_negative_on_thermal_states(self):
+        # rounding put the energy difference below 0 on about half of these
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            d = int(rng.integers(3, 7))
+            e = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 3.0, d - 1))])
+            w = quasistatic.optimal_work(states.thermal_state(rng.uniform(0.05, 5.0), e), e)
+            assert 0.0 <= w <= 1e-12 and math.copysign(1.0, w) == 1.0, (d, e, w)
+
     def test_uniform_gives_zero(self):
         e = np.array([0.0, 1.0, 3.0])
         assert quasistatic.optimal_work(np.full(3, 1 / 3), e) == pytest.approx(
