@@ -1,9 +1,9 @@
-"""Hot numeric kernels: quasi-static trajectory stepping and coverage grids.
+"""Hot numeric kernels: quasi-static trajectory stepping and coverage counts.
 
 Both run as plain Python/numpy: the trajectory stepper is a scalar RK4 loop
 that takes the swap ratio as a function of the state, and coverage counting
-is a handful of vectorized array operations on log ratios that `regions`
-has already restricted to R1. `backend()` reports "numpy".
+only counts the activation flags that `regions._active` gives, since that
+is the package's one activation test. `backend()` reports "numpy".
 """
 
 from __future__ import annotations
@@ -110,14 +110,10 @@ def trajectory_core(p0, p1, ratio, alpha, step, max_steps):
     return ts, np.array(ps)
 
 
-def coverage_counts(l1, l2, big_m, big_n, m, n):
-    """Number of states with log ratios (l1, l2) = (ln p0/p1, ln p1/p2) that
-    the (m, n) cycle activates when M dE10 = N dE21: those whose log gap
-    n l2 - m l1 has the sign of the lever m N - n M, taken in Python ints so
-    that a numpy-integer m or n does not wrap."""
-    gap = n * l2 - m * l1
-    lever = int(m) * big_n - int(n) * big_m  # the sign of m dE10 - n dE21; 0 activates nothing
-    return int(np.count_nonzero(lever * gap > 0.0))
+def coverage_counts(flags):
+    """Number of True activation flags, as regions._active gives them. The
+    bench binds this name; it moves into regions with ROADMAP direction 3."""
+    return int(np.count_nonzero(flags))
 
 
 def flow_rate(p) -> float:

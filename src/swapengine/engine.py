@@ -53,6 +53,12 @@ def _geometric_sums(count: int, log_lam: float) -> list[float]:
     return table[:count]
 
 
+def _geometric_sum(k: int, log_lam: float) -> float:
+    """Entry k of _geometric_sums(k + 1, log_lam), the same quotient, built
+    alone: no table is built or kept."""
+    return math.expm1(k * log_lam) / math.expm1(log_lam) if log_lam else float(k)
+
+
 def _factors(p: np.ndarray, m: int, n: int):
     """(p1, s1, s2, g1, g2) of the passive qutrit or window p for cycles up to
     (m, n): the factors s1 = p1/p0 and s2 = p2/p1 and their _geometric_sums

@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import states
-from .engine import _geometric_sums
+from .engine import _geometric_sum
 from ._kernels import TERMINATION_TOL, _flow_rate, _r3_gap, flow_rate, trajectory_core
 
 
@@ -103,8 +103,8 @@ def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
     rh = p[1] / p[0]  # e^{-beta_hot dE10}
     rc = p[2] / p[1]  # e^{-beta_cold dE21}
     lam = (1.0 - rc) / (1.0 - rh * rc)
-    z_hot = _geometric_sums(m + 1, math.log(rh))[m]
-    z_cold = _geometric_sums(n - 1, math.log(rc))[n - 2]
+    z_hot = _geometric_sum(m, math.log(rh))
+    z_cold = _geometric_sum(n - 2, math.log(rc))
     return AsymptoticMachine(
         m=m, n=n, mixture_weight=lam, hot_ratio=rh, cold_ratio=rc,
         z_hot=z_hot, z_cold=z_cold,

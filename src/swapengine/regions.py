@@ -134,15 +134,15 @@ def activation_flags(p, energies, cycles):
     a bool array of N flags for an (N, 3) array of states.
     """
     p = states.passive_qutrit(p)
-    de10, de21 = states.gaps(energies)
-    states._check_passive_on(p, de10, de21)
-    flags = _cycle_flags(*_log_ratios(np.atleast_2d(p)), de10, de21, cycles)
+    flags = _cycle_flags(p, *_log_ratios(np.atleast_2d(p)), energies, cycles)
     return flags if p.ndim == 2 else [bool(active[0]) for active in flags]
 
 
-def _cycle_flags(l1, l2, de10: float, de21: float, cycles):
-    """activation_flags from the _log_ratios of a checked batch, passive on
-    the gaps de10, de21: each cycle's m, n and lever are checked in turn."""
+def _cycle_flags(p, l1, l2, energies, cycles):
+    """activation_flags of the checked p from its _log_ratios: the ladder, p
+    passive on it, then each cycle's m, n and lever are checked in turn."""
+    de10, de21 = states.gaps(energies)
+    states._check_passive_on(p, de10, de21)
     flags = []
     for m, n in cycles:
         states.check_cycle(m, n)
@@ -150,16 +150,18 @@ def _cycle_flags(l1, l2, de10: float, de21: float, cycles):
     return flags
 
 
-def _active(l1, l2, m: int, n: int, lever: float):
-    """Activation flags from the _log_ratios of a checked batch: the log gap
-    n ln(p1/p2) - m ln(p0/p1) and the lever m dE10 - n dE21 have one
-    nonzero sign, so a degenerate cycle (lever 0) activates nothing."""
+def _active(l1, l2, m: int, n: int, lever):
+    """The one log-space activation test, on (ln p0/p1, ln p1/p2) as arrays or
+    floats: the log gap n l2 - m l1 has the nonzero sign of the finite lever
+    m dE10 - n dE21, so a degenerate cycle (lever 0) activates nothing."""
     gap = n * l2 - m * l1
-    return (np.sign(gap) == np.sign(lever)) & (gap != 0.0)
+    if lever == 0:
+        return np.zeros(np.shape(gap), bool)
+    return gap > 0.0 if lever > 0 else gap < 0.0
 
 
 def covering_cycle(p, ratio: RationalGapRatio, n_max: int, tol: float = R3_TOL):
-    """Smallest cycle of the covering family that activates p.
+    """Smallest cycle of the covering family that activates the one state p.
 
     For p in R1 the family is m = (M/N) n + 1 with n chosen so m is an
     integer; for p in R2 the mirrored family n = (N/M) m + 1 is scanned.
@@ -167,20 +169,22 @@ def covering_cycle(p, ratio: RationalGapRatio, n_max: int, tol: float = R3_TOL):
     states, which no cycle activates.
     """
     states._check_integer(n_max, "n_max")
-    label = classify(p, ratio, tol)
+    p = states.validate_state(p, 3)
+    states._check_passive_row(*p.tolist())
+    states.check_tol(tol)
+    l1, l2 = _log_ratios(p[None])
+    label = _labels(l1, l2, ratio, tol)[0]
     if label == R3:
         raise ValueError("state is completely passive (R3): never activable")
-    # checked by classify; row 0 of a batch of one
-    l1, l2 = (float(l[0]) for l in _log_ratios(np.asarray(p, dtype=float)[None]))
-    m_int, n_int = ratio.m_int, ratio.n_int
-    if label == R2:  # the R1 family with (M, m, ln p0/p1) and (N, n, ln p1/p2) swapped
-        m_int, n_int, l1, l2 = n_int, m_int, l2, l1
-    for n in range(1, n_max + 1):
-        if (m_int * n) % n_int:
+    l1, l2 = float(l1[0]), float(l2[0])  # Python floats: the scan tests one cycle at a time
+    big_m, big_n = ratio.m_int, ratio.n_int
+    a, b = (big_m, big_n) if label == R1 else (big_n, big_m)
+    for k in range(1, n_max + 1):
+        if (a * k) % b:
             continue
-        m = m_int * n // n_int + 1
-        if n * l2 > m * l1:
-            return (m, n) if label == R1 else (n, m)
+        m, n = (a * k // b + 1, k) if label == R1 else (k, a * k // b + 1)
+        if _active(l1, l2, m, n, m * big_n - n * big_m):  # the lever: +N on R1's family, -M on R2's
+            return m, n
     return None
 
 
@@ -228,9 +232,7 @@ def grid_activation(resolution: int, energies, cycles):
     ratio = approximate_gap_ratio(energies)
     states._check_integer(resolution, "resolution")  # before the cache, which keys 50.0 as 50
     grid, l1, l2 = _grid_log_ratios(resolution)
-    de10, de21 = states.gaps(energies)
-    states._check_passive_on(grid, de10, de21)
-    return grid.copy(), _labels(l1, l2, ratio, R3_TOL), _cycle_flags(l1, l2, de10, de21, cycles)
+    return grid.copy(), _labels(l1, l2, ratio, R3_TOL), _cycle_flags(grid, l1, l2, energies, cycles)
 
 
 @lru_cache(maxsize=8)
@@ -272,4 +274,5 @@ def coverage_fraction(
     l1, l2 = _r1_log_ratios(grid_resolution, ratio.m_int, ratio.n_int, eps_band)
     if l1.size == 0:
         return 0.0
-    return coverage_counts(l1, l2, ratio.m_int, ratio.n_int, m, n) / l1.size
+    lever = int(m) * ratio.n_int - int(n) * ratio.m_int  # m dE10 - n dE21's sign; Python ints never wrap
+    return coverage_counts(_active(l1, l2, m, n, lever)) / l1.size

@@ -127,7 +127,10 @@ class TestGeometricSum:
         def one(k):
             return math.expm1(k * log_lam) / math.expm1(log_lam) if log_lam else float(k)
 
-        assert engine._geometric_sums(60, log_lam) == [one(k) for k in range(60)]
+        table = engine._geometric_sums(60, log_lam)
+        assert table == [one(k) for k in range(60)]
+        # the one-entry form asymptotic_machine reads, entry by entry
+        assert [engine._geometric_sum(k, log_lam).hex() for k in range(60)] == [x.hex() for x in table]
 
 
 def _uncached_sums(count: int, log_lam: float) -> list[float]:

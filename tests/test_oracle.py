@@ -121,6 +121,21 @@ class TestStationaryMachine:
         with pytest.raises(oracle.SingularFixedPointError):
             _reference_gth(4, rows.tolist(), cols.tolist(), b[rows, cols].tolist())
 
+    def test_residual_guard_refuses_a_shifted_fixed_point(self, monkeypatch):
+        # q moved off the ring's solve by +1e-9 and -1e-9 on alternate levels
+        # fails the 1e-12 residual check
+        real = oracle._ring_fixed_point
+
+        def shifted(*args):
+            q = real(*args)
+            return q + 1e-9 * np.where(np.arange(q.size) % 2, 1.0, -1.0)
+
+        p = [0.5, 0.35, 0.15]
+        oracle.stationary_machine(p, 3, 4)
+        monkeypatch.setattr(oracle, "_ring_fixed_point", shifted)
+        with pytest.raises(oracle.SingularFixedPointError, match="^fixed-point residual too large: "):
+            oracle.stationary_machine(p, 3, 4)
+
     def test_transient_end_of_ring_raises(self):
         # the elimination ends on levels 0 and 1, and here nothing feeds 0:
         # it drains into the closed pair 1 <-> 2, or at d = 2 into 1, which

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swapengine import _kernels, quasistatic, states
+from swapengine import _kernels, engine, quasistatic, states
 
 
 class TestAlphaRange:
@@ -119,6 +121,22 @@ class TestAsymptoticMachine:
         assert am.hot_ratio == 1.0
         assert am.z_hot == 8.0
         assert am.distribution().sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p, e, m", [
+        ([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], 100_000),
+        ([0.4, 0.4, 0.2], [0.0, 1.0, 2.0], 5_000),  # p0 == p1: ln(p1/p0) = 0
+    ], ids=["worked_example", "equal_hot_pair"])
+    def test_sums_are_table_entries_and_keep_no_table(self, monkeypatch, p, e, m):
+        # each sum is one entry of its factor's table, built alone: the call
+        # leaves the closed form's shared tables as it found them
+        monkeypatch.setattr(engine, "_SUMS", {})
+        engine.run_cycle(p, e, 3, 4)
+        kept = {k: list(v) for k, v in engine._SUMS.items()}
+        am = quasistatic.asymptotic_machine(p, e, m, quasistatic.alpha_range(p, e).midpoint())
+        assert engine._SUMS == kept
+        hot = engine._geometric_sums(m + 1, math.log(am.hot_ratio))[m]
+        cold = engine._geometric_sums(am.n - 1, math.log(am.cold_ratio))[am.n - 2]
+        assert (am.z_hot.hex(), am.z_cold.hex()) == (hot.hex(), cold.hex())
 
     def test_empty_cold_tail_rejected(self, worked_example):
         # ceil(0.5 * 4) = 2 leaves no cold level: the distribution would sum
@@ -466,6 +484,48 @@ class TestStepSizeMemory:
         traj = quasistatic.integrate_trajectory(p, e, "entropy", step=0.05)
         assert len(traj.samples) == 48
         assert len(calls) <= 220
+
+
+def _line_hits(fn, marker, call):
+    """call()'s result and how often it runs fn's line that contains marker."""
+    lines, first = inspect.getsourcelines(fn)
+    target = first + next(i for i, line in enumerate(lines) if marker in line)
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            hits.append(target)
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code is fn.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, len(hits)
+
+
+class TestCollapsedBracket:
+    def test_lands_on_the_short_end_when_the_bracket_collapses(self, worked_example):
+        # alpha jumps from 1.2 to 2.9 at p0 = 0.5418, so a step's end gap jumps
+        # with its size: the bracket shrinks below step * 1e-14 with no trial
+        # in [0, TERMINATION_TOL], the step is the bracket's short end, and the
+        # flow still ends on the manifold
+        p, e = worked_example
+        traj, hits = _line_hits(
+            _kernels.trajectory_core, "h, (n0, n1, n2, g) = lo, lo_end",
+            lambda: quasistatic.integrate_trajectory(p, e, lambda y: 1.2 if y[0] < 0.5418 else 2.9),
+        )
+        assert hits == 1
+        assert 0.0 <= _kernels._r3_gap(*traj.final_state, e[1] / (e[2] - e[1])) <= quasistatic.TERMINATION_TOL
+        p0 = [y[0] for _, y, _ in traj.samples]
+        assert all(a < b for a, b in zip(p0, p0[1:]))
+        assert all(y[0] >= y[1] > y[2] > 0.0 for _, y, _ in traj.samples)
+        assert traj.accumulated_work <= quasistatic.optimal_work(p, e)
 
 
 class TestStageGuard:

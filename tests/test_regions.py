@@ -276,6 +276,28 @@ class TestGridActivation:
         assert regions._grid_log_ratios(41)[0][0, 0] > 0
 
 
+class TestCoverageAgreesWithGridActivation:
+    @given(
+        st.integers(1, 6), st.integers(1, 6), st.integers(10, 160), st.sampled_from([1e-3, 0.0, 0.05]),
+        st.lists(st.tuples(st.integers(1, 60), st.integers(1, 60)), min_size=1, max_size=4, unique=True),
+    )
+    @example(2, 1, 60, 1e-3, [(3, 1), (5, 2), (11, 5)])
+    @example(4, 4, 37, 0.0, [(8, 1), (1, 8)])
+    @settings(max_examples=60, deadline=None)
+    def test_coverage_is_the_flagged_share_of_r1(self, big_m, big_n, resolution, eps_band, cycles):
+        # on the ladder (0, N, N + M), M dE10 = N dE21 exactly: coverage_fraction
+        # is the share of the grid's R1 points that fig5's map flags active
+        if (big_m, big_n) not in cycles:
+            cycles.append((big_m, big_n))  # the degenerate cycle, which activates nothing
+        grid, _, flags = regions.grid_activation(resolution, [0.0, big_n, big_n + big_m], cycles)
+        l1, l2 = np.log(grid[:, 0] / grid[:, 1]), np.log(grid[:, 1] / grid[:, 2])
+        r1 = big_n * l2 - big_m * l1 > eps_band
+        ratio = regions.RationalGapRatio(big_m, big_n)
+        for (m, n), active in zip(cycles, flags):
+            share = np.count_nonzero(active[r1]) / np.count_nonzero(r1) if r1.any() else 0.0
+            assert regions.coverage_fraction(ratio, m, n, resolution, eps_band) == share, (m, n)
+
+
 class TestCoveringCycle:
     def test_r1_state_gets_activating_cycle(self, worked_example):
         p, _ = worked_example
@@ -518,6 +540,10 @@ if __name__ == "__main__":
     print(f"new ratio, cached resolution: "
           f"{best_us(lambda: regions.coverage_fraction(next(fresh), 3, 1, 400), 500):.1f} us")
     print(f"cold: {best_us(cold, 50):.1f} us")
+    p, e = [0.5, 0.35, 0.15], [0.0, 3.0, 4.0]
+    print("one state, the worked example at (3, 1), time per call (best of 5)")
+    print(f"in_activation_region: {best_us(lambda: regions.in_activation_region(p, e, 3, 1), 5000):.1f} us")
+    print(f"k_activability_witness: {best_us(lambda: regions.k_activability_witness(p, e, 3, 1), 5000):.1f} us")
     print("cli.main fig5 --energies 0,1,3 in-process, time per run (best of 5)")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fig5.csv")

@@ -255,6 +255,16 @@ class TestThermal:
         w = np.exp(-beta * (e - e[0]))
         assert np.array_equal(states.thermal_state(beta, e), w / w.sum())
 
+    @pytest.mark.parametrize("p, e, thermal", [
+        ([1.0, 0.0, 0.0], [0.0, 1.0, 2.0], True),
+        ([0.5, 0.5, 0.0], [0.0, 0.0, 1.0], True),
+        ([0.5, 0.5, 0.0], [0.0, 1.0, 2.0], False),
+    ], ids=["ground", "shared_ground", "excited_level_filled"])
+    def test_zero_tail_is_thermal_only_as_the_ground_state(self, p, e, thermal):
+        # a passive state with an empty level is thermal (at beta = inf) iff
+        # exactly the ground level(s) are filled
+        assert states.is_completely_passive(p, e, tol=1e-9) is thermal
+
     def test_athermal_passive_not_completely_passive(self, worked_example):
         p, e = worked_example
         assert states.is_passive(p, e)

@@ -213,6 +213,8 @@ def _ledger_with_machine_rows():
     lambda: regions.passive_simplex_grid(20.0),
     lambda: regions.coverage_fraction(regions.RationalGapRatio(1, 3), 2, 3, 50.0),
     lambda: regions.covering_cycle([0.6, 0.3, 0.1], regions.RationalGapRatio(1, 1), 20.0),
+    # a batch of one state: its row passed the checks, then indexing raised IndexError
+    lambda: regions.covering_cycle(np.array([[0.5, 0.35, 0.15]]), regions.RationalGapRatio(1, 3), 20),
     # steps past the joint's shape and a joint that is not 2-d: each raised IndexError or TypeError
     lambda: oracle.apply_cycle(np.zeros((3, 2)), [(0, 1, 0, 5)]),
     lambda: oracle.apply_cycle(np.zeros((3, 2)), [(0, 3, 0, 1)]),
@@ -250,7 +252,7 @@ def _ledger_with_machine_rows():
         "cycle_bool_m", "covering_float_ratio", "gap_ratio_nan", "gap_ratio_bool",
         "lifted_bool_window", "decompose_float_window", "block_joint_float_window",
         "best_cycle_float_max_dim", "asymptotic_float_m", "trajectory_float_max_steps",
-        "grid_float_resolution", "coverage_float_resolution", "covering_float_n_max",
+        "grid_float_resolution", "coverage_float_resolution", "covering_float_n_max", "covering_batch",
         "swap_step_past_columns", "swap_step_past_rows", "joint_1d", "swap_step_float",
         "swap_step_bool", "mutual_info_3d", "stationary_float_m", "stationary_bool_m_warm",
         "block_joint_float_m", "stationary_str_m", "ledger_machine_2d", "classify_bool_tol",
