@@ -60,33 +60,30 @@ _BOOL_CELLS = np.array(["False", "True"], dtype=object)
 
 
 def _csv_cells(col):
-    """One column's CSV cells: FMT for floats, str for the rest. An array's
-    rule follows from its dtype, a list's from the types of its values."""
+    """One column's CSV cells: FMT for floats, str for the rest. A bool, str or
+    float array takes its rule from its dtype; any other column goes value by value."""
     if isinstance(col, np.ndarray):
         if col.dtype == bool:
             return _BOOL_CELLS.take(col).tolist()
+        if col.dtype.kind == "U":
+            return col.tolist()
         if col.dtype.kind == "f" and not (col == 0.0).any():  # np.unique makes 0.0 and -0.0 one value
             values, where = np.unique(col, return_inverse=True)  # each distinct value formatted once
             return np.array([FMT % v for v in values.tolist()], dtype=object).take(where).tolist()
         col = col.tolist()
-    types = set(map(type, col))
-    if types == {str}:
-        return col
-    if types <= {str, bool, int}:
-        return map(str, col)
     return [FMT % v if isinstance(v, (float, np.floating)) else str(v) for v in col]
 
 
 def _emit(cols, header, args, config):
     """Write columns, one per header name, as CSV or JSON to --out (or
-    stdout). A column is a list of values or a 1-d array; an array writes
-    what its .tolist() would."""
+    stdout). A column is a list of values or a 1-d array, which writes what
+    its .tolist() would; JSON reads a list value by value, through .item()."""
     if args.format == "csv":
         cells = map(_csv_cells, cols)
         text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     else:
-        cols = [col.tolist() if isinstance(col, np.ndarray) else col for col in cols]
-        cols = [[v.item() if isinstance(v, np.generic) else v for v in col] for col in cols]
+        cols = [col.tolist() if isinstance(col, np.ndarray)
+                else [v.item() if isinstance(v, np.generic) else v for v in col] for col in cols]
         results = [dict(zip(header, row)) for row in zip(*cols)]
         text = json.dumps({"config": config, "results": results}, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -200,8 +197,6 @@ def cmd_verify(args) -> int:
     worst_q = worst_w = worst_drift = 0.0
     for _ in range(20):
         p = np.sort(rng.dirichlet(np.ones(3)))[::-1]
-        if p[2] < 1e-3:
-            continue
         for m in range(1, 6):
             for n in range(1, 7):
                 q_closed = engine.machine_distribution(p, m, n)

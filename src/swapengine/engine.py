@@ -8,7 +8,8 @@ and the top level, the cold stroke's for the rest. Each reads one table
 of sums, of k = 0 ... m powers of s1 and of k = 0 ... n - 1 powers of s2.
 A table depends only on its factor, so calls share it: the module keeps
 the longest table built for each of at most 16 factors, and empties that
-map when it is full. The outcome's scalars are Python floats.
+map when it is full; a table longer than 1024 entries is built for its call
+only. The outcome's scalars are Python floats.
 
 Numerics: the textbook expression for the machine occupations subtracts
 nearly equal geometric sums and loses all precision for skewed states, so
@@ -31,6 +32,7 @@ from . import states
 
 _SUMS: dict[float, list[float]] = {}  # log_lam -> the longest _geometric_sums table built
 _SUMS_MAX = 16  # factors kept; a qudit search holds 2 per window
+_SUMS_LEN = 1024  # entries kept per factor; the bench and the CLI defaults build at most ~270
 
 
 def _geometric_sums(count: int, log_lam: float) -> list[float]:
@@ -38,8 +40,9 @@ def _geometric_sums(count: int, log_lam: float) -> list[float]:
     expm1(k ln lam) / expm1(ln lam): no cancellation as lam nears 1, and k
     at lam = 1. Each entry depends only on k and lam, so one table per
     factor, kept in _SUMS and extended in place, serves every call; the
-    caller gets a fresh list."""
-    table = _SUMS.get(log_lam)
+    caller gets a fresh list. A table past _SUMS_LEN entries is built for
+    the call alone, so that one long cycle pins no memory."""
+    table = _SUMS.get(log_lam) if count <= _SUMS_LEN else []
     if table is None:
         if len(_SUMS) >= _SUMS_MAX:
             _SUMS.clear()

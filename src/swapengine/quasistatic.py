@@ -97,6 +97,7 @@ def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
     states._check_integer(m, "m")
     if m < 3:
         raise ValueError("need m >= 3")
+    states._check_float_range(m, "m")
     n = math.ceil(alpha * m)
     if n < 3:
         raise ValueError(f"need n = ceil(alpha*m) >= 3 for a cold tail, got n={n}")

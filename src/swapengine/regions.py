@@ -36,9 +36,9 @@ _LABELS = np.array([R2, R1, R3])
 
 @dataclass(frozen=True)
 class RationalGapRatio:
-    """Integers M >= 1 and N >= 0 (ints or numpy integers, kept as Python
-    ints so that no product wraps) with M * dE10 = N * dE21 (within the
-    tolerance used to construct them)."""
+    """Integers M >= 1 and N >= 0 within the float range (ints or numpy
+    integers, kept as Python ints so that no product wraps) with
+    M * dE10 = N * dE21 (within the tolerance used to construct them)."""
 
     m_int: int
     n_int: int
@@ -48,6 +48,8 @@ class RationalGapRatio:
             raise ValueError(f"need integers M and N, got M = {self.m_int!r}, N = {self.n_int!r}")
         if self.m_int < 1 or self.n_int < 0:
             raise ValueError("need M >= 1 and N >= 0")
+        states._check_float_range(self.m_int, "M")
+        states._check_float_range(self.n_int, "N")
         object.__setattr__(self, "m_int", int(self.m_int))
         object.__setattr__(self, "n_int", int(self.n_int))
 

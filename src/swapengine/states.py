@@ -11,6 +11,7 @@ private cores (`_gibbs`, `_entropy`, ...) take checked arrays as given.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 BETA_INF = math.inf
 
 _NORM_TOL = 1e-12
+_BISECT_MAX_ITER = 200  # _bisect_beta's cap on halvings
 _NOT_PASSIVE_QUTRIT = "need a normalized passive qutrit with p0 >= p1 >= p2 > 0"
 
 
@@ -110,6 +112,13 @@ def _check_integer(value, name: str) -> None:
         raise ValueError(f"need an integer {name}, got {value!r}")
 
 
+def _check_float_range(value, name: str) -> None:
+    """Raise ValueError for an integer above sys.float_info.max: float
+    arithmetic on it raises OverflowError."""
+    if value > sys.float_info.max:
+        raise ValueError(f"need {name} <= sys.float_info.max, got an integer of {value.bit_length()} bits")
+
+
 def _check_real(value, name: str) -> None:
     """Raise ValueError on a bool, which a range check reads as 0 or 1."""
     if isinstance(value, (bool, np.bool_)):
@@ -117,11 +126,13 @@ def _check_real(value, name: str) -> None:
 
 
 def check_cycle(m: int, n: int) -> None:
-    """Raise ValueError unless the (m, n) swap cycle has integers m, n >= 1."""
+    """Raise ValueError unless the (m, n) swap cycle has integers 1 <= m, n <= sys.float_info.max."""
     if not (_is_integer(m) and _is_integer(n)):
         raise ValueError(f"need integers m and n, got m = {m!r}, n = {n!r}")
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m = {m}, n = {n}")
+    _check_float_range(m, "m")
+    _check_float_range(n, "n")
 
 
 def check_tol(tol: float, name: str = "tol") -> None:
@@ -187,7 +198,7 @@ def is_passive(probs, energies, tol: float = 0.0) -> bool:
     return _is_passive(p, e, tol)
 
 
-def _is_passive(p: np.ndarray, e: np.ndarray, tol: float = 0.0) -> bool:
+def _is_passive(p: np.ndarray, e: np.ndarray, tol: float) -> bool:
     p, e = p.tolist(), e.tolist()
     for i in range(len(p) - 1):
         if e[i + 1] == e[i]:
@@ -315,7 +326,7 @@ def diagram_point(probs, energies) -> DiagramPoint:
     return DiagramPoint(float(p @ e), _entropy(p))
 
 
-def _bisect_beta(f, energies: np.ndarray, max_iter: int = 200) -> float:
+def _bisect_beta(f, energies: np.ndarray) -> float:
     """Root of the monotone-decreasing f(beta) on [0, exp underflow bound],
     to a relative width of 1e-14."""
     span = float(energies[-1] - energies[0])
@@ -327,7 +338,7 @@ def _bisect_beta(f, energies: np.ndarray, max_iter: int = 200) -> float:
         return 0.0
     if fhi >= 0.0:
         return BETA_INF
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm > 0.0:

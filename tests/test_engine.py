@@ -245,6 +245,22 @@ class TestSharedTables:
                 assert type(getattr(out, name)) is float, name
 
 
+class TestLongTables:
+    # m + 1 and n entries: one table at the bound, then both past it
+    @pytest.mark.parametrize("m, n", [(engine._SUMS_LEN - 1, 2), (engine._SUMS_LEN, engine._SUMS_LEN + 7)])
+    def test_long_cycle_keeps_no_long_table(self, m, n):
+        p, e = np.array([0.5, 0.35, 0.15]), np.array([0.0, 3.0, 4.0])
+        with mock.patch.object(engine, "_geometric_sums", _uncached_sums):
+            expected = engine.run_cycle(p, e, m, n)
+        engine._SUMS.clear()
+        engine.run_cycle(p, e, 3, 4)  # short tables of both factors, kept
+        got = engine.run_cycle(p, e, m, n)
+        # a table up to the bound is extended and kept; a longer one leaves the kept one as it was
+        assert [len(table) for table in engine._SUMS.values()] == [m + 1 if m < engine._SUMS_LEN else 4, 4]
+        for field in dataclasses.fields(expected):
+            assert _same(getattr(got, field.name), getattr(expected, field.name)), field.name
+
+
 class TestNearOneRatios:
     @pytest.mark.parametrize("p, m, n", [
         *[((1 - 2 * eps, eps, 0.999999 * eps), m, n)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -91,3 +92,26 @@ def test_no_module_calls_the_builtin_sum():
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "sum":
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["sweep", "crosscheck", "flow", "map"])
+def test_one_bench_round_passes_its_checks(monkeypatch, tmp_path, name):
+    """One round of each bench workload, built and run in-process as the
+    bench's worker runs it: every op returns and its own check passes."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import swapengine
+    import swapengine.cli  # the map workload runs swapengine.cli, which the package does not import
+    from swapengine import engine, regions
+
+    workloads = importlib.import_module("workloads")
+    try:
+        wl = workloads.make(name, 1, swapengine, str(tmp_path))
+        wl.warm_up()
+        ops = wl.rounds(0)
+        errors = [(op.kind, op.check(op.call())) for op in ops]
+    finally:  # leave no shared table or grid behind for the tests that count builds
+        engine._SUMS.clear()
+        regions._grid_log_ratios.cache_clear()
+        regions._r1_log_ratios.cache_clear()
+    assert ops
+    assert [(kind, error) for kind, error in errors if error is not None] == []

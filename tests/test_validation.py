@@ -4,6 +4,7 @@ ValueError or returning finite values on bad input."""
 
 import dataclasses
 import math
+import sys
 import warnings
 from collections import Counter
 
@@ -18,6 +19,7 @@ NAN = float("nan")
 INF = float("inf")
 NON_PASSIVE = [0.3, 0.5, 0.2]
 E = [0.0, 1.0, 2.0]
+HUGE = 2**1100  # an integer past the float range
 
 
 @pytest.mark.parametrize("call", [
@@ -245,6 +247,21 @@ def _ledger_with_machine_rows():
     lambda: quasistatic.asymptotic_machine([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], 10, True),
     lambda: states.beta_from_energy(True, [0.0, 1.0, 3.0]),
     lambda: states.beta_from_entropy(True, [0.0, 1.0, 3.0]),
+    # cycle sizes and gap-ratio integers past the float range: each raised OverflowError
+    lambda: engine.run_cycle([0.5, 0.35, 0.15], [0, 3, 4], HUGE, 1),
+    lambda: engine.run_cycle([0.5, 0.35, 0.15], [0, 3, 4], 1, HUGE),
+    lambda: reduction.lifted_cycle(_QUDIT, np.arange(5.0), 0, HUGE, 3),
+    lambda: regions.in_activation_region([0.5, 0.35, 0.15], [0, 3, 4], HUGE, 1),
+    lambda: regions.activation_flags([0.5, 0.35, 0.15], [0, 3, 4], [(1, 1), (1, HUGE)]),
+    lambda: regions.coverage_fraction(regions.RationalGapRatio(1, 3), HUGE, 1, 50),
+    lambda: regions.coverage_fraction(regions.RationalGapRatio(1, 3), 2, HUGE, 50),
+    lambda: regions.coverage_fraction(regions.RationalGapRatio(HUGE, 3), 2, 1, 50),
+    lambda: regions.k_activability_witness([0.5, 0.35, 0.15], [0, 3, 4], HUGE, 1),
+    lambda: regions.classify([0.5, 0.35, 0.15], regions.RationalGapRatio(HUGE, 1)),
+    lambda: regions.classify([0.5, 0.35, 0.15], regions.RationalGapRatio(1, HUGE)),
+    lambda: regions.covering_cycle([0.6, 0.3, 0.1], regions.RationalGapRatio(HUGE, 1), 20),
+    lambda: regions.covering_cycle([0.6, 0.3, 0.1], regions.RationalGapRatio(1, HUGE), 20),
+    lambda: quasistatic.asymptotic_machine([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], HUGE, 1.0),
 ], ids=["relative_entropy_nan", "relative_entropy_unnormalized", "relative_entropy_lengths",
         "ledger_nan_machine", "ledger_beta_inf", "ledger_beta_nan", "ledger_underflow",
         "ledger_joint_rows", "witness_cycle", "trajectory_subnormal_p2", "trajectory_tiny_p2",
@@ -257,7 +274,11 @@ def _ledger_with_machine_rows():
         "swap_step_bool", "mutual_info_3d", "stationary_float_m", "stationary_bool_m_warm",
         "block_joint_float_m", "stationary_str_m", "ledger_machine_2d", "classify_bool_tol",
         "coverage_bool_eps_band", "trajectory_bool_step", "thermal_bool_beta", "ledger_bool_beta",
-        "asymptotic_bool_alpha", "beta_from_energy_bool_target", "beta_from_entropy_bool_target"])
+        "asymptotic_bool_alpha", "beta_from_energy_bool_target", "beta_from_entropy_bool_target",
+        "cycle_huge_m", "cycle_huge_n", "lifted_huge_m", "region_huge_m", "flags_huge_n",
+        "coverage_huge_m", "coverage_huge_n", "coverage_huge_gap_ratio_m", "witness_huge_m",
+        "classify_huge_gap_ratio_m", "classify_huge_gap_ratio_n", "covering_huge_gap_ratio_m",
+        "covering_huge_gap_ratio_n", "asymptotic_huge_m"])
 def test_domain_holes_rejected(call):
     with pytest.raises(ValueError):
         call()
@@ -295,7 +316,9 @@ def test_rarely_reached_raises(call, match):
      "error: need --state or --beta\n"),
     (["cycle", "--state", "0.25,0.15,0.12", "--energies", "0,3,4", "--m", "1", "--n", "1"], 1,
      "error: state not normalized: sum = 0.52\n"),
-], ids=["bad_float_list", "no_state_or_beta", "unnormalized_state"])
+    (["cycle", "--state", "0.5,0.35,0.15", "--energies", "0,3,4", "--m", str(HUGE), "--n", "1"], 1,
+     "error: need m <= sys.float_info.max, got an integer of 1101 bits\n"),
+], ids=["bad_float_list", "no_state_or_beta", "unnormalized_state", "huge_m"])
 def test_rarely_reached_cli_errors(capsys, argv, code, message):
     try:
         got = cli.main(argv)
@@ -305,6 +328,15 @@ def test_rarely_reached_cli_errors(capsys, argv, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(message)
+
+
+def test_integers_up_to_the_float_range_run():
+    # the largest float is a whole number, so it bounds the integers accepted exactly
+    big = int(sys.float_info.max)
+    assert regions.in_activation_region([0.5, 0.35, 0.15], [0, 3, 4], 10**300, 1) is False
+    assert regions.RationalGapRatio(big, big).m_int == big
+    with pytest.raises(ValueError, match="^need M <= sys.float_info.max"):
+        regions.RationalGapRatio(big + 1, 1)
 
 
 _TAU = states.thermal_state(1.0, E)  # R3 for the gap ratio 1:1
