@@ -136,12 +136,9 @@ def _run_cycle(p: np.ndarray, energies: np.ndarray, m: int, n: int, k: int = 0) 
     cycle on levels k, k + 1, k + 2 of a checked state and ladder whose
     window passed reduction's window check: it runs on the window's raw
     populations, and final_system is the whole state with those levels moved."""
-    w = p[k : k + 3]
-    e0, e1, e2 = energies.tolist()[k : k + 3]
-    de10, de21 = e1 - e0, e2 - e1
-    states._check_passive_on(w, de10, de21)
+    de10, de21 = states._gaps_on(p, energies, k)
     lever = states._lever(m, n, de10, de21)
-    return _outcome(p, k, m, n, de10, de21, lever, _strokes(*_factors(w, m, n), m, n))
+    return _outcome(p, k, m, n, de10, de21, lever, _strokes(*_factors(p[k : k + 3], m, n), m, n))
 
 
 def _outcome(p: np.ndarray, k: int, m: int, n: int, de10: float, de21: float, lever: float,

@@ -176,7 +176,7 @@ def _information(joint) -> tuple[float, np.ndarray, float, np.ndarray]:
     if j.ndim != 2:
         raise ValueError(f"joint must be 2-d, got shape {j.shape}")
     # negated, so that NaN fails; entries at most 1 cannot overflow the sum
-    if not (((j >= 0) & (j <= 1)).all() and abs(j.sum() - 1.0) <= 1e-12):
+    if not (((j >= 0) & (j <= 1)).all() and abs(j.sum() - 1.0) <= states._NORM_TOL):
         raise ValueError("joint must be a normalized distribution")
     h = states._entropy
     sigma, machine = system_marginal(j), machine_marginal(j)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -38,16 +39,16 @@ class AlphaRange:
 def alpha_range(p, energies) -> AlphaRange:
     """Open interval of admissible swap ratios n/m (needs E2 > E1); empty
     (error) unless the state lies strictly on the work-extracting side of thermal."""
-    p, _, ratio = _passive_on(p, energies)
+    p, _, _, ratio = _passive_on(p, energies)
     return _alpha_window(p, ratio)
 
 
-def _passive_on(p, energies) -> tuple[np.ndarray, np.ndarray, float]:
-    """(p, e, dE10/dE21): a ladder with E2 > E1, then a qutrit passive on it as in run_cycle."""
+def _passive_on(p, energies) -> tuple[np.ndarray, np.ndarray, tuple[float, float], float]:
+    """(p, e, (dE10, dE21), dE10/dE21): a ladder with E2 > E1, then a qutrit
+    passive on it as in run_cycle, and the gaps it was checked on."""
     e, ratio = states.qutrit_ladder(energies)  # before p: a thermal state on a bad ladder fails as the ladder
     p = states.passive_qutrit(p)
-    states._check_passive_on(p, float(e[1] - e[0]), float(e[2] - e[1]))
-    return p, e, ratio
+    return p, e, states._gaps_on(p, e), ratio
 
 
 def _alpha_window(p, upper: float) -> AlphaRange:
@@ -89,7 +90,7 @@ class AsymptoticMachine:
 def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
     """Limit shape of the stationary machine for a large (m, ceil(alpha*m))
     cycle. alpha must lie inside alpha_range(p, energies)."""
-    p, _, ratio = _passive_on(p, energies)
+    p, _, _, ratio = _passive_on(p, energies)
     rng = _alpha_window(p, ratio)
     states._check_real(alpha, "alpha")
     if alpha not in rng:
@@ -98,6 +99,8 @@ def asymptotic_machine(p, energies, m: int, alpha: float) -> AsymptoticMachine:
     if m < 3:
         raise ValueError("need m >= 3")
     states._check_float_range(m, "m")
+    if alpha * m > sys.float_info.max:  # a float product is inf there, silently
+        raise ValueError(f"need alpha*m <= sys.float_info.max, got alpha = {alpha}, m = {float(m):g}")
     n = math.ceil(alpha * m)
     if n < 3:
         raise ValueError(f"need n = ceil(alpha*m) >= 3 for a cold tail, got n={n}")
@@ -166,8 +169,7 @@ def integrate_trajectory(
     drop between the first and last samples, and the hot heat its dE10 part;
     for the energy-conserving strategy the work is rounding error.
     """
-    p, e, ratio = _passive_on(p, energies)
-    de10, de21 = float(e[1] - e[0]), float(e[2] - e[1])
+    p, e, (de10, de21), ratio = _passive_on(p, energies)
     if isinstance(step, (bool, np.bool_)) or not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     states._check_integer(max_steps, "max_steps")

@@ -108,18 +108,17 @@ def _best(p: np.ndarray, e: np.ndarray, pairs) -> tuple[int, engine.CycleOutcome
     # every window is checked before any cycle runs; one pair of geometric
     # tables per window, as long as the longest cycle needs
     m_max, n_max = max(m for m, _ in pairs), max(n for _, n in pairs)
-    windows = []
+    windows, gaps = [], {}
     for k in ks:
         _check_window(p, k)
-        w = p[k : k + 3]
-        e0, e1, e2 = e[k : k + 3].tolist()
-        windows.append((k, w, e1 - e0, e2 - e1, engine._factors(w, m_max, n_max)))
+        windows.append((k, engine._factors(p[k : k + 3], m_max, n_max)))
     for pruned in (True, False):
         best = None
         for i, (m, n) in enumerate(pairs):
-            for k, w, de10, de21, factors in windows:
+            for k, factors in windows:
                 if pruned and i == 0:  # _run_cycle's ladder check, where the window's first cycle meets it
-                    states._check_passive_on(w, de10, de21)
+                    gaps[k] = states._gaps_on(p, e, k)
+                de10, de21 = gaps[k]
                 lever = states._lever(m, n, de10, de21)
                 if pruned:
                     s1m, s2n = factors[1] ** m, factors[2] ** n  # as _strokes computes them
@@ -147,9 +146,8 @@ def block_joint_cycle(p, energies, k: int, m: int, n: int):
     p, e = states.state_and_ladder(p, energies)
     _check_window(p, k)
     steps = oracle.build_cycle(m, n)
+    states._gaps_on(p, e, k)
     w = p[k : k + 3]
-    e0, e1, e2 = e[k : k + 3].tolist()
-    states._check_passive_on(w, e1 - e0, e2 - e1)
     q = oracle._stationary_machine(w / w.sum(), steps)
     joint = oracle.product_joint(p, q)
     # act only on the window rows; identity on the rest of the ladder

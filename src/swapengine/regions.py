@@ -141,10 +141,9 @@ def activation_flags(p, energies, cycles):
 
 
 def _cycle_flags(p, l1, l2, energies, cycles):
-    """activation_flags of the checked p from its _log_ratios: the ladder, p
-    passive on it, then each cycle's m, n and lever are checked in turn."""
-    de10, de21 = states.gaps(energies)
-    states._check_passive_on(p, de10, de21)
+    """activation_flags of the checked p from its _log_ratios: the ladder, its
+    gaps read with p passive on them, then each cycle's m, n and lever in turn."""
+    de10, de21 = states._gaps_on(p, states.validate_hamiltonian(energies, 3))
     flags = []
     for m, n in cycles:
         states.check_cycle(m, n)

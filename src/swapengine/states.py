@@ -45,7 +45,7 @@ def validate_state(probs, d: int | None = None) -> np.ndarray:
         total += v  # numpy's order below 8 entries; the builtin sum is compensated from 3.12 on
     if p.size >= 8:  # numpy sums pairwise from 8 entries on
         total = float(p.sum())
-    if not abs(total - 1.0) <= 1e-12:
+    if not abs(total - 1.0) <= _NORM_TOL:
         raise ValueError(f"state not normalized: sum = {total!r}")
     return p
 
@@ -84,7 +84,7 @@ def passive_qutrit(probs) -> np.ndarray:
             raise ValueError(f"batch of states must have shape (N, 3), got {p.shape}")
         p0, p1, p2 = p.T
         ok = ((1.0 >= p0) & (p0 >= p1) & (p1 >= p2) & (p2 > 0.0)).all()
-        ok = ok and (abs(p.sum(axis=1) - 1.0) <= 1e-12).all()
+        ok = ok and (abs(p.sum(axis=1) - 1.0) <= _NORM_TOL).all()
         if not ok:  # negated, so that NaN fails it
             raise ValueError(_NOT_PASSIVE_QUTRIT)
     else:
@@ -96,7 +96,7 @@ def passive_qutrit(probs) -> np.ndarray:
 def _check_passive_row(p0: float, p1: float, p2: float) -> None:
     """passive_qutrit's batch test on one row of Python floats, with its error."""
     # negated, so that NaN fails it; the row sums left to right, as numpy's does
-    if not (1.0 >= p0 >= p1 >= p2 > 0.0 and abs(p0 + p1 + p2 - 1.0) <= 1e-12):
+    if not (1.0 >= p0 >= p1 >= p2 > 0.0 and abs(p0 + p1 + p2 - 1.0) <= _NORM_TOL):
         raise ValueError(_NOT_PASSIVE_QUTRIT)
 
 
@@ -209,13 +209,15 @@ def _is_passive(p: np.ndarray, e: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _check_passive_on(p: np.ndarray, de10: float, de21: float) -> None:
-    """Raise unless the checked passive qutrit p, or each row of an (N, 3)
-    batch, is passive on a ladder with gaps de10, de21: a zero gap needs
-    equal populations, as in _is_passive."""
-    for gap, hi, lo in ((de10, 0, 1), (de21, 1, 2)):
-        if gap == 0.0 and not (p[..., hi] - p[..., lo] <= _NORM_TOL).all():
+def _gaps_on(p: np.ndarray, e: np.ndarray, k: int = 0) -> tuple[float, float]:
+    """(dE10, dE21) of levels k, k + 1, k + 2 of the checked ladder e, as Python
+    floats, once the same levels of the checked p, or of each row of an (N, 3)
+    batch, are passive on them: a zero gap needs equal populations, as in _is_passive."""
+    e0, e1, e2 = e[k : k + 3].tolist()
+    for gap, i in ((e1 - e0, k), (e2 - e1, k + 1)):
+        if gap == 0.0 and not (p[..., i] - p[..., i + 1] <= _NORM_TOL).all():
             raise ValueError("state is not passive: equal energies need equal populations")
+    return e1 - e0, e2 - e1
 
 
 def passify(probs, energies) -> np.ndarray:

@@ -82,6 +82,28 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_every_private_definition_is_read():
+    """Every module-level `_`-prefixed function or class of the package is
+    read somewhere in it: as a name, as an attribute or in an import. One
+    that nothing reads is dead code a refactor left behind."""
+    defined, read = [], set()
+    for path in sorted((ROOT / "src" / "swapengine").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                defined.append((node.name, f"{path.name}:{node.lineno}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert defined
+    assert [where for name, where in defined if name not in read] == []
+
+
 def test_no_module_calls_the_builtin_sum():
     """The builtin `sum` of floats is compensated from Python 3.12 on, so a
     result built with it would depend on the interpreter; running sums give

@@ -142,17 +142,28 @@ class TestBlockUnitaryOracle:
                     assert np.max(np.abs(sys_m - lifted.final_system)) < 1e-12
                     assert np.max(np.abs(mach_m - lifted.machine)) < 1e-12
 
-    @pytest.mark.parametrize("k, m, message", [
-        (0, 2, "^state is not passive: equal energies need equal populations$"),
-        (3, 0, "^window start 3 out of range for d=4$"),  # the window first
-        (0, 0, "^need m, n >= 1, got m = 0, n = 3$"),  # then m and n, then the ladder
-    ])
-    def test_refuses_what_lifted_cycle_refuses(self, k, m, message):
-        # p1 != p2 on E1 == E2: window 0 is not passive on its ladder
-        args = ([0.4, 0.3, 0.2, 0.1], [0.0, 1.0, 1.0, 3.0], k, m, 3)
-        for call in (reduction.lifted_cycle, reduction.block_joint_cycle):
+    # p1 != p2 on E1 == E2: window 0 is not passive on its ladder
+    QUDIT = [0.4, 0.3, 0.2, 0.1], [0.0, 1.0, 1.0, 3.0]
+    # p2 != p3 on E2 == E3 while p1 == p2 on E1 < E2: only window 1 is not
+    # passive, so a check that reads levels 0 ... 2 of p for window 1 passes it
+    UPPER = [0.4, 0.25, 0.25, 0.1], [0.0, 1.0, 2.0, 2.0]
+    REFUSALS = [
+        (0, 2, "^state is not passive: equal energies need equal populations$", QUDIT),
+        (3, 0, "^window start 3 out of range for d=4$", QUDIT),  # the window first
+        (0, 0, "^need m, n >= 1, got m = 0, n = 3$", QUDIT),  # then m and n, then the ladder
+        (1, 2, "^state is not passive: equal energies need equal populations$", UPPER),
+    ]
+
+    @pytest.mark.parametrize("k, m, message, state", REFUSALS,
+                             ids=[f"{k}-{m}-{message}" for k, m, message, _ in REFUSALS])
+    def test_refuses_what_lifted_cycle_refuses(self, k, m, message, state):
+        p, e = state
+        calls = [reduction.lifted_cycle, reduction.block_joint_cycle]
+        if k <= len(p) - 3:  # best_window takes no window start: it searches them all
+            calls.append(lambda p, e, k, m, n: reduction.best_window(p, e, m, n))
+        for call in calls:
             with pytest.raises(ValueError, match=message):
-                call(*args)
+                call(p, e, k, m, 3)
 
 
 class TestBestWindow:

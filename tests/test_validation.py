@@ -262,6 +262,7 @@ def _ledger_with_machine_rows():
     lambda: regions.covering_cycle([0.6, 0.3, 0.1], regions.RationalGapRatio(HUGE, 1), 20),
     lambda: regions.covering_cycle([0.6, 0.3, 0.1], regions.RationalGapRatio(1, HUGE), 20),
     lambda: quasistatic.asymptotic_machine([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], HUGE, 1.0),
+    lambda: quasistatic.asymptotic_machine([0.5, 0.35, 0.15], [0.0, 3.0, 4.0], 10**308, 2.5),
 ], ids=["relative_entropy_nan", "relative_entropy_unnormalized", "relative_entropy_lengths",
         "ledger_nan_machine", "ledger_beta_inf", "ledger_beta_nan", "ledger_underflow",
         "ledger_joint_rows", "witness_cycle", "trajectory_subnormal_p2", "trajectory_tiny_p2",
@@ -278,7 +279,7 @@ def _ledger_with_machine_rows():
         "cycle_huge_m", "cycle_huge_n", "lifted_huge_m", "region_huge_m", "flags_huge_n",
         "coverage_huge_m", "coverage_huge_n", "coverage_huge_gap_ratio_m", "witness_huge_m",
         "classify_huge_gap_ratio_m", "classify_huge_gap_ratio_n", "covering_huge_gap_ratio_m",
-        "covering_huge_gap_ratio_n", "asymptotic_huge_m"])
+        "covering_huge_gap_ratio_n", "asymptotic_huge_m", "asymptotic_alpha_m_overflow"])
 def test_domain_holes_rejected(call):
     with pytest.raises(ValueError):
         call()
